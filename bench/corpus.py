@@ -167,19 +167,21 @@ def binomial_op(n: int, sign: int, b: int = 1) -> dict:
     }
 
 
-# Swinnerton-Dyer prime sets, cycled in a fixed order.  Two kinds of set are
-# left out because they widen the cost band of their family fourfold:
-# (5, 7, 11), which makes a product of four SD8 take 1 s instead of 0.1-0.2 s,
-# and, under X -> X^2, (2, 3, 7, 11) and (2, 5, 7, 11), whose SD16(X^2)
-# takes 1.8 s instead of 0.45 s.
+# Swinnerton-Dyer prime sets, cycled in a fixed order.  (5, 7, 11) is left
+# out because it widens the cost band of its family fourfold: it makes a
+# product of four SD8 take 1 s instead of 0.1-0.2 s.
 SD8_SETS = tuple(s for s in itertools.combinations(PRIMES, 3) if s != (5, 7, 11))
-SQUARE_SETS = ((2, 3, 5, 7), (2, 3, 5, 11), (3, 5, 7, 11))
+# SD16(2,3,5,7)(X^2), the op with the most recombination work (2 509 trial
+# divisions in about 0.45 s).  It is one op of block 0 only: at one per block
+# the three took a third of a pass, so fewer passes fitted in a run.  Under
+# X -> X^2, (2, 3, 7, 11) and (2, 5, 7, 11) take 1.8 s instead.
+SQUARE_SET = (2, 3, 5, 7)
 
 
 # Two products that recur in every block with the same work, so that the
 # median op lies inside a band of a dozen identical-cost ops per block (about
-# 13 ms) and the 90th percentile inside one of five per block (about 55 ms),
-# not in a gap between families.  Copies differ in content, clearing
+# 13 ms) and the 90th percentile inside one of five or six per block (about
+# 55 ms), not in a gap between families.  Copies differ in content, clearing
 # denominator and shift only.
 MEDIAN_PRODUCT = ((2, 3, 5, 7), 3)  # SD16(2,3,5,7) * (X^2 - 3)
 P90_PRODUCT = ((2, 3, 5, 11), (2, 3, 7))  # SD16(2,3,5,11) * SD8(2,3,7)
@@ -188,17 +190,15 @@ P90_PRODUCT = ((2, 3, 5, 11), (2, 3, 7))  # SD16(2,3,5,11) * SD8(2,3,7)
 def factor_corpus(fixed, seeded, index: int) -> list[dict]:
     """Products of known irreducibles of cleared degree <= 32.
 
-    The prime sets of the other Swinnerton-Dyer blocks follow fixed cycles
-    that start at the block index; the light blocks come from the fixed
+    The prime sets of the other Swinnerton-Dyer blocks follow a fixed cycle
+    that starts at the block index; the light blocks come from the fixed
     stream.
     """
-    sd8, squares = (
-        itertools.cycle(sets[index % len(sets):] + sets[: index % len(sets)])
-        for sets in (SD8_SETS, SQUARE_SETS)
-    )
+    start = index % len(SD8_SETS)
+    sd8 = itertools.cycle(SD8_SETS[start:] + SD8_SETS[:start])
 
-    def sd(cycle, count=1):
-        return [A.swinnerton_dyer(list(next(cycle))) for _ in range(count)]
+    def sd(count=1):
+        return [A.swinnerton_dyer(list(next(sd8))) for _ in range(count)]
 
     median = [(A.swinnerton_dyer(list(MEDIAN_PRODUCT[0])), 1), ([-MEDIAN_PRODUCT[1], 0, 1], 1)]
     p90 = [(A.swinnerton_dyer(list(s)), 1) for s in P90_PRODUCT]
@@ -206,18 +206,19 @@ def factor_corpus(fixed, seeded, index: int) -> list[dict]:
     for _ in range(3):  # small: two or three quadratic/Eisenstein blocks
         families.append([(small_block(fixed), 1) for _ in range(fixed.randint(2, 3))])
     for _ in range(4):  # repeated blocks exercise the squarefree split
-        families.append([(sd(sd8)[0], 2), (small_block(fixed), fixed.randint(1, 3))])
+        families.append([(sd()[0], 2), (small_block(fixed), fixed.randint(1, 3))])
     for _ in range(6):  # SD8 with one or two small blocks
-        families.append([(sd(sd8)[0], 1)] + [(small_block(fixed), 1) for _ in range(fixed.randint(1, 2))])
+        families.append([(sd()[0], 1)] + [(small_block(fixed), 1) for _ in range(fixed.randint(1, 2))])
     families += [median] * 12
     for count in (2, 3, 2, 3):  # two or three distinct SD8
-        families.append([(b, 1) for b in sd(sd8, count)])
+        families.append([(b, 1) for b in sd(count)])
     families += [p90] * 5
-    # Degree 32: four distinct SD8, and SD16(X^2) with 2 509 trial divisions.
-    # (SD16 * SD8 * SD8 is left out: one such product took 5 s, 35 times its
-    # neighbours, and would set the tail alone.)
-    families.append([(b, 1) for b in sd(sd8, 4)])
-    families.append([(A.compose_power(sd(squares)[0], 2), 1)])
+    # Degree 32: four distinct SD8, and in block 0 SD16(X^2), elsewhere one
+    # more copy of the 90th-percentile product.  (SD16 * SD8 * SD8 is left
+    # out: one such product took 5 s, 35 times its neighbours, and would set
+    # the tail alone.)
+    families.append([(b, 1) for b in sd(4)])
+    families.append([(A.compose_power(A.swinnerton_dyer(list(SQUARE_SET)), 2), 1)] if index == 0 else p90)
     fixed.shuffle(families)
     return [factor_op(seeded, blocks) for blocks in families]
 

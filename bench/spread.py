@@ -1,6 +1,6 @@
 """Run the benchmark over several seeds and report each metric's spread.
 
-    python3 bench/spread.py --workloads factor,cyclo --seeds 1-10 [--seconds 10]
+    python3 bench/spread.py --workloads factor,cyclo --seeds 1-10 [--seconds 20]
 
 For every workload and end-to-end metric it prints the median, the first and
 third quartiles (``statistics.quantiles(values, n=4)``) and the quartile

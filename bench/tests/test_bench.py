@@ -1,5 +1,6 @@
 """Tests of the benchmark itself: deterministic corpora, oracles that reject
-corrupted answers, and tracing that survives a missing hook.
+corrupted answers, scaling to reference speed, and tracing that survives a
+missing hook.
 
     python3 -m pytest bench/tests -q
 """
@@ -89,13 +90,36 @@ def test_cli_oracle_rejects_a_wrong_exit_code():
     assert oracles.check(ok, {"exit": 1, "stdout": done.stdout}) is not None
 
 
+def test_only_the_documented_limit_failure_is_known():
+    limit = next(op for op in corpus.build("cli", 4) if op["argv"] == corpus.NEGATIVE_LIMIT)
+    documented = {"exit": 3, "stdout": json.dumps(
+        {"status": "resource-limit", "error": "16 candidate divisors exceed the cap of -5"})}
+    assert oracles.check(limit, documented) is not None
+    assert oracles.is_known_failure(limit, documented)
+    assert not oracles.is_known_failure(limit, {"exit": 1, "stdout": "Traceback ..."})
+    assert not oracles.is_known_failure(limit, dict(documented, exit=2))
+    other = next(op for op in corpus.build("cli", 4) if op["argv"][0] == "count" and op is not limit)
+    assert not oracles.is_known_failure(other, documented)
+
+
+def test_op_times_are_scaled_by_the_reference_kernel_next_to_them():
+    import run
+
+    ref = worker.REFERENCE_NS
+    assert run.scaled([10, 20, 30], [ref, ref, ref]) == [10, 20, 30]
+    # A machine at half speed doubles both the op and the kernel time.
+    assert run.scaled([20, 40, 60], [2 * ref] * 3) == [10, 20, 30]
+    # One reference blip among five neighbours does not move its op.
+    assert run.scaled([10] * 5, [ref, ref, 9 * ref, ref, ref]) == [10] * 5
+
+
 def test_traced_pass_with_a_missing_hook_completes(tmp_path):
     out = tmp_path / "pass.json"
     (tmp_path / "spans").mkdir()
     script = (
         "import sys, time; sys.path.insert(0, sys.argv[1]); import tracer, worker; "
         "tracer.HOOKS += (('gone.layer', 'puiseux.engine', 'no_such_entry_point', 'span'),); "
-        "worker.main(['cyclo', '5', '0', repr(time.monotonic()), '1', sys.argv[2]])"
+        "worker.main(['cyclo', '5', '0', repr(time.monotonic()), '0', '1', sys.argv[2]])"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     done = subprocess.run([sys.executable, "-c", script, BENCH, str(out)], cwd=ROOT,
@@ -106,4 +130,6 @@ def test_traced_pass_with_a_missing_hook_completes(tmp_path):
     assert report["trace"]["missing"] == ["puiseux.engine:no_such_entry_point"]
     assert report["trace"]["totals"]["cyclotomic.phi.calls"] > 0
     ops = corpus.build("cyclo", 5)
-    assert all(oracles.check(op, a) is None for op, a in zip(ops, report["answers"]))
+    answers = [json.loads(line) for line in (tmp_path / "pass.json.answers").read_text().splitlines()]
+    assert len(answers) == len(ops)
+    assert all(oracles.check(op, a) is None for op, a in zip(ops, answers))

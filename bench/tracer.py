@@ -123,10 +123,10 @@ class Tracer:
 
     # -- hook installation ---------------------------------------------------
 
-    def install(self, hooks=None) -> None:
-        """Wrap every hook target; ``hooks`` defaults to the module's HOOKS."""
+    def install(self) -> None:
+        """Wrap every hook target in HOOKS."""
         packages = [m for n, m in sys.modules.items() if n.startswith("puiseux") and m]
-        for name, module_name, path, kind in hooks or HOOKS:
+        for name, module_name, path, kind in HOOKS:
             found = _resolve(module_name, path)
             if found is None:
                 self.missing.append(f"{module_name}:{path}")
