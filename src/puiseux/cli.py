@@ -95,14 +95,18 @@ def _poly_mod_p(f: PuiseuxPoly, p: int) -> PrimeFieldPoly:
 
 def _limit(args) -> int:
     if args.limit is not None:
-        return args.limit
-    env = os.environ.get("PUISEUX_LIMIT")
-    if env is not None:
+        limit, source = args.limit, "--limit"
+    else:
+        env = os.environ.get("PUISEUX_LIMIT")
+        if env is None:
+            return DEFAULT_DIVISOR_LIMIT
         try:
-            return int(env)
+            limit, source = int(env), "PUISEUX_LIMIT"
         except ValueError:
             raise _UsageError(f"PUISEUX_LIMIT must be an integer (got {env!r})") from None
-    return DEFAULT_DIVISOR_LIMIT
+    if limit < 0:
+        raise _UsageError(f"{source} must not be negative (got {limit})")
+    return limit
 
 
 # -- command handlers: each returns (payload, human_text) -------------------

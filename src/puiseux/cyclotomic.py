@@ -3,67 +3,147 @@ vanishing-pattern check for polynomials whose roots are roots of unity."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
-from .errors import DomainError
-from .exact import PrimeFieldElement, PrimeFieldPoly
+from .errors import DomainError, ResourceLimitError
+from .exact import CACHE_SIZE, PrimeFieldElement, PrimeFieldPoly, is_prime
 from .qpoly import QPoly, factor_over_rationals
 
+# Trial division stops here: a number that is still unfactored past the
+# square of this bound raises ResourceLimitError, so factoring an exponent
+# or index read from input never runs for O(sqrt n) steps.
+TRIAL_DIVISION_LIMIT = 1 << 20
 
-@lru_cache(maxsize=None)
+
+def _prime_factors(n: int) -> list[tuple[int, int]]:
+    """(p, k) pairs with n = prod p^k, p increasing, by bounded trial division."""
+    out = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if p > TRIAL_DIVISION_LIMIT:
+            raise ResourceLimitError(
+                f"factoring {n} needs trial division past {TRIAL_DIVISION_LIMIT}"
+            )
+        if m % p == 0:
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            out.append((p, k))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def _divisors(n: int) -> list[int]:
+    """Every positive divisor of n, increasing."""
+    out = [1]
+    for p, k in _prime_factors(n):
+        out = [d * p**i for d in out for i in range(k + 1)]
+    return sorted(out)
+
+
+def binomial_indices(n: int, sign: int) -> tuple[int, ...]:
+    """The indices d, increasing, with X^n + sign = prod Phi_d for sign = +-1.
+
+    X^n - 1 is the product over every d | n; X^n + 1 = (X^2n - 1)/(X^n - 1)
+    is the product over the d | 2n that do not divide n.
+    """
+    if sign < 0:
+        return tuple(_divisors(n))
+    return tuple(d for d in _divisors(2 * n) if n % d)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def cyclotomic_poly(n: int) -> QPoly:
     """The n-th cyclotomic polynomial: monic, irreducible over Q, degree phi(n).
 
-    Computed by exact division of X^n - 1 by the cyclotomic polynomials of
-    the proper divisors of n, with memoization.  The cache behaves as a pure
-    function and is safe under concurrent use.
+    Built over the integers from the radical r of n (Arnold & Monagan,
+    "Calculating cyclotomic polynomials", Math. Comp. 80, 2011):
+    Phi_r = prod_{d | r} (1 - X^d)^mu(r/d) for r > 1, evaluated as a power
+    series truncated at degree phi(r) with one O(phi(r)) pass per divisor
+    (multiply by 1 - X^d, or divide by it), and then
+    Phi_n(X) = Phi_r(X^(n/r)).  Nothing is divided by a dense polynomial
+    and no Phi_d is built on the way, so only Phi_n enters the bounded
+    cache.
 
     >>> cyclotomic_poly(6)
     QPoly('X^2 - X + 1')
     """
     if n < 1:
         raise DomainError("cyclotomic index must be a positive integer")
-    if n == 1:
+    primes = [p for p, _ in _prime_factors(n)]
+    if not primes:
         return QPoly([-1, 1])
-    poly = QPoly([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            poly //= cyclotomic_poly(d)
-    return poly
+    degree = math.prod(p - 1 for p in primes)
+    series = [1] + [0] * degree
+    for size in range(len(primes) + 1):
+        for chosen in combinations(primes, size):
+            d = math.prod(chosen)
+            if (len(primes) - size) % 2 == 0:
+                for i in range(degree, d - 1, -1):
+                    series[i] -= series[i - d]
+            else:
+                for i in range(d, degree + 1):
+                    series[i] += series[i - d]
+    stride = n // math.prod(primes)
+    coeffs = [0] * (degree * stride + 1)
+    coeffs[::stride] = series
+    return QPoly(coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def totient(n: int) -> int:
-    """Euler's phi, by trial-division factorization."""
+    """Euler's phi, n * prod(1 - 1/p) over the primes p | n."""
     if n < 1:
         raise DomainError("totient is defined for positive integers")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    for p, _ in _prime_factors(n):
+        result -= result // p
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def inverse_totient(d: int) -> frozenset[int]:
     """All n with phi(n) = d.
 
-    Complete, because phi(n) >= sqrt(n/2) makes n <= 2*d^2 + 2 an exhaustive
-    search bound.
+    phi is multiplicative and phi(p^k) = p^(k-1) (p - 1), so every such n is
+    a product of prime powers p^k of distinct primes with phi(p^k) | d, and
+    p - 1 | d restricts p to the primes among the d' + 1, d' | d.  The
+    search builds n from these powers in increasing order of p, with the
+    quotient of d still to cover; it is complete, with no search bound.
+    phi(2) = 1, so the power 2^1 covers nothing and doubles an odd n.
     """
     if d < 1:
         raise DomainError("totient values are positive integers")
-    bound = 2 * d * d + 2
-    return frozenset(n for n in range(1, bound + 1) if totient(n) == d)
+    primes = [e + 1 for e in _divisors(d) if is_prime(e + 1)]
+    found = set()
+
+    def extend(start: int, rest: int, n: int) -> None:
+        if rest == 1:
+            found.add(n)
+        for j in range(start, len(primes)):
+            p = primes[j]
+            if p - 1 > rest:
+                break
+            if rest % (p - 1):
+                continue
+            rest_p, power = rest // (p - 1), p
+            while True:
+                extend(j + 1, rest_p, n * power)
+                if rest_p % p:
+                    break
+                rest_p //= p
+                power *= p
+
+    extend(0, d, 1)
+    return frozenset(found)
 
 
 def classify_cyclotomic(p: QPoly, *, assume_irreducible: bool = False) -> int | None:

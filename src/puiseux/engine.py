@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import classify_cyclotomic, cyclotomic_poly
+from .cyclotomic import binomial_indices, classify_cyclotomic, cyclotomic_poly
 from .errors import DomainError, ResourceLimitError
 from .exact import Rat
 from .monoid import PuiseuxMonoid
@@ -47,14 +47,35 @@ class CanonicalFactorization:
     prime_part: tuple[tuple[QPoly, int], ...]
 
 
-def canonical_factorization(f: PuiseuxPoly) -> CanonicalFactorization:
-    """Decompose a nonzero f into the canonical form above.
+def _binomial_factorization(f: PuiseuxPoly) -> CanonicalFactorization | None:
+    """The canonical form of c*X^r*(X^s +- 1), read off its two terms.
+
+    With m the lcm of the two exponents' denominators and n = s*m, the
+    cleared core X^n +- 1 is the product of the Phi_d listed by
+    :func:`binomial_indices`, each once.  None for any other element.
+    """
+    if len(f.terms) != 2:
+        return None
+    (low, a), (high, c) = f.terms
+    if abs(a) != abs(c):
+        return None
+    m = math.lcm(low.denominator, high.denominator)
+    n = int((high - low) * m)
+    return CanonicalFactorization(
+        constant=c,
+        clearing_denominator=m,
+        monomial_exponent=low,
+        cyclotomic_part=tuple((d, 1) for d in binomial_indices(n, 1 if a == c else -1)),
+        prime_part=(),
+    )
+
+
+def _dense_factorization(f: PuiseuxPoly) -> CanonicalFactorization:
+    """The canonical form of a nonzero f through its cleared dense polynomial.
 
     Clears denominators, factors the resulting ordinary polynomial over Q,
     and classifies each monic irreducible as cyclotomic or not.
     """
-    if f.is_zero:
-        raise DomainError("cannot factor the zero element")
     m, cleared = f.clear_denominators()
     k, core = cleared.split_monomial()
     fact = factor_over_rationals(core)
@@ -73,6 +94,17 @@ def canonical_factorization(f: PuiseuxPoly) -> CanonicalFactorization:
         cyclotomic_part=tuple(sorted(cyclo)),
         prime_part=tuple(sorted(primes, key=lambda t: (t[0].degree, t[0].coeffs))),
     )
+
+
+def canonical_factorization(f: PuiseuxPoly) -> CanonicalFactorization:
+    """Decompose a nonzero f into the canonical form above.
+
+    A binomial c*X^r*(X^s +- 1) is read off its two terms and never made
+    dense; every other element goes through its cleared polynomial.
+    """
+    if f.is_zero:
+        raise DomainError("cannot factor the zero element")
+    return _binomial_factorization(f) or _dense_factorization(f)
 
 
 def recompose(cf: CanonicalFactorization) -> PuiseuxPoly:

@@ -18,6 +18,11 @@ from .errors import DomainError
 
 MAX_PRIME = 2**31
 
+# Entries kept by each of the library's memo caches (cyclotomic_poly,
+# totient, inverse_totient, is_prime), so that a long-lived process stays
+# bounded; far above what one factorization or divisor walk looks up.
+CACHE_SIZE = 1024
+
 
 class Rat(Fraction):
     """A reduced non-negative rational, the exponent type of the whole library.
@@ -64,7 +69,7 @@ def lcm_denominators(values: Iterable[Fraction]) -> int:
     return math.lcm(*dens)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def is_prime(n: int) -> bool:
     """Deterministic primality test by trial division; intended for n <= 2**31."""
     if n < 2:

@@ -59,6 +59,17 @@ def exact_div(f, g):
     return q if not any(r[: len(g) - 1]) else None
 
 
+@lru_cache(maxsize=None)
+def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
+    """Phi_n by the textbook route: X^n - 1 divided exactly by Phi_d for
+    every proper divisor d of n."""
+    f = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            f = exact_div(f, list(cyclotomic_coeffs(d)))
+    return tuple(f)
+
+
 def primitive(f):
     cont = math.gcd(*f)
     if f[-1] < 0:

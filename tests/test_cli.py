@@ -1,8 +1,10 @@
 """Command-line surface: dispatch, exit codes, JSON output, determinism."""
 
 import json
+import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 from puiseux import (
@@ -82,6 +84,38 @@ def test_limit_env_variable(monkeypatch):
     # explicit flag wins over the environment
     ok = run_command(["divisors", "X^6-1", "--monoid", "<1>", "--limit", "1000000"])
     assert ok.exit_code == 0
+
+
+def test_negative_limit_is_a_usage_error(monkeypatch):
+    argv = ["count", "X^6-1", "--monoid", "<2,3>"]
+    flagged = run_command(argv + ["--limit", "-5", "--json"])
+    assert flagged.status == "parse-error" and flagged.exit_code == 2
+    assert "--limit" in json.loads(flagged.text)["error"]
+    monkeypatch.setenv("PUISEUX_LIMIT", "-1")
+    from_env = run_command(argv)
+    assert from_env.status == "parse-error" and from_env.exit_code == 2
+    assert "PUISEUX_LIMIT" in from_env.text
+    # a cap of zero is a valid (if useless) cap, not a usage error
+    assert run_command(argv + ["--limit", "0"]).exit_code == 3
+
+
+def test_sparse_binomial_factors_in_bounded_memory():
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024, 400_000 * 1024))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "puiseux.cli", "factor", "X^3000000+1", "--json"],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap_address_space,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    indices = [entry["index"] for entry in payload["cyclotomic"]]
+    assert indices[0] == 128 and indices[-1] == 6_000_000 and len(indices) == 14
+    assert elapsed < 2.0
 
 
 def test_deterministic_output():

@@ -1,6 +1,7 @@
 """Cyclotomic generation/recognition, symmetric values, vanishing pattern."""
 
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from puiseux import (
     DomainError,
     PrimeFieldPoly,
     QPoly,
+    ResourceLimitError,
     classify_cyclotomic,
     cyclotomic_poly,
     elementary_symmetric,
@@ -16,6 +18,9 @@ from puiseux import (
     totient,
 )
 
+from oracles import cyclotomic_coeffs
+from puiseux.cyclotomic import _prime_factors
+from puiseux.exact import is_prime
 from randgen import random_cyclotomic_product
 
 
@@ -40,6 +45,30 @@ def test_cyclotomic_product_identity():
         assert product == QPoly([-1] + [0] * (n - 1) + [1])
 
 
+def test_cyclotomic_matches_division_oracle():
+    for n in range(1, 401):
+        assert cyclotomic_poly(n).coeffs == cyclotomic_coeffs(n), n
+
+
+def test_cyclotomic_cold_build_is_fast():
+    start = time.perf_counter()
+    phi = cyclotomic_poly.__wrapped__(2310)
+    elapsed = time.perf_counter() - start
+    assert phi.degree == 480 and phi.coeffs[0] == 1
+    assert elapsed < 0.05
+
+
+def test_memo_caches_are_bounded():
+    for cached in (cyclotomic_poly, totient, inverse_totient, is_prime):
+        assert cached.cache_info().maxsize is not None
+
+
+def test_factoring_past_the_trial_division_limit_is_refused():
+    assert _prime_factors(2**60 * 1_000_003) == [(2, 60), (1_000_003, 1)]
+    with pytest.raises(ResourceLimitError):
+        _prime_factors(1_000_000_000_039 * 1_000_000_000_061)
+
+
 def test_cyclotomic_degree_is_totient():
     for n in range(1, 81):
         assert cyclotomic_poly(n).degree == totient(n)
@@ -52,10 +81,22 @@ def test_inverse_totient_examples():
 
 
 def test_inverse_totient_complete_small():
-    # Brute force over a wide range confirms the search bound loses nothing.
-    for d in range(1, 11):
-        direct = {n for n in range(1, 4 * d * d + 10) if totient(n) == d}
-        assert inverse_totient(d) == direct
+    # A totient sieve over n < 4*300^2 + 10 covers every preimage of d <= 300,
+    # since phi(n) >= sqrt(n/2).
+    top = 300
+    bound = 4 * top * top + 10
+    phi = list(range(bound))
+    for p in range(2, bound):
+        if phi[p] == p:
+            for k in range(p, bound, p):
+                phi[k] -= phi[k] // p
+    direct: dict[int, set[int]] = {}
+    for n in range(1, bound):
+        if phi[n] <= top:
+            direct.setdefault(phi[n], set()).add(n)
+    for d in range(1, top + 1):
+        assert inverse_totient(d) == direct.get(d, set()), d
+    assert all(totient(n) == phi[n] for n in range(1, 500))
 
 
 def test_classify_examples():

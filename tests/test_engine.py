@@ -10,6 +10,7 @@ from puiseux import (
     DomainError,
     PuiseuxMonoid,
     PuiseuxPoly,
+    QFactorization,
     QPoly,
     Rat,
     ResourceLimitError,
@@ -17,6 +18,7 @@ from puiseux import (
     classify_cyclotomic,
     cyclotomic_poly,
     divisors_in_algebra,
+    factor_over_rationals,
     ff_divisor_count,
     generalized_poly,
     is_atom_in_algebra,
@@ -24,6 +26,7 @@ from puiseux import (
     poly_gcd,
     recompose,
 )
+from puiseux import engine
 
 from oracles import brute_divisor_set
 from randgen import random_composite
@@ -75,6 +78,59 @@ def test_round_trip_random_composites():
     for _ in range(120):
         f = random_composite(rng)
         assert recompose(canonical_factorization(f)) == f
+
+
+def test_binomial_shortcut_matches_dense_path(monkeypatch):
+    # c*X^(j/m)*(X^(n/m) +- 1) read off its terms against the dense route
+    # (clear, factor over Q, classify).  The cleared cores are c*(X^k +- 1)
+    # with k <= 60, so the factorizations of their monic associates are
+    # memoized: a core factors as its leading coefficient times those.
+    factored: dict[QPoly, QFactorization] = {}
+
+    def factor(core):
+        monic = core.monic()
+        if monic not in factored:
+            factored[monic] = factor_over_rationals(monic)
+        return QFactorization(core.leading_coefficient, factored[monic].factors)
+
+    monkeypatch.setattr(engine, "factor_over_rationals", factor)
+    rng = random.Random(211)
+    for n in range(1, 61):
+        for m in range(1, 7):
+            for sign in (1, -1):
+                c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+                j = rng.randint(0, 2 * m)
+                f = PuiseuxPoly([(Fraction(j, m), sign * c), (Fraction(j + n, m), c)])
+                shortcut = engine._binomial_factorization(f)
+                assert shortcut == engine._dense_factorization(f), (n, m, sign, j, c)
+                if n % 15 == 0:
+                    assert recompose(shortcut) == f
+
+
+def test_shortcut_leaves_other_elements_to_the_dense_path(monkeypatch):
+    calls = []
+    factor = engine.factor_over_rationals
+    monkeypatch.setattr(engine, "factor_over_rationals", lambda q: calls.append(q) or factor(q))
+    for text in ("X^5 - 2", "2*X^3 + 3", "X^2 + X + 1", "X^(1/2) + 2*X"):
+        f = parse_poly(text)
+        before = len(calls)
+        assert recompose(canonical_factorization(f)) == f
+        assert len(calls) == before + 1, text
+
+
+def test_binomials_factor_without_dense_work(monkeypatch):
+    def refuse(q):
+        raise AssertionError("a binomial reached the dense factorizer")
+
+    monkeypatch.setattr(engine, "factor_over_rationals", refuse)
+    cf = canonical_factorization(parse_poly("X^3000000 + 1"))
+    assert cf.cyclotomic_part[0] == (128, 1) and cf.cyclotomic_part[-1] == (6_000_000, 1)
+    assert len(cf.cyclotomic_part) == 14 and cf.prime_part == ()
+    cf = canonical_factorization(parse_poly("X^(7/3) - 1"))
+    assert (cf.constant, cf.clearing_denominator, cf.monomial_exponent) == (1, 3, 0)
+    assert cf.cyclotomic_part == ((1, 1), (7, 1))
+    cf = canonical_factorization(parse_poly("X^105 - 1"))
+    assert [n for n, _ in cf.cyclotomic_part] == [1, 3, 5, 7, 15, 21, 35, 105]
 
 
 def test_prime_components_are_noncyclotomic():
