@@ -59,10 +59,6 @@ def zz_mul_scalar(f: list[int], a: int) -> list[int]:
     return [c * a for c in f]
 
 
-def zz_derivative(f: list[int]) -> list[int]:
-    return zz_strip([i * c for i, c in enumerate(f)][1:])
-
-
 def zz_max_norm(f: list[int]) -> int:
     return max((abs(c) for c in f), default=0)
 
@@ -145,15 +141,6 @@ def zz_trial_div(f: list[int], g: list[int]) -> list[int] | None:
 
 def gf_normal(f: list[int], p: int) -> list[int]:
     return zz_strip([c % p for c in f])
-
-
-def gf_add(f: list[int], g: list[int], p: int) -> list[int]:
-    if len(f) < len(g):
-        f, g = g, f
-    out = f[:]
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return zz_strip(out)
 
 
 def gf_sub(f: list[int], g: list[int], p: int) -> list[int]:

@@ -62,14 +62,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}error: {message}")
 
 
-def _poly_text(f: PuiseuxPoly) -> str:
-    return format_poly(f)
-
-
-def _qpoly_text(q) -> str:
-    return format_poly(PuiseuxPoly.from_qpoly(q, 1))
-
-
 def _parse_field(spec: str) -> int:
     if not spec.startswith("F"):
         raise _UsageError(f"field must look like F2, F3, ... (got {spec!r})")
@@ -109,7 +101,7 @@ def _limit(args) -> int:
     return limit
 
 
-# -- command handlers: each returns (payload, human_text) -------------------
+# -- command handlers: each returns (payload, human-readable text) ----------
 
 
 def _cmd_factor(args):
@@ -117,31 +109,28 @@ def _cmd_factor(args):
     cf = canonical_factorization(f)
     m = cf.clearing_denominator
     inner = f"(X^(1/{m}))" if m > 1 else ""
-    cyclo_text = ", ".join(
+    cyclo_list = ", ".join(
         f"Phi_{n}{inner}" + (f"^{e}" if e > 1 else "") for n, e in cf.cyclotomic_part
     )
-    prime_text = ", ".join(
-        f"[{_qpoly_text(q)}]{inner}" + (f"^{l}" if l > 1 else "")
-        for q, l in cf.prime_part
+    prime_list = ", ".join(
+        f"[{q}]{inner}" + (f"^{l}" if l > 1 else "") for q, l in cf.prime_part
     )
     payload = {
         "command": "factor",
-        "input": _poly_text(f),
+        "input": format_poly(f),
         "constant": format_rat(cf.constant),
         "clearing_denominator": m,
         "monomial_exponent": format_rat(cf.monomial_exponent),
         "cyclotomic": [{"index": n, "exponent": e} for n, e in cf.cyclotomic_part],
-        "primes": [
-            {"poly": _qpoly_text(q), "exponent": l} for q, l in cf.prime_part
-        ],
+        "primes": [{"poly": str(q), "exponent": l} for q, l in cf.prime_part],
     }
     lines = [
-        f"input: {_poly_text(f)}",
+        f"input: {format_poly(f)}",
         f"constant: {format_rat(cf.constant)}",
         f"clearing denominator m: {m}",
         f"monomial exponent: {format_rat(cf.monomial_exponent)}",
-        f"cyclotomic components: {cyclo_text or '(none)'}",
-        f"prime components: {prime_text or '(none)'}",
+        f"cyclotomic components: {cyclo_list or '(none)'}",
+        f"prime components: {prime_list or '(none)'}",
     ]
     return payload, "\n".join(lines)
 
@@ -152,7 +141,7 @@ def _cmd_symsupp(args):
     supp = ", ".join(format_rat(s) for s in sorted(f.support))
     payload = {
         "command": "symsupp",
-        "input": _poly_text(f),
+        "input": format_poly(f),
         "support": [format_rat(s) for s in sorted(f.support)],
         "symmetric": verdict,
     }
@@ -170,16 +159,16 @@ def _cmd_divisors(args):
     f = parse_poly(args.poly)
     monoid = _require_monoid(args)
     result = divisors_in_algebra(f, monoid, limit=_limit(args))
-    listed = [_poly_text(g) for g in result.divisors]
+    listed = [format_poly(g) for g in result.divisors]
     payload = {
         "command": "divisors",
-        "element": _poly_text(f),
+        "element": format_poly(f),
         "monoid": format_monoid(monoid),
         "count": len(listed),
         "divisors": listed,
     }
     head = (
-        f"{len(listed)} non-associate divisors of {_poly_text(f)} "
+        f"{len(listed)} non-associate divisors of {format_poly(f)} "
         f"in Q[{format_monoid(monoid)}]:"
     )
     return payload, "\n".join([head, *("  " + s for s in listed)])
@@ -191,7 +180,7 @@ def _cmd_atom(args):
     verdict = is_atom_in_algebra(f, monoid, limit=_limit(args))
     payload = {
         "command": "atom",
-        "element": _poly_text(f),
+        "element": format_poly(f),
         "monoid": format_monoid(monoid),
         "atom": verdict,
     }
@@ -204,7 +193,7 @@ def _cmd_count(args):
     count = ff_divisor_count(f, monoid, limit=_limit(args))
     payload = {
         "command": "count",
-        "element": _poly_text(f),
+        "element": format_poly(f),
         "monoid": format_monoid(monoid),
         "count": count,
     }
@@ -212,16 +201,12 @@ def _cmd_count(args):
 
 
 def _cmd_cyclotomic(args):
-    if args.index < 1:
-        raise DomainError("cyclotomic index must be a positive integer")
-    text = _qpoly_text(cyclotomic_poly(args.index))
+    text = str(cyclotomic_poly(args.index))
     payload = {"command": "cyclotomic", "index": args.index, "poly": text}
     return payload, text
 
 
 def _cmd_totient_inv(args):
-    if args.value < 1:
-        raise DomainError("totient values are positive integers")
     hits = sorted(inverse_totient(args.value))
     payload = {"command": "totient-inv", "value": args.value, "indices": hits}
     return payload, " ".join(map(str, hits)) if hits else "(none)"
@@ -242,7 +227,7 @@ def _cmd_lemma21(args):
         report = reciprocal_vanishing_check(poly)
     payload = {
         "command": "lemma21",
-        "input": _poly_text(f),
+        "input": format_poly(f),
         "field": args.field or "Q",
         "e_vector": rendered,
         "holds": report.holds,
@@ -291,11 +276,11 @@ def _cmd_substitute(args):
     result = f.substitute(ratio)
     payload = {
         "command": "substitute",
-        "input": _poly_text(f),
+        "input": format_poly(f),
         "by": format_rat(ratio),
-        "result": _poly_text(result),
+        "result": format_poly(result),
     }
-    return payload, _poly_text(result)
+    return payload, format_poly(result)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         return p
@@ -313,12 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("poly")
     p = add("symsupp", _cmd_symsupp, "decide symmetric support")
     p.add_argument("poly")
-    for name, handler, help_text in (
+    for name, handler, summary in (
         ("divisors", _cmd_divisors, "list all non-associate divisors in Q[S]"),
         ("atom", _cmd_atom, "decide atomicity in Q[S]"),
         ("count", _cmd_count, "count non-associate divisors in Q[S]"),
     ):
-        p = add(name, handler, help_text)
+        p = add(name, handler, summary)
         p.add_argument("poly")
         p.add_argument("--monoid", help='monoid literal, e.g. "<2, 3>"')
         p.add_argument("--limit", type=int, help="candidate-combination cap")
@@ -365,6 +350,11 @@ def run_command(argv: list[str]) -> CommandResult:
         return finish("math-domain-error", {"error": str(exc)}, f"domain error: {exc}")
     except ResourceLimitError as exc:
         return finish("resource-limit", {"error": str(exc)}, f"resource limit: {exc}")
+    except (MemoryError, RecursionError) as exc:
+        # The interpreter ran out of memory or stack: a resource limit, not
+        # a domain error and never a traceback.
+        error = str(exc) or type(exc).__name__
+        return finish("resource-limit", {"error": error}, f"resource limit: {error}")
     return finish("ok", payload, text)
 
 

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._intpoly import zz_mul
 from .cyclotomic import binomial_indices, classify_cyclotomic, cyclotomic_poly
 from .errors import DomainError, ResourceLimitError
 from .exact import Rat
@@ -168,38 +169,42 @@ def divisors_in_algebra(
 
     # Enumerate (g, cofactor) products over sub-multisets of the factor list,
     # keeping a candidate when both supports land inside the scaled monoid.
+    # The walk multiplies primitive integer associates: by Gauss's lemma
+    # scaling changes no support, and every kept divisor is made monic.
     powers = []
     for poly, mult in fact.factors:
-        row = [QPoly.one()]
+        _, prim = poly.primitive_integer()
+        row = [[1]]
         for _ in range(mult):
-            row.append(row[-1] * poly)
+            row.append(zz_mul(row[-1], prim))
         powers.append(row)
 
     inverse = Rat(1) / scale
     found: set[PuiseuxPoly] = set()
 
-    def consider(g: QPoly, h: QPoly):
-        g_support = [i for i, c in enumerate(g.coeffs) if c]
-        h_support = [i for i, c in enumerate(h.coeffs) if c]
+    def consider(g: list[int], h: list[int]):
+        g_support = [i for i, c in enumerate(g) if c]
+        h_support = [i for i, c in enumerate(h) if c]
         for t in monomial_splits:
             if all(numerical.contains(t + e) for e in g_support) and all(
                 numerical.contains(k - t + e) for e in h_support
             ):
-                divisor = PuiseuxPoly.from_qpoly(g, inverse)
-                if t:
-                    divisor = divisor * PuiseuxPoly.monomial(1, Rat(t) * inverse)
-                found.add(divisor.normalized_leading())
+                found.add(
+                    PuiseuxPoly(
+                        (Rat(t + i) * inverse, Fraction(g[i], g[-1])) for i in g_support
+                    )
+                )
 
-    def walk(index: int, g: QPoly, h: QPoly):
+    def walk(index: int, g: list[int], h: list[int]):
         if index == len(powers):
             consider(g, h)
             return
         row = powers[index]
         top = len(row) - 1
         for j in range(top + 1):
-            walk(index + 1, g * row[j], h * row[top - j])
+            walk(index + 1, zz_mul(g, row[j]), zz_mul(h, row[top - j]))
 
-    walk(0, QPoly.one(), QPoly.one())
+    walk(0, [1], [1])
     ordered = tuple(sorted(found, key=_divisor_sort_key))
     return DivisorSet(element=f, monoid=monoid, divisors=ordered)
 

@@ -189,23 +189,3 @@ class PrimeFieldPoly:
 
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def element(self, i: int) -> PrimeFieldElement:
-        return PrimeFieldElement(self.coeff(i), self.modulus)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mono = "" if i == 0 else ("X" if i == 1 else f"X^{i}")
-            if i == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts)

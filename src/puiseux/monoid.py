@@ -33,33 +33,35 @@ class NumericalMonoid:
     def _apery(self) -> tuple[int, ...]:
         """Least member in each residue class modulo the smallest generator.
 
-        Built by round-robin relaxation over the residue classes; the table is
-        an idempotent pure cache, so a racing rebuild is harmless.
+        Built by the round-robin algorithm of Boecker & Liptak ("A fast and
+        simple algorithm for the money changing problem", Algorithmica 48,
+        2007) in O(k * a) steps for k generators and least generator a.  Each
+        further generator g splits the residues into gcd(a, g) cycles of
+        r -> r + g; one turn round a cycle, started at its least entry, settles
+        it.  The generators have gcd 1, so every entry ends finite.  The table
+        is an idempotent pure cache, so a racing rebuild is harmless.
         """
         a = self.generators[0]
-        table: list[int | None] = [None] * a
-        table[0] = 0
-        changed = True
-        while changed:
-            changed = False
-            for i in range(a):
-                base = table[i]
-                if base is None:
+        table = [0] + [math.inf] * (a - 1)
+        for g in self.generators[1:]:
+            d = math.gcd(a, g)
+            for r in range(d):
+                m = min(table[r::d])
+                if m == math.inf:
                     continue
-                for g in self.generators:
-                    j = (i + g) % a
-                    cand = base + g
-                    if table[j] is None or cand < table[j]:
-                        table[j] = cand
-                        changed = True
-        return tuple(t if t is not None else -1 for t in table)
+                for _ in range(a // d):
+                    m += g
+                    i = m % a
+                    if table[i] < m:
+                        m = table[i]
+                    else:
+                        table[i] = m
+        return tuple(table)
 
     def contains(self, x: int) -> bool:
         if x < 0:
             return False
-        a = self.generators[0]
-        least = self._apery[x % a]
-        return least >= 0 and x >= least
+        return x >= self._apery[x % self.generators[0]]
 
     def divisors(self, n: int) -> list[int]:
         """All t with t and n - t both members; requires n to be a member."""
@@ -148,13 +150,15 @@ class PuiseuxMonoid:
         of two nonzero members."""
         if not self.generators:
             raise DomainError("atoms need at least one generator")
+        # g is a sum of two nonzero members exactly when g - h is a member
+        # for some smaller generator h.
         scale, numerical = self.normalization()
-        out = []
-        for g in self.generators:
-            n = int(g * scale)
-            if len(numerical.divisors(n)) == 2:
-                out.append(g)
-        return tuple(out)
+        ints = [int(g * scale) for g in self.generators]
+        return tuple(
+            g
+            for g, n in zip(self.generators, ints)
+            if not any(numerical.contains(n - m) for m in ints if m < n)
+        )
 
     def __repr__(self):
         from .textform import format_monoid

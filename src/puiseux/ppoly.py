@@ -10,9 +10,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .exact import Rat, lcm_denominators
 from .qpoly import QPoly
+
+# Largest degree an element may have when it is made dense (after clearing
+# denominators or scaling into a numerical monoid); far above what the
+# factorization and divisor algorithms handle in reasonable time.
+MAX_DENSE_DEGREE = 1 << 16
 
 
 def _as_scale(r) -> Rat:
@@ -78,15 +83,25 @@ class PuiseuxPoly:
         return cls((Rat(i) * s, c) for i, c in enumerate(h.coeffs) if c)
 
     def to_qpoly(self) -> QPoly:
-        """Reinterpret as an ordinary polynomial; requires integer exponents."""
-        out: list[Fraction] = []
-        for e, c in self.terms:
+        """Reinterpret as an ordinary polynomial; requires integer exponents.
+
+        This is where a sparse element becomes dense, so a degree above
+        :data:`MAX_DENSE_DEGREE` raises :class:`ResourceLimitError` instead
+        of allocating one coefficient per exponent.
+        """
+        for e, _ in self.terms:
             if e.denominator != 1:
                 raise DomainError(f"exponent {e} is not an integer")
-            i = int(e)
-            if i >= len(out):
-                out.extend([Fraction(0)] * (i + 1 - len(out)))
-            out[i] = c
+        if not self.terms:
+            return QPoly()
+        degree = int(self.degree)
+        if degree > MAX_DENSE_DEGREE:
+            raise ResourceLimitError(
+                f"dense degree {degree} exceeds the cap of {MAX_DENSE_DEGREE}"
+            )
+        out = [Fraction(0)] * (degree + 1)
+        for e, c in self.terms:
+            out[int(e)] = c
         return QPoly(out)
 
     # -- queries ----------------------------------------------------------

@@ -23,7 +23,8 @@ class QPoly:
 
     ``coeffs[i]`` is the coefficient of X^i; there is no trailing zero, and
     the zero polynomial is the empty tuple.  Instances are immutable and
-    hashable.
+    hashable.  Products run on the integer kernel in :mod:`._intpoly`, and
+    ``str`` renders the wire format of :func:`.textform.format_poly`.
 
     >>> QPoly([-1, 0, 1])
     QPoly('X^2 - 1')
@@ -123,14 +124,10 @@ class QPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        if self.is_zero or other.is_zero:
-            return QPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPoly(out)
+        c1, p1 = self.primitive_integer()
+        c2, p2 = other.primitive_integer()
+        content = c1 * c2
+        return QPoly([content * c for c in zz.zz_mul(p1, p2)])
 
     __rmul__ = __mul__
 
@@ -186,32 +183,13 @@ class QPoly:
         return hash(self.coeffs)
 
     def __repr__(self):
-        return f"QPoly({self._text()!r})"
+        return f"QPoly({str(self)!r})"
 
     def __str__(self):
-        return self._text()
+        from .ppoly import PuiseuxPoly
+        from .textform import format_poly
 
-    def _text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mono = "" if i == 0 else ("X" if i == 1 else f"X^{i}")
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return format_poly(PuiseuxPoly.from_qpoly(self))
 
     def monic(self) -> "QPoly":
         if self.is_zero:
@@ -229,17 +207,6 @@ class QPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def inflate(self, k: int) -> "QPoly":
-        """Substitute X -> X^k for a positive integer k."""
-        if k <= 0:
-            raise DomainError("inflation exponent must be positive")
-        if self.is_zero:
-            return QPoly()
-        out = [Fraction(0)] * (self.degree * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return QPoly(out)
 
     def split_monomial(self) -> tuple[int, "QPoly"]:
         """Write self = X^k * core with core(0) != 0; returns (k, core)."""

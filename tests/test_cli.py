@@ -99,23 +99,64 @@ def test_negative_limit_is_a_usage_error(monkeypatch):
     assert run_command(argv + ["--limit", "0"]).exit_code == 3
 
 
-def test_sparse_binomial_factors_in_bounded_memory():
+def _run_capped(argv, timeout=10):
+    """Run the CLI in a child with the address space capped at 400000 KiB."""
+
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024, 400_000 * 1024))
 
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "puiseux.cli", "factor", "X^3000000+1", "--json"],
+        [sys.executable, "-m", "puiseux.cli", *argv],
         capture_output=True,
         text=True,
         preexec_fn=cap_address_space,
+        timeout=timeout,
     )
-    elapsed = time.perf_counter() - start
+    return proc, time.perf_counter() - start
+
+
+def test_sparse_binomial_factors_in_bounded_memory():
+    proc, elapsed = _run_capped(["factor", "X^3000000+1", "--json"])
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     indices = [entry["index"] for entry in payload["cyclotomic"]]
     assert indices[0] == 128 and indices[-1] == 6_000_000 and len(indices) == 14
     assert elapsed < 2.0
+
+
+def test_sparse_trinomial_hits_the_dense_degree_cap():
+    proc, elapsed = _run_capped(["factor", "X^3000000+X+1", "--json"])
+    assert proc.returncode == 3, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "resource-limit" and "cap" in payload["error"]
+    assert elapsed < 2.0
+
+
+def test_large_clearing_denominator_hits_the_dense_degree_cap():
+    poly = "+".join(f"X^(1/{d})" for d in range(2, 20)) + "+1"
+    proc, elapsed = _run_capped(["factor", poly, "--json"])
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "resource-limit"
+    assert elapsed < 2.0
+
+
+def test_memory_and_recursion_errors_are_resource_limits(monkeypatch):
+    from puiseux import cli
+
+    for error in (MemoryError(), RecursionError("maximum recursion depth exceeded")):
+
+        def handler(args, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_count", handler)
+        plain = run_command(["count", "X^6-1", "--monoid", "<2,3>"])
+        assert plain.status == "resource-limit" and plain.exit_code == 3
+        doc = run_command(["count", "X^6-1", "--monoid", "<2,3>", "--json"])
+        assert json.loads(doc.text) == {
+            "status": "resource-limit",
+            "error": str(error) or type(error).__name__,
+        }
 
 
 def test_deterministic_output():

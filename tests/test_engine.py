@@ -1,6 +1,7 @@
 """Canonical factorization and divisor enumeration in Q[S]."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,11 @@ def test_matches_brute_force_oracle():
         QPoly([2, -1, 1]),
         QPoly([-2, 0, 1]),
         QPoly([2, 1]),
+        # monic associates with non-integer coefficients: the primitive
+        # integer associates used by the walk differ from them
+        QPoly([1, 2]),
+        QPoly([1, 0, 3]),
+        QPoly([Fraction(1, 2), 1]),
     ]
     rng = random.Random(113)
     for S in (PuiseuxMonoid([1]), PuiseuxMonoid([2, 3])):
@@ -296,6 +302,13 @@ def test_matches_brute_force_oracle():
                 for terms in brute_divisor_set(element.terms, S.generators)
             }
             assert mine == oracle
+
+
+def test_cyclotomic_rich_divisor_walk_is_fast():
+    start = time.perf_counter()
+    result = divisors_in_algebra(parse_poly("X^60 - 1"), PuiseuxMonoid([2, 3]))
+    assert time.perf_counter() - start < 2.0
+    assert len(result.divisors) == 1120
 
 
 def test_resource_limit_guard():

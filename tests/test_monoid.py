@@ -1,6 +1,8 @@
 """Finitely generated Puiseux monoids and their numerical normal forms."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -69,6 +71,30 @@ def test_membership_matches_direct_dp():
         S = rng.choice(monoids)
         q = Fraction(rng.randint(0, 60), rng.randint(1, 12))
         assert S.contains(q) == dp_membership(q, S.generators)
+
+
+def test_apery_table_matches_direct_dp():
+    rng = random.Random(131)
+    checked = 0
+    while checked < 60:
+        gens = [rng.randint(2, 40) for _ in range(rng.randint(1, 4))] + [rng.randint(2, 40)]
+        if math.gcd(*gens) != 1:
+            continue
+        N = NumericalMonoid(gens)
+        a = N.generators[0]
+        for r, least in enumerate(N._apery):
+            # least is a member of class r; least - a, one step lower, is not
+            assert least % a == r
+            assert dp_membership(least, N.generators)
+            assert least < a or not dp_membership(least - a, N.generators)
+        checked += 1
+
+
+def test_atoms_of_large_generators_are_fast():
+    start = time.perf_counter()
+    atoms = PuiseuxMonoid([10007, 20011, 30011]).atoms()
+    assert time.perf_counter() - start < 0.5
+    assert atoms == (10007, 20011, 30011)
 
 
 def test_divisors_examples():

@@ -10,6 +10,7 @@ from puiseux import (
     PuiseuxPoly,
     QPoly,
     Rat,
+    ResourceLimitError,
     cyclotomic_poly,
     generalized_poly,
     parse_poly,
@@ -152,3 +153,13 @@ def test_to_qpoly_requires_integer_exponents():
     with pytest.raises(DomainError):
         parse_poly("X^(1/2)").to_qpoly()
     assert parse_poly("X^2 - 1").to_qpoly() == QPoly([-1, 0, 1])
+
+
+def test_to_qpoly_caps_the_dense_degree():
+    from puiseux.ppoly import MAX_DENSE_DEGREE
+
+    top = PuiseuxPoly.monomial(1, MAX_DENSE_DEGREE)
+    assert top.to_qpoly().degree == MAX_DENSE_DEGREE
+    with pytest.raises(ResourceLimitError):
+        (top * parse_poly("X")).to_qpoly()
+    assert PuiseuxPoly.zero().to_qpoly() == QPoly()
