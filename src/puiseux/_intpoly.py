@@ -89,21 +89,41 @@ def zz_trunc_sym(f: list[int], m: int) -> list[int]:
     return zz_strip(out)
 
 
-def zz_divmod_by_monic(f: list[int], h: list[int]) -> tuple[list[int], list[int]]:
-    """Long division by a monic divisor; exact over Z."""
-    assert h and h[-1] == 1
-    m = len(h) - 1
+def zz_derivative(f: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def zz_pseudo_divmod(f: list[int], g: list[int]) -> tuple[int, list[int], list[int]]:
+    """(a, q, r) with a*f = q*g + r and deg r < deg g over Z.
+
+    A step scales by lc(g) only where lc(g) does not divide the leading
+    coefficient, so a is a power of lc(g), and 1 when g is monic.
+    """
+    m, glc, a = len(g) - 1, g[-1], 1
     r = f[:]
-    if len(r) <= m:
-        return [], zz_strip(r)
-    q = [0] * (len(r) - m)
+    q = [0] * max(len(r) - m, 0)
     for i in reversed(range(len(q))):
         c = r[i + m]
+        if c % glc:
+            a *= glc
+            r = [x * glc for x in r]
+            q = [x * glc for x in q]
+        else:
+            c //= glc
+        q[i] = c
         if c:
-            q[i] = c
-            for j, hc in enumerate(h):
-                r[i + j] -= c * hc
-    return zz_strip(q), zz_strip(r[:m])
+            for j, gc in enumerate(g):
+                r[i + j] -= c * gc
+    return a, zz_strip(q), zz_strip(r[:m])
+
+
+def zz_gcd(f: list[int], g: list[int]) -> list[int]:
+    """The gcd of the primitive parts of f and g, primitive with lc > 0, by the
+    primitive remainder sequence (Brown & Traub, J. ACM 18, 1971)."""
+    a, b = zz_primitive(f)[1], zz_primitive(g)[1]
+    while b:
+        a, b = b, zz_primitive(zz_pseudo_divmod(a, b)[2])[1]
+    return a
 
 
 def zz_trial_div(f: list[int], g: list[int]) -> list[int] | None:
@@ -136,6 +156,26 @@ def zz_trial_div(f: list[int], g: list[int]) -> list[int] | None:
     return zz_strip(q)
 
 
+def zz_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's split (SYMSAC 1976) of a primitive f with lc(f) > 0 into the pairs
+    (a_i, i), i increasing, with a_i primitive, squarefree, pairwise coprime,
+    of degree >= 1 and f = prod a_i^i.  Every gcd is primitive, so every
+    division is exact over Z by Gauss's lemma."""
+    df = zz_derivative(f)
+    g = zz_gcd(f, df)
+    c = zz_trial_div(f, g)
+    d = zz_sub(zz_trial_div(df, g), zz_derivative(c))
+    parts, i = [], 1
+    while zz_deg(c) > 0:
+        a = zz_gcd(c, d)
+        c = zz_trial_div(c, a)
+        d = zz_sub(zz_trial_div(d, a), zz_derivative(c))
+        if zz_deg(a) > 0:
+            parts.append((a, i))
+        i += 1
+    return parts
+
+
 # ---------------------------------------------------------------------------
 # arithmetic over F_p
 
@@ -144,21 +184,11 @@ def gf_normal(f: list[int], p: int) -> list[int]:
 
 
 def gf_sub(f: list[int], g: list[int], p: int) -> list[int]:
-    out = f[:] + [0] * (len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return zz_strip(out)
+    return gf_normal(zz_sub(f, g), p)
 
 
 def gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return zz_strip(out)
+    return gf_normal(zz_mul(f, g), p)
 
 
 def gf_mul_scalar(f: list[int], a: int, p: int) -> list[int]:
@@ -329,7 +359,7 @@ def zz_hensel_step(m, f, g, h, s, t):
     """
     big = m * m
     e = zz_trunc_sym(zz_sub(f, zz_mul(g, h)), big)
-    q, r = zz_divmod_by_monic(zz_mul(s, e), h)
+    _, q, r = zz_pseudo_divmod(zz_mul(s, e), h)
     q = zz_trunc_sym(q, big)
     r = zz_trunc_sym(r, big)
     u = zz_add(zz_mul(t, e), zz_mul(q, g))
@@ -337,7 +367,7 @@ def zz_hensel_step(m, f, g, h, s, t):
     h1 = zz_trunc_sym(zz_add(h, r), big)
     u = zz_add(zz_mul(s, g1), zz_mul(t, h1))
     b = zz_trunc_sym(zz_sub(u, [1]), big)
-    c, d = zz_divmod_by_monic(zz_mul(s, b), h1)
+    _, c, d = zz_pseudo_divmod(zz_mul(s, b), h1)
     c = zz_trunc_sym(c, big)
     d = zz_trunc_sym(d, big)
     u = zz_add(zz_mul(t, b), zz_mul(c, g1))

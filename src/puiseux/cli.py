@@ -214,17 +214,10 @@ def _cmd_totient_inv(args):
 
 def _cmd_lemma21(args):
     f = parse_poly(args.poly)
-    if args.field is None:
-        poly = f.to_qpoly()
-        values = elementary_symmetric(poly)
-        rendered = [format_rat(v) for v in values]
-        report = reciprocal_vanishing_check(poly)
-    else:
-        p = _parse_field(args.field)
-        poly = _poly_mod_p(f, p)
-        values = elementary_symmetric(poly)
-        rendered = [str(v.value) for v in values]
-        report = reciprocal_vanishing_check(poly)
+    poly = f.to_qpoly() if args.field is None else _poly_mod_p(f, _parse_field(args.field))
+    # str of a Fraction is format_rat's text, and of an F_p element its value
+    rendered = [str(v) for v in elementary_symmetric(poly)]
+    report = reciprocal_vanishing_check(poly)
     payload = {
         "command": "lemma21",
         "input": format_poly(f),

@@ -167,21 +167,6 @@ def classify_cyclotomic(p: QPoly, *, assume_irreducible: bool = False) -> int | 
     return None
 
 
-def _symmetric_values_q(f: QPoly) -> tuple[Fraction, ...]:
-    n = f.degree
-    return tuple((-1) ** k * f.coeff(n - k) for k in range(n + 1))
-
-
-def _symmetric_values_mod(f: PrimeFieldPoly) -> tuple[PrimeFieldElement, ...]:
-    n = f.degree
-    p = f.modulus
-    out = []
-    for k in range(n + 1):
-        c = f.coeff(n - k)
-        out.append(PrimeFieldElement(c if k % 2 == 0 else -c, p))
-    return tuple(out)
-
-
 def elementary_symmetric(
     f: QPoly | PrimeFieldPoly,
 ) -> tuple[Fraction, ...] | tuple[PrimeFieldElement, ...]:
@@ -191,15 +176,15 @@ def elementary_symmetric(
     e_k equals (-1)^k times the X^(n-k) coefficient; e_0 = 1 by convention.
     Over F_p the sign is applied inside the field (so it vanishes for p = 2).
     """
+    if not isinstance(f, (QPoly, PrimeFieldPoly)):
+        raise TypeError(f"expected QPoly or PrimeFieldPoly, got {type(f).__name__}")
+    if not f.is_monic:
+        raise DomainError("elementary symmetric values are defined for monic polynomials")
+    n = f.degree
+    values = tuple((-1) ** k * f.coeff(n - k) for k in range(n + 1))
     if isinstance(f, PrimeFieldPoly):
-        if not f.is_monic:
-            raise DomainError("elementary symmetric values are defined for monic polynomials")
-        return _symmetric_values_mod(f)
-    if isinstance(f, QPoly):
-        if not f.is_monic:
-            raise DomainError("elementary symmetric values are defined for monic polynomials")
-        return _symmetric_values_q(f)
-    raise TypeError(f"expected QPoly or PrimeFieldPoly, got {type(f).__name__}")
+        return tuple(PrimeFieldElement(v, f.modulus) for v in values)
+    return values
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 MAX_PRIME = 2**31
 
@@ -69,20 +69,26 @@ def lcm_denominators(values: Iterable[Fraction]) -> int:
     return math.lcm(*dens)
 
 
+# Strong-pseudoprime bases that decide primality for every n below
+# PRIME_TEST_LIMIT (Sorenson & Webster, Math. Comp. 86, 2017).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division; intended for n <= 2**31."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic strong-pseudoprime test, O(log n) squarings per base; n at
+    or above PRIME_TEST_LIMIT, where the bases stop deciding, raises ResourceLimitError."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ResourceLimitError(f"primality is not decided at or above {PRIME_TEST_LIMIT}")
+    if n < 2 or any(n % p == 0 for p in PRIME_BASES):
+        return n in PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
             return False
-        d += 2
     return True
 
 

@@ -12,8 +12,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .exact import Rat
+from .ppoly import MAX_DENSE_DEGREE
 
 
 class NumericalMonoid:
@@ -64,9 +65,12 @@ class NumericalMonoid:
         return x >= self._apery[x % self.generators[0]]
 
     def divisors(self, n: int) -> list[int]:
-        """All t with t and n - t both members; requires n to be a member."""
+        """All t with t and n - t both members, for a member n; the scan is
+        linear in n, so n > MAX_DENSE_DEGREE raises ResourceLimitError."""
         if not self.contains(n):
             raise DomainError(f"{n} is not a member")
+        if n > MAX_DENSE_DEGREE:
+            raise ResourceLimitError(f"divisor scan to {n} exceeds the cap of {MAX_DENSE_DEGREE}")
         return [t for t in range(n + 1) if self.contains(t) and self.contains(n - t)]
 
     def __repr__(self):

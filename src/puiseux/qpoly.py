@@ -1,10 +1,10 @@
 """Dense univariate polynomials over Q with complete factorization at desk scale.
 
-Factorization follows the classic route: squarefree decomposition (Yun),
-Berlekamp factorization modulo a deterministically chosen prime, quadratic
-Hensel lifting past the Mignotte bound, and subset recombination.  The
-documented comfortable input size is degree <= 32; larger inputs work but are
-not tuned.
+``QPoly`` converts between ``Fraction`` coefficients and ``(content, primitive
+int list)``, and every algorithm runs in :mod:`._intpoly`: Yun's squarefree
+split, Berlekamp factorization modulo a deterministically chosen prime,
+quadratic Hensel lifting past the Mignotte bound, and subset recombination.
+Comfortable through degree 32; larger inputs work but are not tuned.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class QPoly:
 
     ``coeffs[i]`` is the coefficient of X^i; there is no trailing zero, and
     the zero polynomial is the empty tuple.  Instances are immutable and
-    hashable.  Products run on the integer kernel in :mod:`._intpoly`, and
+    hashable.  Products and division run in :mod:`._intpoly`, and
     ``str`` renders the wire format of :func:`.textform.format_poly`.
 
     >>> QPoly([-1, 0, 1])
@@ -149,20 +149,11 @@ class QPoly:
             return other
         if other.is_zero:
             raise DomainError("polynomial division by zero")
-        q: list[Fraction] = []
-        r = list(self.coeffs)
-        dn = other.degree
-        lc = other.coeffs[-1]
-        if len(r) - 1 >= dn:
-            q = [Fraction(0)] * (len(r) - dn)
-            for i in reversed(range(len(q))):
-                c = r[i + dn] / lc
-                if c:
-                    q[i] = c
-                    for j, gc in enumerate(other.coeffs):
-                        r[i + j] -= c * gc
-            r = r[:dn]
-        return QPoly(q), QPoly(r)
+        c1, p1 = self.primitive_integer()
+        c2, p2 = other.primitive_integer()
+        a, q, r = zz.zz_pseudo_divmod(p1, p2)
+        # self = c1*p1 and other = c2*p2, so a*self = c1*q*p2 + c1*r.
+        return QPoly([c1 / (a * c2) * c for c in q]), QPoly([c1 / a * c for c in r])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -199,9 +190,6 @@ class QPoly:
             return self
         return QPoly([c / lc for c in self.coeffs])
 
-    def derivative(self) -> "QPoly":
-        return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def evaluate(self, x: Fraction | int) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -230,16 +218,16 @@ def poly_divrem(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly]:
     return divmod(f, g)
 
 
+def _monic_view(f: list[int]) -> QPoly:
+    """The monic associate over Q of a nonzero integer polynomial."""
+    return QPoly([Fraction(c, f[-1]) for c in f])
+
+
 def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
     """Monic greatest common divisor; gcd(f, 0) is the monic associate of f."""
     if f.is_zero and g.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, (a % b)
-        if not b.is_zero:
-            b = b.monic()
-    return a.monic()
+    return _monic_view(zz.zz_gcd(f.primitive_integer()[1], g.primitive_integer()[1]))
 
 
 def squarefree_decompose(f: QPoly) -> list[tuple[QPoly, int]]:
@@ -250,24 +238,7 @@ def squarefree_decompose(f: QPoly) -> list[tuple[QPoly, int]]:
     """
     if f.is_zero:
         raise DomainError("cannot decompose the zero polynomial")
-    if f.degree == 0:
-        return []
-    w = f.monic()
-    g = poly_gcd(w, w.derivative())
-    if g.degree == 0:
-        return [(w, 1)]
-    c = w // g
-    d = (w.derivative() // g) - c.derivative()
-    parts = []
-    i = 1
-    while c.degree > 0:
-        a = poly_gcd(c, d)
-        c = c // a
-        d = (d // a) - c.derivative()
-        if a.degree > 0:
-            parts.append((a, i))
-        i += 1
-    return parts
+    return [(_monic_view(a), i) for a, i in zz.zz_squarefree(f.primitive_integer()[1])]
 
 
 @dataclass(frozen=True)
@@ -304,11 +275,9 @@ def factor_over_rationals(f: QPoly) -> QFactorization:
     if k:
         found[QPoly.variable()] = k
     constant = core.leading_coefficient
-    for part, mult in squarefree_decompose(core):
-        _, prim = part.primitive_integer()
-        for irr in zz.zz_factor_squarefree(prim):
-            lc = irr[-1]
-            monic = QPoly([Fraction(c, lc) for c in irr])
+    for part, mult in zz.zz_squarefree(core.primitive_integer()[1]):
+        for irr in zz.zz_factor_squarefree(part):
+            monic = _monic_view(irr)
             found[monic] = found.get(monic, 0) + mult
     factors = tuple(sorted(found.items(), key=_factor_key))
     return QFactorization(constant, factors)

@@ -3,7 +3,9 @@
 Nothing here imports the production algorithms: factorization is Kronecker
 interpolation over integer points, monoid membership is a direct
 dynamic-programming reachability table, and divisor enumeration combines the
-two.  Slow on purpose; intended for degree <= 8.
+two.  Division, gcd and Yun's squarefree split are the textbook algorithms
+over Q on ``Fraction`` coefficient lists.  Slow on purpose; intended for
+degree <= 8 (the rational routines stay usable to degree 30 or so).
 """
 
 from __future__ import annotations
@@ -58,6 +60,62 @@ def exact_div(f, g):
             r[i + j] -= c * gc
     return q if not any(r[: len(g) - 1]) else None
 
+
+
+# -- rational long division, Euclid and Yun over Fraction lists ---------------
+
+def q_divmod(f, g):
+    """(q, r) with f = q*g + r and deg r < deg g, by long division over Q."""
+    r = [Fraction(c) for c in f]
+    m = len(g) - 1
+    q = [Fraction(0)] * max(len(r) - m, 0)
+    for i in reversed(range(len(q))):
+        c = r[i + m] / g[-1]
+        q[i] = c
+        for j, gc in enumerate(g):
+            r[i + j] -= c * gc
+    return strip(q), strip(r[:m])
+
+
+def q_monic(f):
+    return [Fraction(c) / f[-1] for c in f]
+
+
+def q_gcd(f, g):
+    """Monic gcd by Euclid's algorithm over Q."""
+    a, b = strip(list(f)), strip(list(g))
+    while b:
+        a, b = b, q_divmod(a, b)[1]
+    return q_monic(a)
+
+
+def q_derivative(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def q_sub(f, g):
+    out = list(f) + [0] * (len(g) - len(f))
+    for i, c in enumerate(g):
+        out[i] -= c
+    return strip(out)
+
+
+def q_squarefree(f):
+    """Yun's monic squarefree parts (a_i, i), i increasing, of a nonzero f."""
+    w = q_monic(f)
+    g = q_gcd(w, q_derivative(w))
+    c = q_divmod(w, g)[0]
+    d = q_sub(q_divmod(q_derivative(w), g)[0], q_derivative(c))
+    parts = []
+    i = 1
+    while len(c) > 1:
+        a = q_gcd(c, d)
+        c = q_divmod(c, a)[0]
+        d = q_sub(q_divmod(d, a)[0], q_derivative(c))
+        if len(a) > 1:
+            parts.append((a, i))
+        i += 1
+    return parts
 
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, exit codes, JSON output, determinism."""
 
 import json
+import pathlib
 import resource
 import subprocess
 import sys
@@ -139,6 +140,42 @@ def test_large_clearing_denominator_hits_the_dense_degree_cap():
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stdout)["status"] == "resource-limit"
     assert elapsed < 2.0
+
+
+def test_monoid_divisor_scan_hits_the_cap():
+    proc, elapsed = _run_capped(["monoid-divisors", "<2,3>", "3000000", "--json"])
+    assert proc.returncode == 3, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "resource-limit" and "cap" in payload["error"]
+    assert elapsed < 2.0
+
+
+def test_large_field_modulus_is_a_domain_error_not_a_hang():
+    proc, elapsed = _run_capped(["lemma21", "X+1", "--field", "F2305843009213693951"])
+    assert proc.returncode == 1, proc.stderr
+    assert "2^31" in proc.stdout
+    assert elapsed < 2.0
+
+
+def test_inverse_totient_of_a_large_value_is_fast():
+    proc, elapsed = _run_capped(["totient-inv", "2305843009213693950", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["indices"] == [2305843009213693951, 4611686018427387902]
+    assert elapsed < 2.0
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+
+
+def test_output_matches_golden():
+    """Text and --json documents recorded before division, gcd and Yun's split
+    moved to the integer kernel: the benchmark's seed-1 CLI corpus, plus
+    inputs with rational coefficients or repeated factors."""
+    cases = json.loads(GOLDEN.read_text())
+    assert len(cases) >= 200
+    for case in cases:
+        result = run_command(case["argv"])
+        assert (result.exit_code, result.text) == (case["exit"], case["text"]), case["argv"]
 
 
 def test_memory_and_recursion_errors_are_resource_limits(monkeypatch):

@@ -131,6 +131,8 @@ def test_elementary_symmetric_requires_monic():
         elementary_symmetric(QPoly([1, 2]))
     with pytest.raises(DomainError):
         elementary_symmetric(PrimeFieldPoly((1, 1, 2), 3))
+    with pytest.raises(TypeError):
+        elementary_symmetric((1, 0, 1))
 
 
 def test_vanishing_check_examples():

@@ -10,9 +10,11 @@ from puiseux import (
     DomainError,
     PrimeFieldElement,
     Rat,
+    ResourceLimitError,
     lcm_denominators,
     reduce_rat,
 )
+from puiseux.exact import PRIME_TEST_LIMIT, is_prime
 
 
 def test_reduce_rat_examples():
@@ -119,3 +121,28 @@ def test_rat_text_round_trip():
     assert str(Rat(3, 2)) == "3/2"
     assert str(Rat(5, 1)) == "5"
     assert str(Rat(0)) == "0"
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20000) if is_prime(n)] == [
+        n for n in range(20000) if _trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 3215031751 fools the bases 2, 3, 5, 7; 3825123056546413051 the first nine primes
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime((2**31 - 1) ** 2)
+
+
+def test_is_prime_refuses_at_its_limit():
+    assert not is_prime(PRIME_TEST_LIMIT - 2)
+    for n in (PRIME_TEST_LIMIT, 2**100 + 1):
+        with pytest.raises(ResourceLimitError):
+            is_prime(n)

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from puiseux import DomainError, NumericalMonoid, PuiseuxMonoid, Rat
+from puiseux import DomainError, NumericalMonoid, PuiseuxMonoid, Rat, ResourceLimitError
+from puiseux.ppoly import MAX_DENSE_DEGREE
 
 from oracles import dp_membership
 
@@ -106,6 +107,15 @@ def test_divisors_examples():
 def test_divisors_requires_membership():
     with pytest.raises(DomainError):
         PuiseuxMonoid([2, 3]).divisors_of(1)
+
+
+def test_divisor_scan_is_capped():
+    monoid = NumericalMonoid([2, 3])
+    assert len(monoid.divisors(MAX_DENSE_DEGREE)) == MAX_DENSE_DEGREE - 1
+    with pytest.raises(ResourceLimitError):
+        monoid.divisors(3_000_000)
+    with pytest.raises(DomainError):  # a Frobenius number above the cap
+        NumericalMonoid([1000, 1001]).divisors(1000 * 1001 - 1000 - 1001)
 
 
 def test_divisor_cofactor_symmetry():
