@@ -1,8 +1,9 @@
 """Dense integer and modular polynomial arithmetic backing rational factorization.
 
-A polynomial is a plain ``list[int]`` in ascending order of exponent with no
-trailing zeros; the zero polynomial is the empty list.  ``zz_*`` functions
-work over Z, ``gf_*`` functions over F_p for a prime p.
+A polynomial is a ``list[int]`` (or, as an argument, a tuple such as
+``QPoly.prim``) in ascending order of exponent with no trailing zeros; the
+zero polynomial is empty.  ``zz_*`` functions work over Z, ``gf_*``
+functions over F_p for a prime p.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ def zz_deg(f: list[int]) -> int:
 def zz_add(f: list[int], g: list[int]) -> list[int]:
     if len(f) < len(g):
         f, g = g, f
-    out = f[:]
+    out = list(f)
     for i, c in enumerate(g):
         out[i] += c
     return zz_strip(out)
 
 
 def zz_sub(f: list[int], g: list[int]) -> list[int]:
-    out = f[:] + [0] * (len(g) - len(f))
+    out = list(f) + [0] * (len(g) - len(f))
     for i, c in enumerate(g):
         out[i] -= c
     return zz_strip(out)
@@ -100,7 +101,7 @@ def zz_pseudo_divmod(f: list[int], g: list[int]) -> tuple[int, list[int], list[i
     coefficient, so a is a power of lc(g), and 1 when g is monic.
     """
     m, glc, a = len(g) - 1, g[-1], 1
-    r = f[:]
+    r = list(f)
     q = [0] * max(len(r) - m, 0)
     for i in reversed(range(len(q))):
         c = r[i + m]
@@ -140,7 +141,7 @@ def zz_trial_div(f: list[int], g: list[int]) -> list[int] | None:
     if n < m:
         return None
     glc = g[-1]
-    r = f[:]
+    r = list(f)
     q = [0] * (n - m + 1)
     for i in reversed(range(len(q))):
         c = r[i + m]

@@ -11,6 +11,7 @@ from itertools import combinations
 
 from .errors import DomainError, ResourceLimitError
 from .exact import CACHE_SIZE, PrimeFieldElement, PrimeFieldPoly, is_prime
+from .ppoly import MAX_DENSE_DEGREE
 from .qpoly import QPoly, factor_over_rationals
 
 # Trial division stops here: a number that is still unfactored past the
@@ -71,7 +72,9 @@ def cyclotomic_poly(n: int) -> QPoly:
     (multiply by 1 - X^d, or divide by it), and then
     Phi_n(X) = Phi_r(X^(n/r)).  Nothing is divided by a dense polynomial
     and no Phi_d is built on the way, so only Phi_n enters the bounded
-    cache.
+    cache, as a tuple of small integers.  A degree phi(n) above
+    :data:`.ppoly.MAX_DENSE_DEGREE` raises :class:`ResourceLimitError`
+    before anything is allocated.
 
     >>> cyclotomic_poly(6)
     QPoly('X^2 - X + 1')
@@ -80,8 +83,13 @@ def cyclotomic_poly(n: int) -> QPoly:
         raise DomainError("cyclotomic index must be a positive integer")
     primes = [p for p, _ in _prime_factors(n)]
     if not primes:
-        return QPoly([-1, 1])
+        return QPoly.from_ints(1, [-1, 1])
     degree = math.prod(p - 1 for p in primes)
+    stride = n // math.prod(primes)
+    if degree * stride > MAX_DENSE_DEGREE:
+        raise ResourceLimitError(
+            f"cyclotomic degree {degree * stride} exceeds the cap of {MAX_DENSE_DEGREE}"
+        )
     series = [1] + [0] * degree
     for size in range(len(primes) + 1):
         for chosen in combinations(primes, size):
@@ -92,10 +100,9 @@ def cyclotomic_poly(n: int) -> QPoly:
             else:
                 for i in range(d, degree + 1):
                     series[i] += series[i - d]
-    stride = n // math.prod(primes)
     coeffs = [0] * (degree * stride + 1)
     coeffs[::stride] = series
-    return QPoly(coeffs)
+    return QPoly.from_ints(1, coeffs)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

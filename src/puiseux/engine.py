@@ -93,7 +93,7 @@ def _dense_factorization(f: PuiseuxPoly) -> CanonicalFactorization:
         clearing_denominator=m,
         monomial_exponent=Rat(k, m),
         cyclotomic_part=tuple(sorted(cyclo)),
-        prime_part=tuple(sorted(primes, key=lambda t: (t[0].degree, t[0].coeffs))),
+        prime_part=tuple(primes),
     )
 
 
@@ -158,9 +158,7 @@ def divisors_in_algebra(
     k, core = cleared.split_monomial()
     fact = factor_over_rationals(core)
 
-    monomial_splits = [
-        t for t in range(k + 1) if numerical.contains(t) and numerical.contains(k - t)
-    ]
+    monomial_splits = numerical.divisors(k)
     combinations = len(monomial_splits) * math.prod(m + 1 for _, m in fact.factors)
     if combinations > limit:
         raise ResourceLimitError(
@@ -173,10 +171,9 @@ def divisors_in_algebra(
     # scaling changes no support, and every kept divisor is made monic.
     powers = []
     for poly, mult in fact.factors:
-        _, prim = poly.primitive_integer()
         row = [[1]]
         for _ in range(mult):
-            row.append(zz_mul(row[-1], prim))
+            row.append(zz_mul(row[-1], poly.prim))
         powers.append(row)
 
     inverse = Rat(1) / scale

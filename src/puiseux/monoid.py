@@ -16,6 +16,10 @@ from .errors import DomainError, ResourceLimitError
 from .exact import Rat
 from .ppoly import MAX_DENSE_DEGREE
 
+# Largest least generator of a NumericalMonoid whose Apery table (one entry
+# per residue) is built; a larger one raises ResourceLimitError.
+APERY_LIMIT = 1 << 21
+
 
 class NumericalMonoid:
     """Additive submonoid of Z_+ generated by positive integers with gcd 1."""
@@ -43,6 +47,10 @@ class NumericalMonoid:
         is an idempotent pure cache, so a racing rebuild is harmless.
         """
         a = self.generators[0]
+        if a > APERY_LIMIT:
+            raise ResourceLimitError(
+                f"Apery table of {a} residues exceeds the cap of {APERY_LIMIT}"
+            )
         table = [0] + [math.inf] * (a - 1)
         for g in self.generators[1:]:
             d = math.gcd(a, g)

@@ -1,7 +1,7 @@
 """Dense univariate polynomials over Q with complete factorization at desk scale.
 
-``QPoly`` converts between ``Fraction`` coefficients and ``(content, primitive
-int list)``, and every algorithm runs in :mod:`._intpoly`: Yun's squarefree
+``QPoly`` stores ``(content, primitive int tuple)`` and hands the tuple to
+:mod:`._intpoly`, where every algorithm runs: Yun's squarefree
 split, Berlekamp factorization modulo a deterministically chosen prime,
 quadratic Hensel lifting past the Mignotte bound, and subset recombination.
 Comfortable through degree 32; larger inputs work but are not tuned.
@@ -21,24 +21,36 @@ from .errors import DomainError
 class QPoly:
     """A dense polynomial with exact rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of X^i; there is no trailing zero, and
-    the zero polynomial is the empty tuple.  Instances are immutable and
-    hashable.  Products and division run in :mod:`._intpoly`, and
-    ``str`` renders the wire format of :func:`.textform.format_poly`.
+    Stored as the unique pair ``content * prim``: ``prim`` is a primitive int
+    tuple with lc > 0 (empty for zero), and the ``Fraction`` ``content`` carries
+    the sign.  ``coeffs[i]``, the coefficient of X^i, is derived from the pair.
+    Instances are immutable and hashable; ``str`` renders the wire format.
 
     >>> QPoly([-1, 0, 1])
     QPoly('X^2 - 1')
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("content", "prim")
 
-    coeffs: tuple[Fraction, ...]
+    content: Fraction
+    prim: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         c = [Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
+        lcm = math.lcm(*(x.denominator for x in c))
+        self._normalize(Fraction(1, lcm), [x.numerator * (lcm // x.denominator) for x in c])
+
+    @classmethod
+    def from_ints(cls, scale: Fraction | int, ints: Iterable[int]) -> "QPoly":
+        """The polynomial ``scale * ints`` for integer coefficients ``ints``."""
+        self = cls.__new__(cls)
+        self._normalize(Fraction(scale), list(ints))
+        return self
+
+    def _normalize(self, scale: Fraction, ints: list[int]) -> None:
+        cont, prim = zz.zz_primitive(zz.zz_strip(ints))
+        object.__setattr__(self, "content", scale * cont)
+        object.__setattr__(self, "prim", tuple(prim) if self.content else ())
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
@@ -64,26 +76,30 @@ class QPoly:
     # -- basic queries ------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(self.content * c for c in self.prim)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.prim) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.prim) and self.content * self.prim[-1] == 1
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self.prim:
             raise DomainError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.prim[-1]
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return self.content * self.prim[i] if 0 <= i < len(self.prim) else Fraction(0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -98,18 +114,15 @@ class QPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        # Over the common denominator d both contents are integers.
+        d = math.lcm(self.content.denominator, other.content.denominator)
+        a, b = (zz.zz_mul_scalar(p.prim, int(p.content * d)) for p in (self, other))
+        return QPoly.from_ints(Fraction(1, d), zz.zz_add(a, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
+        return QPoly.from_ints(-self.content, self.prim)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -124,10 +137,7 @@ class QPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        c1, p1 = self.primitive_integer()
-        c2, p2 = other.primitive_integer()
-        content = c1 * c2
-        return QPoly([content * c for c in zz.zz_mul(p1, p2)])
+        return QPoly.from_ints(self.content * other.content, zz.zz_mul(self.prim, other.prim))
 
     __rmul__ = __mul__
 
@@ -149,11 +159,10 @@ class QPoly:
             return other
         if other.is_zero:
             raise DomainError("polynomial division by zero")
-        c1, p1 = self.primitive_integer()
-        c2, p2 = other.primitive_integer()
-        a, q, r = zz.zz_pseudo_divmod(p1, p2)
+        c1, c2 = self.content, other.content
+        a, q, r = zz.zz_pseudo_divmod(self.prim, other.prim)
         # self = c1*p1 and other = c2*p2, so a*self = c1*q*p2 + c1*r.
-        return QPoly([c1 / (a * c2) * c for c in q]), QPoly([c1 / a * c for c in r])
+        return QPoly.from_ints(c1 / (a * c2), q), QPoly.from_ints(c1 / a, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -165,13 +174,13 @@ class QPoly:
 
     def __eq__(self, other):
         if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
+            return self.content == other.content and self.prim == other.prim
         if isinstance(other, (int, Fraction)):
             return self == QPoly([other])
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.content, self.prim))
 
     def __repr__(self):
         return f"QPoly({str(self)!r})"
@@ -185,32 +194,26 @@ class QPoly:
     def monic(self) -> "QPoly":
         if self.is_zero:
             raise DomainError("the zero polynomial has no monic associate")
-        lc = self.coeffs[-1]
-        if lc == 1:
+        if self.is_monic:
             return self
-        return QPoly([c / lc for c in self.coeffs])
+        return QPoly.from_ints(Fraction(1, self.prim[-1]), self.prim)
 
     def evaluate(self, x: Fraction | int) -> Fraction:
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.prim):
             acc = acc * x + c
-        return acc
+        return self.content * acc
 
     def split_monomial(self) -> tuple[int, "QPoly"]:
         """Write self = X^k * core with core(0) != 0; returns (k, core)."""
         if self.is_zero:
             raise DomainError("the zero polynomial has no monomial split")
-        k = next(i for i, c in enumerate(self.coeffs) if c != 0)
-        return k, QPoly(self.coeffs[k:])
+        k = next(i for i, c in enumerate(self.prim) if c)
+        return k, QPoly.from_ints(self.content, self.prim[k:])
 
     def primitive_integer(self) -> tuple[Fraction, list[int]]:
         """Write self = content * P with P a primitive integer polynomial, lc(P) > 0."""
-        if self.is_zero:
-            return Fraction(0), []
-        lcm = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * lcm) for c in self.coeffs]
-        cont, prim = zz.zz_primitive(ints)
-        return Fraction(cont, lcm), prim
+        return self.content, list(self.prim)
 
 
 def poly_divrem(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly]:
@@ -218,16 +221,12 @@ def poly_divrem(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly]:
     return divmod(f, g)
 
 
-def _monic_view(f: list[int]) -> QPoly:
-    """The monic associate over Q of a nonzero integer polynomial."""
-    return QPoly([Fraction(c, f[-1]) for c in f])
-
-
 def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
     """Monic greatest common divisor; gcd(f, 0) is the monic associate of f."""
     if f.is_zero and g.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
-    return _monic_view(zz.zz_gcd(f.primitive_integer()[1], g.primitive_integer()[1]))
+    d = zz.zz_gcd(f.prim, g.prim)
+    return QPoly.from_ints(Fraction(1, d[-1]), d)
 
 
 def squarefree_decompose(f: QPoly) -> list[tuple[QPoly, int]]:
@@ -238,7 +237,7 @@ def squarefree_decompose(f: QPoly) -> list[tuple[QPoly, int]]:
     """
     if f.is_zero:
         raise DomainError("cannot decompose the zero polynomial")
-    return [(_monic_view(a), i) for a, i in zz.zz_squarefree(f.primitive_integer()[1])]
+    return [(QPoly.from_ints(Fraction(1, a[-1]), a), i) for a, i in zz.zz_squarefree(f.prim)]
 
 
 @dataclass(frozen=True)
@@ -269,15 +268,15 @@ def factor_over_rationals(f: QPoly) -> QFactorization:
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
     if f.degree == 0:
-        return QFactorization(f.coeffs[0], ())
+        return QFactorization(f.leading_coefficient, ())
     k, core = f.split_monomial()
     found: dict[QPoly, int] = {}
     if k:
         found[QPoly.variable()] = k
     constant = core.leading_coefficient
-    for part, mult in zz.zz_squarefree(core.primitive_integer()[1]):
+    for part, mult in zz.zz_squarefree(core.prim):
         for irr in zz.zz_factor_squarefree(part):
-            monic = _monic_view(irr)
+            monic = QPoly.from_ints(Fraction(1, irr[-1]), irr)
             found[monic] = found.get(monic, 0) + mult
     factors = tuple(sorted(found.items(), key=_factor_key))
     return QFactorization(constant, factors)

@@ -8,6 +8,8 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 from puiseux import (
     CanonicalFactorization,
     Rat,
@@ -147,6 +149,23 @@ def test_monoid_divisor_scan_hits_the_cap():
     assert proc.returncode == 3, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["status"] == "resource-limit" and "cap" in payload["error"]
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cyclotomic", "1000000007", "--json"],  # degree 10^9 + 6
+        ["cyclotomic", "510510", "--json"],  # degree 92160 > 2^16
+        ["monoid-atoms", "<100000007,100000037>", "--json"],  # Apery table of 10^8 slots
+    ],
+)
+def test_caps_refuse_before_allocating(argv):
+    proc, elapsed = _run_capped(argv)
+    assert proc.returncode == 3, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "resource-limit" and "cap" in payload["error"]
+    assert "MemoryError" not in payload["error"]
     assert elapsed < 2.0
 
 

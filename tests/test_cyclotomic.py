@@ -58,6 +58,14 @@ def test_cyclotomic_cold_build_is_fast():
     assert elapsed < 0.05
 
 
+def test_cyclotomic_degree_cap_refuses_before_building():
+    for n in (510510, 1000000007, 2**17 * 3):  # degrees 92160, 10^9 + 6, 2^17
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="cap"):
+            cyclotomic_poly(n)
+        assert time.perf_counter() - start < 0.05
+
+
 def test_memo_caches_are_bounded():
     for cached in (cyclotomic_poly, totient, inverse_totient, is_prime):
         assert cached.cache_info().maxsize is not None

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from puiseux import DomainError, NumericalMonoid, PuiseuxMonoid, Rat, ResourceLimitError
+from puiseux.monoid import APERY_LIMIT
 from puiseux.ppoly import MAX_DENSE_DEGREE
 
 from oracles import dp_membership
@@ -96,6 +97,16 @@ def test_atoms_of_large_generators_are_fast():
     atoms = PuiseuxMonoid([10007, 20011, 30011]).atoms()
     assert time.perf_counter() - start < 0.5
     assert atoms == (10007, 20011, 30011)
+
+
+def test_apery_table_cap_refuses_before_allocating():
+    monoid = NumericalMonoid([APERY_LIMIT + 1, APERY_LIMIT + 2])
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="cap"):
+        monoid.contains(5)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        PuiseuxMonoid([100000007, 100000037]).atoms()
+    assert time.perf_counter() - start < 0.05
 
 
 def test_divisors_examples():

@@ -1,6 +1,8 @@
 """Rational polynomials: division, gcd, squarefree parts, factorization."""
 
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,13 +10,14 @@ import pytest
 from puiseux import (
     DomainError,
     QPoly,
+    cyclotomic_poly,
     factor_over_rationals,
     poly_divrem,
     poly_gcd,
     squarefree_decompose,
 )
 
-from oracles import kronecker_monic_factors
+from oracles import evaluate, kronecker_monic_factors, mul, q_divmod, q_monic, q_sub, strip
 from randgen import random_qpoly
 
 X = QPoly.variable()
@@ -195,3 +198,81 @@ def test_factor_deterministic_order():
     assert first == second
     degrees = [p.degree for p, _ in first.factors]
     assert degrees == sorted(degrees)
+
+
+def _random_rationals(rng: random.Random) -> list[Fraction]:
+    """Rational lists with fractional contents, either sign of leading
+    coefficient, trailing zeros, and sometimes nothing but zeros."""
+    scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12))
+    coeffs = [
+        scale * Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        for _ in range(rng.randint(0, 7))
+    ]
+    return coeffs + [Fraction(0)] * rng.randint(0, 2)
+
+
+def test_stored_pair_is_canonical_random():
+    rng = random.Random(53)
+    previous = QPoly()
+    for _ in range(400):
+        coeffs = _random_rationals(rng)
+        p = QPoly(coeffs)
+        expected = tuple(strip(list(coeffs)))
+        assert p.coeffs == expected
+        assert all(isinstance(c, Fraction) for c in p.coeffs)
+        assert len(p.prim) == len(expected)
+        assert all(type(c) is int and p.content * c == e for c, e in zip(p.prim, expected))
+        if expected:
+            assert p.prim[-1] > 0 and math.gcd(*p.prim) == 1
+        else:
+            assert (p.content, p.prim) == (0, ())
+        assert p.primitive_integer() == (p.content, list(p.prim))
+        # The pair is unique: another route to the same coefficients gives an
+        # equal, equally hashed polynomial, and == agrees with the lists.
+        lcm = math.lcm(*(c.denominator for c in coeffs))
+        alt = QPoly.from_ints(Fraction(-1, lcm), [int(-c * lcm) for c in coeffs])
+        assert alt == p and hash(alt) == hash(p)
+        assert (p == previous) == (p.coeffs == previous.coeffs)
+        previous = p
+
+
+def _q_add(f, g):
+    return q_sub(f, [-c for c in g])
+
+
+def test_operations_match_fraction_references_random():
+    rng = random.Random(59)
+    for _ in range(300):
+        f, g = _random_rationals(rng), _random_rationals(rng)
+        pf, pg = QPoly(f), QPoly(g)
+        f, g = strip(list(f)), strip(list(g))
+        assert (pf + pg).coeffs == tuple(_q_add(f, g))
+        assert (pf - pg).coeffs == tuple(q_sub(f, g))
+        assert (-pf).coeffs == tuple(-c for c in f)
+        assert (pf * pg).coeffs == tuple(strip(mul(f, g)))
+        x = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        assert pf.evaluate(x) == evaluate(f, x)
+        scale = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        ints = [rng.randint(-9, 9) for _ in range(4)]
+        assert QPoly.from_ints(scale, ints).coeffs == tuple(strip([scale * c for c in ints]))
+        if not g:
+            continue
+        q, r = divmod(pf, pg)
+        oq, orem = q_divmod(f, g)
+        assert (q.coeffs, r.coeffs) == (tuple(oq), tuple(orem))
+        assert pg.monic().coeffs == tuple(q_monic(g))
+        k, core = pg.split_monomial()
+        assert g[:k] == [0] * k and g[k] != 0 and core.coeffs == tuple(g[k:])
+
+
+def test_uncached_phi_65537_retains_under_a_megabyte():
+    # Phi_65537 = 1 + X + ... + X^65536 has degree exactly MAX_DENSE_DEGREE.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        phi = cyclotomic_poly.__wrapped__(65537)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert phi.degree == 65536 and phi.prim[:3] == (1, 1, 1)
+    assert retained < 1 << 20
