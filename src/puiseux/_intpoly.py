@@ -356,11 +356,13 @@ def gf_berlekamp(f: list[int], p: int) -> list[list[int]]:
 def zz_hensel_step(m, f, g, h, s, t):
     """One quadratic lifting step: from f = g*h, s*g + t*h = 1 (mod m) to mod m^2.
 
-    Requires lc(h) = 1 and lc(f) invertible mod m.
+    Requires lc(h) = 1 and lc(f) invertible mod m.  Both divisions are by a
+    monic polynomial and reduce modulo m^2 at every step, so no coefficient
+    outgrows m^2.
     """
     big = m * m
     e = zz_trunc_sym(zz_sub(f, zz_mul(g, h)), big)
-    _, q, r = zz_pseudo_divmod(zz_mul(s, e), h)
+    q, r = gf_divmod(zz_mul(s, e), h, big)
     q = zz_trunc_sym(q, big)
     r = zz_trunc_sym(r, big)
     u = zz_add(zz_mul(t, e), zz_mul(q, g))
@@ -368,7 +370,7 @@ def zz_hensel_step(m, f, g, h, s, t):
     h1 = zz_trunc_sym(zz_add(h, r), big)
     u = zz_add(zz_mul(s, g1), zz_mul(t, h1))
     b = zz_trunc_sym(zz_sub(u, [1]), big)
-    _, c, d = zz_pseudo_divmod(zz_mul(s, b), h1)
+    c, d = gf_divmod(zz_mul(s, b), h1, big)
     c = zz_trunc_sym(c, big)
     d = zz_trunc_sym(d, big)
     u = zz_add(zz_mul(t, b), zz_mul(c, g1))
@@ -430,6 +432,14 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     Classic Zassenhaus: Berlekamp factorization modulo a deterministic prime,
     quadratic Hensel lifting past the Mignotte bound, then subset
     recombination in increasing size and lexicographic order.
+
+    A subset is multiplied out and trial-divided only after two necessary
+    tests modulo p^l on its lifted factors (Abbott, Shoup & Zimmermann,
+    ISSAC 2000).  If cur = g*h and the subset lifts g, then lc(cur) times
+    the product of its monic lifts is lc(h)*g in the symmetric residue
+    system, so its next-to-leading coefficient lies within the Mignotte
+    bound, and its constant term lc(h)*g(0) divides lc(cur)*cur(0) when
+    cur(0) != 0.
     """
     n = zz_deg(f)
     if n == 1:
@@ -452,8 +462,20 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     cur = f
     size = 1
     while 2 * size <= len(remaining):
+        lc = cur[-1]
         for subset in combinations(remaining, size):
-            cand = [cur[-1]]
+            c1 = lc * sum(lifted[i][-2] for i in subset) % pl
+            if min(c1, pl - c1) > bound:
+                continue
+            if cur[0]:
+                c0 = lc
+                for i in subset:
+                    c0 = c0 * lifted[i][0] % pl
+                if c0 > pl // 2:
+                    c0 -= pl
+                if c0 == 0 or lc * cur[0] % c0:
+                    continue
+            cand = [lc]
             for i in subset:
                 cand = zz_mul(cand, lifted[i])
             cand = zz_trunc_sym(cand, pl)

@@ -1,11 +1,16 @@
 """Independent reference implementations used only to cross-check results.
 
-Nothing here imports the production algorithms: factorization is Kronecker
-interpolation over integer points, monoid membership is a direct
-dynamic-programming reachability table, and divisor enumeration combines the
-two.  Division, gcd and Yun's squarefree split are the textbook algorithms
-over Q on ``Fraction`` coefficient lists.  Slow on purpose; intended for
-degree <= 8 (the rational routines stay usable to degree 30 or so).
+Factorization is Kronecker interpolation over integer points, monoid
+membership is a direct dynamic-programming reachability table, and divisor
+enumeration combines the two.  Division, gcd and Yun's squarefree split are
+the textbook algorithms over Q on ``Fraction`` coefficient lists.  Slow on
+purpose; intended for degree <= 8 (the rational routines stay usable to
+degree 30 or so).  None of these import the production algorithms.
+
+The one exception is the Zassenhaus reference at the end.  It reuses the
+kernel's prime choice, Berlekamp and arithmetic, and keeps in textbook form
+the two steps that the kernel shortcuts: Hensel steps divide by
+pseudo-division over Z, and recombination trial-divides every subset.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from puiseux import _intpoly as zz
 
 
 # -- integer polynomial helpers (ascending coefficient lists) ---------------
@@ -378,3 +385,81 @@ def brute_divisor_set(terms, generators):
             )
             results.add(canonical)
     return results
+
+
+# -- Zassenhaus without recombination pre-tests ------------------------------
+
+def hensel_step_pseudo(m, f, g, h, s, t):
+    """One quadratic lifting step, dividing by the monic h over Z."""
+    big = m * m
+    e = zz.zz_trunc_sym(zz.zz_sub(f, zz.zz_mul(g, h)), big)
+    _, q, r = zz.zz_pseudo_divmod(zz.zz_mul(s, e), h)
+    q = zz.zz_trunc_sym(q, big)
+    r = zz.zz_trunc_sym(r, big)
+    g1 = zz.zz_trunc_sym(zz.zz_add(g, zz.zz_add(zz.zz_mul(t, e), zz.zz_mul(q, g))), big)
+    h1 = zz.zz_trunc_sym(zz.zz_add(h, r), big)
+    b = zz.zz_trunc_sym(zz.zz_sub(zz.zz_add(zz.zz_mul(s, g1), zz.zz_mul(t, h1)), [1]), big)
+    _, c, d = zz.zz_pseudo_divmod(zz.zz_mul(s, b), h1)
+    c = zz.zz_trunc_sym(c, big)
+    d = zz.zz_trunc_sym(d, big)
+    s1 = zz.zz_trunc_sym(zz.zz_sub(s, d), big)
+    t1 = zz.zz_trunc_sym(zz.zz_sub(t, zz.zz_add(zz.zz_mul(t, b), zz.zz_mul(c, g1))), big)
+    return g1, h1, s1, t1
+
+
+def hensel_lift_pseudo(p, f, factors, l):
+    """Monic lifts mod p^l of the monic coprime factors of f mod p."""
+    lc = f[-1]
+    if len(factors) == 1:
+        pl = p**l
+        return [zz.zz_trunc_sym(zz.zz_mul_scalar(f, pow(lc, -1, pl)), pl)]
+    k = len(factors) // 2
+    g = [lc % p]
+    for fi in factors[:k]:
+        g = zz.gf_mul(g, fi, p)
+    h = [1]
+    for fi in factors[k:]:
+        h = zz.gf_mul(h, fi, p)
+    s, t, _ = zz.gf_gcdex(g, h, p)
+    g, h, s, t = (zz.zz_trunc_sym(a, p) for a in (g, h, s, t))
+    m = p
+    for _ in range(max(1, math.ceil(math.log2(l))) if l > 1 else 0):
+        g, h, s, t = hensel_step_pseudo(m, f, g, h, s, t)
+        m = m * m
+    return hensel_lift_pseudo(p, g, factors[:k], l) + hensel_lift_pseudo(p, h, factors[k:], l)
+
+
+def zassenhaus_all_subsets(f):
+    """Irreducible factors of a primitive squarefree f with lc(f) > 0: every
+    subset of lifted factors, in increasing size and lexicographic order, is
+    multiplied out and trial-divided."""
+    if len(f) == 2:
+        return [f]
+    p = zz._choose_prime(f)
+    modular = zz.gf_berlekamp(zz.gf_monic(zz.gf_normal(f, p), p), p)
+    if len(modular) == 1:
+        return [f]
+    bound = zz._mignotte_bound(f)
+    l, pl = 1, p
+    while pl <= 2 * bound:
+        pl *= p
+        l += 1
+    lifted = hensel_lift_pseudo(p, f, modular, l)
+    result, remaining, cur, size = [], list(range(len(lifted))), f, 1
+    while 2 * size <= len(remaining):
+        for subset in itertools.combinations(remaining, size):
+            cand = [cur[-1]]
+            for i in subset:
+                cand = zz.zz_mul(cand, lifted[i])
+            cand = zz.zz_primitive(zz.zz_trunc_sym(cand, pl))[1]
+            q = zz.zz_trial_div(cur, cand)
+            if q is not None:
+                result.append(cand)
+                cur = q
+                remaining = [i for i in remaining if i not in subset]
+                break
+        else:
+            size += 1
+    if len(cur) > 1:
+        result.append(cur)
+    return result

@@ -28,7 +28,7 @@ from puiseux import (
     totient,
 )
 
-from oracles import brute_divisor_set, dp_membership, kronecker_monic_factors
+from reference import brute_divisor_set, dp_membership, kronecker_monic_factors
 from randgen import random_composite, random_cyclotomic_product
 
 

@@ -18,7 +18,7 @@ from puiseux import (
     totient,
 )
 
-from oracles import cyclotomic_coeffs
+from reference import cyclotomic_coeffs
 from puiseux.cyclotomic import _prime_factors
 from puiseux.exact import is_prime
 from randgen import random_cyclotomic_product

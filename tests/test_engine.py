@@ -29,7 +29,7 @@ from puiseux import (
 )
 from puiseux import engine
 
-from oracles import brute_divisor_set
+from reference import brute_divisor_set
 from randgen import random_composite
 
 

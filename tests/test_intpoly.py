@@ -1,12 +1,23 @@
-"""Integer division, gcd and Yun's split in the kernel, against the textbook
-algorithms over Q kept in the oracles."""
+"""Integer division, gcd, Yun's split and Zassenhaus factorization in the
+kernel, against the textbook algorithms kept in the reference module."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
-from puiseux import QPoly, poly_divrem, poly_gcd, squarefree_decompose
+from puiseux import QPoly, cyclotomic_poly, factor_over_rationals, poly_divrem, poly_gcd
+from puiseux import squarefree_decompose
+from puiseux import _intpoly
 from puiseux._intpoly import (
+    _choose_prime,
+    gf_berlekamp,
+    gf_monic,
+    gf_normal,
+    zz_add,
+    zz_factor_squarefree,
     zz_gcd,
+    zz_hensel_lift,
     zz_mul,
     zz_mul_scalar,
     zz_primitive,
@@ -16,7 +27,7 @@ from puiseux._intpoly import (
     zz_trial_div,
 )
 
-from oracles import q_divmod, q_gcd, q_squarefree
+from reference import hensel_lift_pseudo, q_divmod, q_gcd, q_squarefree, zassenhaus_all_subsets
 from randgen import random_fraction, random_qpoly
 
 X = QPoly.variable()
@@ -126,3 +137,121 @@ def test_zz_squarefree_parts():
             for b, _ in parts[j + 1 :]:
                 assert zz_gcd(a, b) == [1]
     assert zz_squarefree([7]) == [] and zz_squarefree([1]) == []
+
+
+def swinnerton_dyer(primes: list[int]) -> list[int]:
+    """prod over all signs of (X - sum(+-sqrt p)): monic, irreducible, of degree 2^k.
+
+    Adjoining sqrt(p) to P(X) gives P(X + sqrt p) P(X - sqrt p) = E^2 - p O^2,
+    where E and O collect the even and odd Taylor terms of P(X + t).
+    """
+    poly = [0, 1]
+    for p in primes:
+        parts = [[], []]
+        for j in range(len(poly)):
+            cj = [poly[i] * math.comb(i, j) * p ** (j // 2) for i in range(j, len(poly))]
+            parts[j % 2] = zz_add(parts[j % 2], cj)
+        even, odd = parts
+        poly = zz_sub(zz_mul(even, even), zz_mul_scalar(zz_mul(odd, odd), p))
+    return poly
+
+
+def count_trial_divisions(monkeypatch, f: list[int]) -> tuple[list[list[int]], int]:
+    calls = 0
+    trial_div = _intpoly.zz_trial_div
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return trial_div(a, b)
+
+    monkeypatch.setattr(_intpoly, "zz_trial_div", counting)
+    return zz_factor_squarefree(f), calls
+
+
+def test_swinnerton_dyer_builder():
+    assert swinnerton_dyer([2]) == [-2, 0, 1]
+    assert swinnerton_dyer([2, 3]) == [1, 0, -10, 0, 1]
+
+
+def test_sd32_recombination_trial_divisions(monkeypatch):
+    sd32 = swinnerton_dyer([2, 3, 5, 7, 11])
+    factors, calls = count_trial_divisions(monkeypatch, sd32)
+    assert factors == [sd32]
+    assert calls <= 300  # 39,202 without the pre-tests
+
+
+def test_sd16_of_x_squared_trial_divisions(monkeypatch):
+    sd16 = swinnerton_dyer([2, 3, 5, 7])
+    f = [0] * (2 * len(sd16) - 1)
+    f[::2] = sd16
+    factors, calls = count_trial_divisions(monkeypatch, f)
+    assert factors == [f]
+    assert calls <= 200  # 2,509 without the pre-tests
+
+
+def test_sparse_trinomial_factors_in_bounded_time():
+    f = X**250 + X + 1
+    start = time.perf_counter()
+    result = factor_over_rationals(f)
+    elapsed = time.perf_counter() - start
+    assert result.factors == ((f, 1),)  # Selmer: X^n + X + 1 is irreducible for n = 1 mod 3
+    assert elapsed < 8.0, f"X^250 + X + 1 took {elapsed:.2f}s"
+
+
+def eisenstein_block(rng: random.Random) -> list[int]:
+    q = rng.choice((2, 3, 5))
+    degree = rng.randint(2, 4)
+    lead = rng.choice([c for c in (1, 2, 3, 5, 7) if c % q])
+    body = [q * rng.randint(-3, 3) for _ in range(degree)]
+    body[0] = q * rng.choice([c for c in (-4, -3, -2, -1, 1, 2, 3, 4) if c % q])
+    return body + [lead]
+
+
+def random_squarefree_product(rng: random.Random) -> list[int]:
+    """A primitive squarefree product of distinct blocks with lc > 0: SD8,
+    Eisenstein blocks, X^2 - a, Phi_n, linear (non-monic) factors and X."""
+    blocks = [
+        lambda: swinnerton_dyer(rng.sample((2, 3, 5, 7), 3)),
+        lambda: eisenstein_block(rng),
+        lambda: [-rng.choice((-3, -1, 2, 3, 4, 5, 9)), 0, rng.choice((1, 1, 2, 3))],
+        lambda: list(cyclotomic_poly(rng.choice((3, 4, 5, 6, 8, 9, 10, 12))).prim),
+        lambda: [rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3, 5))],
+        lambda: [0, 1],
+    ]
+    f = [rng.choice((1, 2, 3, 6))]
+    for _ in range(rng.randint(2, 4)):
+        f = zz_mul(f, rng.choice(blocks)())
+    return zz_primitive(f)[1]
+
+
+def test_recombination_pretests_match_all_subsets():
+    rng = random.Random(67)
+    cases = [
+        zz_mul([0, 1], swinnerton_dyer([2, 3, 5])),  # f(0) = 0, even cofactor
+        zz_mul([-2, 0, 1], [-3, 0, 1]),  # next-to-leading coefficient 0
+        zz_mul([1, 3], zz_mul([-5, 2], [7, 0, 2])),  # non-monic lifts
+    ]
+    checked = 0
+    while checked < 40:
+        f = cases.pop() if cases else random_squarefree_product(rng)
+        if len(f) < 3 or zz_squarefree(f) != [(f, 1)]:
+            continue
+        assert zz_factor_squarefree(f) == zassenhaus_all_subsets(f), f
+        checked += 1
+
+
+def test_hensel_lift_matches_pseudo_division_steps():
+    rng = random.Random(71)
+    lifted = 0
+    while lifted < 25:
+        f = random_squarefree_product(rng)
+        if len(f) < 3 or zz_squarefree(f) != [(f, 1)]:
+            continue
+        p = _choose_prime(f)
+        modular = gf_berlekamp(gf_monic(gf_normal(f, p), p), p)
+        if len(modular) < 2:
+            continue
+        l = rng.randint(2, 12)
+        assert zz_hensel_lift(p, f, modular, l) == hensel_lift_pseudo(p, f, modular, l)
+        lifted += 1

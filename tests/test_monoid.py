@@ -11,7 +11,7 @@ from puiseux import DomainError, NumericalMonoid, PuiseuxMonoid, Rat, ResourceLi
 from puiseux.monoid import APERY_LIMIT
 from puiseux.ppoly import MAX_DENSE_DEGREE
 
-from oracles import dp_membership
+from reference import dp_membership
 
 
 def test_normalize_examples():

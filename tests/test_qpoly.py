@@ -17,7 +17,7 @@ from puiseux import (
     squarefree_decompose,
 )
 
-from oracles import evaluate, kronecker_monic_factors, mul, q_divmod, q_monic, q_sub, strip
+from reference import evaluate, kronecker_monic_factors, mul, q_divmod, q_monic, q_sub, strip
 from randgen import random_qpoly
 
 X = QPoly.variable()
