@@ -308,12 +308,17 @@ def gf_nullspace(a: list[list[int]], p: int) -> list[list[int]]:
 def gf_berlekamp(f: list[int], p: int) -> list[list[int]]:
     """Irreducible monic factors of a monic squarefree f over F_p (Berlekamp).
 
-    Deterministic: the Frobenius fixed-space basis comes from Gaussian
-    elimination and the splitting loop scans field elements in order.
+    Splitting follows one rule.  Every v in the Berlekamp subalgebra
+    {v : v^p = v mod f} is congruent to a constant modulo each irreducible
+    factor of f.  For each basis vector v, a piece w is reduced to
+    u = v mod w.  If u is constant, v takes one value on every factor of w
+    and cannot split it, so w stays whole.  Otherwise w is replaced by the
+    non-trivial gcd(w, u - c) = gcd(w, v - c) for c = 0, ..., p - 1 in
+    increasing order; these multiply back to w, because w is squarefree and
+    divides v^p - v = prod_c (v - c).  Deterministic: the basis comes from
+    Gaussian elimination, and the factors are returned sorted.
     """
     n = zz_deg(f)
-    if n <= 1:
-        return [f]
     rows = []
     xp = gf_pow_mod([0, 1], p, f, p)
     cur = [1]
@@ -325,27 +330,20 @@ def gf_berlekamp(f: list[int], p: int) -> list[list[int]]:
     for i in range(n):
         a[i][i] = (a[i][i] - 1) % p
     basis = gf_nullspace(a, p)
-    r = len(basis)
-    if r == 1:
-        return [f]
     factors = [f]
     for v in basis:
-        if len(factors) == r:
+        if len(factors) == len(basis):
             break
-        vpoly = zz_strip([c % p for c in v])
-        if zz_deg(vpoly) <= 0:
-            continue
         refined = []
         for w in factors:
-            if zz_deg(w) <= 1:
+            u = gf_rem(v, w, p)
+            if zz_deg(u) <= 0:
                 refined.append(w)
                 continue
-            pieces = []
             for c in range(p):
-                g = gf_gcd(w, gf_sub(vpoly, [c], p), p)
+                g = gf_gcd(w, gf_sub(u, [c], p), p)
                 if zz_deg(g) >= 1:
-                    pieces.append(g)
-            refined.extend(pieces if pieces else [w])
+                    refined.append(g)
         factors = refined
     return sorted(factors, key=lambda g: (len(g), g))
 
@@ -383,11 +381,10 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> li
     """Lift monic pairwise-coprime factors of f mod p to monic factors mod p^l."""
     r = len(factors)
     lc = f[-1]
+    pl = p**l
     if r == 1:
-        pl = p**l
         return [zz_trunc_sym(zz_mul_scalar(f, pow(lc, -1, pl)), pl)]
     k = r // 2
-    d = max(1, math.ceil(math.log2(l))) if l > 1 else 0
     g = [lc % p]
     for fi in factors[:k]:
         g = gf_mul(g, fi, p)
@@ -401,7 +398,7 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> li
     s = zz_trunc_sym(s, p)
     t = zz_trunc_sym(t, p)
     m = p
-    for _ in range(d):
+    while m < pl:
         g, h, s, t = zz_hensel_step(m, f, g, h, s, t)
         m = m * m
     return zz_hensel_lift(p, g, factors[:k], l) + zz_hensel_lift(p, h, factors[k:], l)

@@ -7,10 +7,12 @@ the textbook algorithms over Q on ``Fraction`` coefficient lists.  Slow on
 purpose; intended for degree <= 8 (the rational routines stay usable to
 degree 30 or so).  None of these import the production algorithms.
 
-The one exception is the Zassenhaus reference at the end.  It reuses the
-kernel's prime choice, Berlekamp and arithmetic, and keeps in textbook form
-the two steps that the kernel shortcuts: Hensel steps divide by
-pseudo-division over Z, and recombination trial-divides every subset.
+The exceptions are the Berlekamp and Zassenhaus references at the end.
+They reuse the kernel's arithmetic, null space, prime choice and
+Berlekamp, and keep in textbook form the steps that the kernel shortcuts:
+Berlekamp's splitting loop takes gcd(w, v - c) for every piece w of degree
+at least 2 and every c in F_p, Hensel steps divide by pseudo-division over
+Z, and recombination trial-divides every subset.
 """
 
 from __future__ import annotations
@@ -385,6 +387,50 @@ def brute_divisor_set(terms, generators):
             )
             results.add(canonical)
     return results
+
+
+# -- Berlekamp with an exhaustive splitting scan -----------------------------
+
+def berlekamp_scan(f, p):
+    """Irreducible monic factors of a monic squarefree f over F_p, sorted:
+    every basis vector v of the Berlekamp subalgebra is tried on every piece
+    of degree >= 2, through gcd(w, v - c) for c = 0, ..., p - 1."""
+    n = len(f) - 1
+    if n <= 1:
+        return [f]
+    rows = []
+    xp = zz.gf_pow_mod([0, 1], p, f, p)
+    cur = [1]
+    for _ in range(n):
+        rows.append(cur + [0] * (n - len(cur)))
+        cur = zz.gf_rem(zz.gf_mul(cur, xp, p), f, p)
+    a = [[rows[j][i] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        a[i][i] = (a[i][i] - 1) % p
+    basis = zz.gf_nullspace(a, p)
+    r = len(basis)
+    if r == 1:
+        return [f]
+    factors = [f]
+    for v in basis:
+        if len(factors) == r:
+            break
+        vpoly = strip([c % p for c in v])
+        if len(vpoly) <= 1:
+            continue
+        refined = []
+        for w in factors:
+            if len(w) <= 2:
+                refined.append(w)
+                continue
+            pieces = []
+            for c in range(p):
+                g = zz.gf_gcd(w, zz.gf_sub(vpoly, [c], p), p)
+                if len(g) > 1:
+                    pieces.append(g)
+            refined.extend(pieces if pieces else [w])
+        factors = refined
+    return sorted(factors, key=lambda g: (len(g), g))
 
 
 # -- Zassenhaus without recombination pre-tests ------------------------------

@@ -12,7 +12,9 @@ from puiseux import _intpoly
 from puiseux._intpoly import (
     _choose_prime,
     gf_berlekamp,
+    gf_is_squarefree,
     gf_monic,
+    gf_mul,
     gf_normal,
     zz_add,
     zz_factor_squarefree,
@@ -27,7 +29,14 @@ from puiseux._intpoly import (
     zz_trial_div,
 )
 
-from reference import hensel_lift_pseudo, q_divmod, q_gcd, q_squarefree, zassenhaus_all_subsets
+from reference import (
+    berlekamp_scan,
+    hensel_lift_pseudo,
+    q_divmod,
+    q_gcd,
+    q_squarefree,
+    zassenhaus_all_subsets,
+)
 from randgen import random_fraction, random_qpoly
 
 X = QPoly.variable()
@@ -156,17 +165,36 @@ def swinnerton_dyer(primes: list[int]) -> list[int]:
     return poly
 
 
-def count_trial_divisions(monkeypatch, f: list[int]) -> tuple[list[list[int]], int]:
+def count_calls(monkeypatch, name: str, run):
+    """run() and the number of calls it made to the kernel function ``name``."""
     calls = 0
-    trial_div = _intpoly.zz_trial_div
+    inner = getattr(_intpoly, name)
 
-    def counting(a, b):
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return trial_div(a, b)
+        return inner(*args)
 
-    monkeypatch.setattr(_intpoly, "zz_trial_div", counting)
-    return zz_factor_squarefree(f), calls
+    monkeypatch.setattr(_intpoly, name, counting)
+    return run(), calls
+
+
+def count_trial_divisions(monkeypatch, f: list[int]) -> tuple[list[list[int]], int]:
+    return count_calls(monkeypatch, "zz_trial_div", lambda: zz_factor_squarefree(f))
+
+
+def count_berlekamp_gcds(monkeypatch, f: list[int]) -> tuple[int, list[list[int]], int]:
+    p = _choose_prime(f)
+    fp = gf_monic(gf_normal(f, p), p)
+    factors, calls = count_calls(monkeypatch, "gf_gcd", lambda: gf_berlekamp(fp, p))
+    return p, factors, calls
+
+
+def sd16_of_x_squared() -> list[int]:
+    sd16 = swinnerton_dyer([2, 3, 5, 7])
+    f = [0] * (2 * len(sd16) - 1)
+    f[::2] = sd16
+    return f
 
 
 def test_swinnerton_dyer_builder():
@@ -182,12 +210,24 @@ def test_sd32_recombination_trial_divisions(monkeypatch):
 
 
 def test_sd16_of_x_squared_trial_divisions(monkeypatch):
-    sd16 = swinnerton_dyer([2, 3, 5, 7])
-    f = [0] * (2 * len(sd16) - 1)
-    f[::2] = sd16
+    f = sd16_of_x_squared()
     factors, calls = count_trial_divisions(monkeypatch, f)
     assert factors == [f]
     assert calls <= 200  # 2,509 without the pre-tests
+
+
+def test_sd32_berlekamp_gcds(monkeypatch):
+    sd32 = swinnerton_dyer([2, 3, 5, 7, 11])
+    p, factors, calls = count_berlekamp_gcds(monkeypatch, sd32)
+    assert p == 19 and len(factors) == 16
+    assert calls <= 100  # 551 when irreducible pieces are rescanned
+
+
+def test_sd16_of_x_squared_berlekamp_gcds(monkeypatch):
+    f = sd16_of_x_squared()
+    p, factors, calls = count_berlekamp_gcds(monkeypatch, f)
+    assert p == 11 and len(factors) == 12
+    assert calls <= 80  # 363 when irreducible pieces are rescanned
 
 
 def test_sparse_trinomial_factors_in_bounded_time():
@@ -255,3 +295,36 @@ def test_hensel_lift_matches_pseudo_division_steps():
         l = rng.randint(2, 12)
         assert zz_hensel_lift(p, f, modular, l) == hensel_lift_pseudo(p, f, modular, l)
         lifted += 1
+
+
+def random_gf_squarefree(rng: random.Random, p: int) -> list[int]:
+    """A monic squarefree f over F_p of degree 1 to 30: either random, or a
+    product of random monic factors of degree 1 to 4, which splits further."""
+    while True:
+        degree = rng.randint(1, 30)
+        if rng.random() < 0.5:
+            f = [rng.randrange(p) for _ in range(degree)] + [1]
+        else:
+            f = [1]
+            while len(f) <= degree:
+                k = rng.randint(1, min(4, degree + 1 - len(f)))
+                f = gf_mul(f, [rng.randrange(p) for _ in range(k)] + [1], p)
+        if gf_is_squarefree(f, p):
+            return f
+
+
+def test_berlekamp_matches_exhaustive_scan():
+    rng = random.Random(73)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        for _ in range(15):
+            f = random_gf_squarefree(rng, p)
+            assert gf_berlekamp(f, p) == berlekamp_scan(f, p), (f, p)
+    checked = 0
+    while checked < 40:
+        f = random_squarefree_product(rng)
+        if len(f) < 2 or zz_squarefree(f) != [(f, 1)]:
+            continue
+        p = _choose_prime(f)
+        fp = gf_monic(gf_normal(f, p), p)
+        assert gf_berlekamp(fp, p) == berlekamp_scan(fp, p), (f, p)
+        checked += 1
