@@ -9,10 +9,12 @@ non-associate divisors inside Q[S].
 """
 
 from .cyclotomic import (
+    QFactorization,
     VanishingReport,
     classify_cyclotomic,
     cyclotomic_poly,
     elementary_symmetric,
+    factor_over_rationals,
     inverse_totient,
     reciprocal_vanishing_check,
     totient,
@@ -39,9 +41,7 @@ from .exact import (
 from .monoid import NumericalMonoid, PuiseuxMonoid
 from .ppoly import PuiseuxPoly, generalized_poly
 from .qpoly import (
-    QFactorization,
     QPoly,
-    factor_over_rationals,
     poly_divrem,
     poly_gcd,
     squarefree_decompose,

@@ -11,7 +11,15 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+from .errors import ResourceLimitError
 from .exact import is_prime
+
+# zz_factor_squarefree refuses an input whose degree times the bit length of
+# its Mignotte bound exceeds this: Hensel lifting works at that degree
+# modulo p^l > 2 * bound, and Berlekamp's matrix is cubic in the degree.
+# X^400 + X + 1 (size 162000) still factors, in about 6 s; X^500 + X + 1,
+# whose rest has size 251000, took 13 s.
+MAX_LIFT_SIZE = 170_000
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +445,24 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     system, so its next-to-leading coefficient lies within the Mignotte
     bound, and its constant term lc(h)*g(0) divides lc(cur)*cur(0) when
     cur(0) != 0.
+
+    An f with ``deg f * bit_length(bound) > MAX_LIFT_SIZE`` raises
+    :class:`ResourceLimitError` before a prime is chosen.
     """
     n = zz_deg(f)
     if n == 1:
         return [f]
+    bound = _mignotte_bound(f)
+    if n * bound.bit_length() > MAX_LIFT_SIZE:
+        raise ResourceLimitError(
+            f"factoring degree {n} with a {bound.bit_length()}-bit coefficient bound "
+            f"exceeds the cap of {MAX_LIFT_SIZE}"
+        )
     p = _choose_prime(f)
     fp = gf_monic(gf_normal(f, p), p)
     modular = gf_berlekamp(fp, p)
     if len(modular) == 1:
         return [f]
-    bound = _mignotte_bound(f)
     l = 1
     pl = p
     while pl <= 2 * bound:

@@ -1,4 +1,5 @@
-"""Cyclotomic polynomials over Q, elementary symmetric values, and the
+"""Cyclotomic polynomials over Q, factorization over Q with the cyclotomic
+factors split off first, elementary symmetric values, and the
 vanishing-pattern check for polynomials whose roots are roots of unity."""
 
 from __future__ import annotations
@@ -9,15 +10,23 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from . import _intpoly as zz
 from .errors import DomainError, ResourceLimitError
 from .exact import CACHE_SIZE, PrimeFieldElement, PrimeFieldPoly, is_prime
 from .ppoly import MAX_DENSE_DEGREE
-from .qpoly import QPoly, factor_over_rationals
+from .qpoly import QPoly
 
 # Trial division stops here: a number that is still unfactored past the
 # square of this bound raises ResourceLimitError, so factoring an exponent
 # or index read from input never runs for O(sqrt n) steps.
 TRIAL_DIVISION_LIMIT = 1 << 20
+
+# split_cyclotomic compares values at these points, each moved to the next
+# integer while it is a root.  At 2 the values Phi_n(2) are the smallest,
+# so this test is the cheapest and rejects nearly every index; but
+# Phi_1(2) = 1 divides every value and Phi_2(2) = Phi_6(2) = 3 every third
+# one.  Phi_n(2^8) >= 255 for every n, so few of those pass the second test.
+SPLIT_POINTS = (2, 1 << 8)
 
 
 def _prime_factors(n: int) -> list[tuple[int, int]]:
@@ -151,6 +160,113 @@ def inverse_totient(d: int) -> frozenset[int]:
 
     extend(0, d, 1)
     return frozenset(found)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _totients_up_to(d: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (phi(n), n) with phi(n) <= d, increasing."""
+    return tuple(sorted((k, n) for k in [1, *range(2, d + 1, 2)] for n in inverse_totient(k)))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _cyclotomic_value(n: int, b: int) -> int:
+    """Phi_n(b) for an integer b >= 2, as the integer Moebius product
+    prod_{d | n} (b^d - 1)^mu(n/d); no polynomial is built."""
+    primes = [p for p, _ in _prime_factors(n)]
+    num = den = 1
+    for size in range(len(primes) + 1):
+        for chosen in combinations(primes, size):
+            term = b ** (n // math.prod(chosen)) - 1
+            if size % 2:
+                den *= term
+            else:
+                num *= term
+    return num // den
+
+
+def _evaluate(f: list[int], b: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = acc * b + c
+    return acc
+
+
+def split_cyclotomic(f: list[int]) -> tuple[list[int], list[int]]:
+    """(indices, rest): the n, increasing, with Phi_n | f, and f divided by
+    every such Phi_n, for a primitive squarefree f with lc(f) > 0.
+
+    A candidate n with phi(n) <= deg f is trial-divided only when Phi_n(b)
+    divides f(b) at every b of :data:`SPLIT_POINTS`, which every factor of f
+    must pass; the trial division decides.  Phi_n divides a squarefree f at
+    most once, so each index is tried once and f shrinks as factors come off.
+    """
+    points = []
+    for b in SPLIT_POINTS:
+        while not _evaluate(f, b):
+            b += 1
+        points.append(b)
+    values = [_evaluate(f, b) for b in points]
+    indices = []
+    for phi, n in _totients_up_to(len(f) - 1):
+        if phi >= len(f):
+            break
+        if any(v % _cyclotomic_value(n, b) for b, v in zip(points, values)):
+            continue
+        q = zz.zz_trial_div(f, cyclotomic_poly(n).prim)
+        if q is not None:
+            indices.append(n)
+            f = q
+            values = [v // _cyclotomic_value(n, b) for b, v in zip(points, values)]
+    return sorted(indices), f
+
+
+@dataclass(frozen=True)
+class QFactorization:
+    """Complete factorization over Q: ``constant * prod(factor**multiplicity)``."""
+
+    constant: Fraction
+    factors: tuple[tuple[QPoly, int], ...]
+
+    def expand(self) -> QPoly:
+        out = QPoly([self.constant])
+        for poly, mult in self.factors:
+            out = out * poly**mult
+        return out
+
+
+def _factor_key(item: tuple[QPoly, int]):
+    poly = item[0]
+    return (poly.degree, poly.coeffs)
+
+
+def factor_over_rationals(f: QPoly) -> QFactorization:
+    """Factor f into monic irreducibles over Q with multiplicities.
+
+    The recomposition ``constant * prod(q**m)`` reproduces f exactly.  Yun's
+    split of the primitive core gives pairwise coprime squarefree parts;
+    :func:`split_cyclotomic` peels every Phi_n off each part, and only the
+    rest goes through Zassenhaus (:func:`._intpoly.zz_factor_squarefree`),
+    which raises :class:`ResourceLimitError` on a rest whose degree times
+    the bit length of its coefficient bound exceeds
+    :data:`._intpoly.MAX_LIFT_SIZE`.
+    """
+    if f.is_zero:
+        raise DomainError("cannot factor the zero polynomial")
+    if f.degree == 0:
+        return QFactorization(f.leading_coefficient, ())
+    k, core = f.split_monomial()
+    found: dict[QPoly, int] = {}
+    if k:
+        found[QPoly.variable()] = k
+    for part, mult in zz.zz_squarefree(core.prim):
+        indices, rest = split_cyclotomic(part)
+        for n in indices:
+            found[cyclotomic_poly(n)] = mult
+        if len(rest) > 1:
+            for irr in zz.zz_factor_squarefree(rest):
+                found[QPoly.from_ints(Fraction(1, irr[-1]), irr)] = mult
+    factors = tuple(sorted(found.items(), key=_factor_key))
+    return QFactorization(core.leading_coefficient, factors)
 
 
 def classify_cyclotomic(p: QPoly, *, assume_irreducible: bool = False) -> int | None:

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._intpoly import zz_mul
-from .cyclotomic import binomial_indices, classify_cyclotomic, cyclotomic_poly
+from .cyclotomic import binomial_indices, classify_cyclotomic, cyclotomic_poly, factor_over_rationals
 from .errors import DomainError, ResourceLimitError
 from .exact import Rat
 from .monoid import PuiseuxMonoid
 from .ppoly import PuiseuxPoly
-from .qpoly import QPoly, factor_over_rationals
+from .qpoly import QPoly
 
 DEFAULT_DIVISOR_LIMIT = 1 << 20
 

@@ -1,16 +1,14 @@
-"""Dense univariate polynomials over Q with complete factorization at desk scale.
+"""Dense univariate polynomials over Q.
 
 ``QPoly`` stores ``(content, primitive int tuple)`` and hands the tuple to
-:mod:`._intpoly`, where every algorithm runs: Yun's squarefree
-split, Berlekamp factorization modulo a deterministically chosen prime,
-quadratic Hensel lifting past the Mignotte bound, and subset recombination.
-Comfortable through degree 32; larger inputs work but are not tuned.
+:mod:`._intpoly`, where every algorithm runs: multiplication, division,
+the gcd and Yun's squarefree split.  Factorization over Q, which also
+splits off cyclotomic factors, lives in :mod:`.cyclotomic`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -238,45 +236,3 @@ def squarefree_decompose(f: QPoly) -> list[tuple[QPoly, int]]:
     if f.is_zero:
         raise DomainError("cannot decompose the zero polynomial")
     return [(QPoly.from_ints(Fraction(1, a[-1]), a), i) for a, i in zz.zz_squarefree(f.prim)]
-
-
-@dataclass(frozen=True)
-class QFactorization:
-    """Complete factorization over Q: ``constant * prod(factor**multiplicity)``."""
-
-    constant: Fraction
-    factors: tuple[tuple[QPoly, int], ...]
-
-    def expand(self) -> QPoly:
-        out = QPoly([self.constant])
-        for poly, mult in self.factors:
-            out = out * poly**mult
-        return out
-
-
-def _factor_key(item: tuple[QPoly, int]):
-    poly = item[0]
-    return (poly.degree, poly.coeffs)
-
-
-def factor_over_rationals(f: QPoly) -> QFactorization:
-    """Factor f into monic irreducibles over Q with multiplicities.
-
-    The recomposition ``constant * prod(q**m)`` reproduces f exactly.
-    Comfortable up to degree 32; larger inputs are accepted untimed.
-    """
-    if f.is_zero:
-        raise DomainError("cannot factor the zero polynomial")
-    if f.degree == 0:
-        return QFactorization(f.leading_coefficient, ())
-    k, core = f.split_monomial()
-    found: dict[QPoly, int] = {}
-    if k:
-        found[QPoly.variable()] = k
-    constant = core.leading_coefficient
-    for part, mult in zz.zz_squarefree(core.prim):
-        for irr in zz.zz_factor_squarefree(part):
-            monic = QPoly.from_ints(Fraction(1, irr[-1]), irr)
-            found[monic] = found.get(monic, 0) + mult
-    factors = tuple(sorted(found.items(), key=_factor_key))
-    return QFactorization(constant, factors)

@@ -12,7 +12,9 @@ They reuse the kernel's arithmetic, null space, prime choice and
 Berlekamp, and keep in textbook form the steps that the kernel shortcuts:
 Berlekamp's splitting loop takes gcd(w, v - c) for every piece w of degree
 at least 2 and every c in F_p, Hensel steps divide by pseudo-division over
-Z, and recombination trial-divides every subset.
+Z, and recombination trial-divides every subset.  Factorization over Q
+without the cyclotomic split runs the kernel's Yun split and Zassenhaus on
+every squarefree part, cyclotomic factors included.
 """
 
 from __future__ import annotations
@@ -509,3 +511,19 @@ def zassenhaus_all_subsets(f):
     if len(cur) > 1:
         result.append(cur)
     return result
+
+
+# -- factorization over Q without the cyclotomic split -----------------------
+
+def factor_without_split(f):
+    """Monic irreducible factors with multiplicities of an integer polynomial
+    f of degree >= 1, as (Fraction coefficient tuple, multiplicity) pairs
+    sorted by degree and coefficients: X^k is split off, and Zassenhaus
+    factors every part of Yun's split, with no cyclotomic factor peeled off
+    first."""
+    k = next(i for i, c in enumerate(f) if c)
+    found = [((Fraction(0), Fraction(1)), k)] if k else []
+    for part, mult in zz.zz_squarefree(zz.zz_primitive(list(f[k:]))[1]):
+        for irr in zz.zz_factor_squarefree(part):
+            found.append((tuple(Fraction(c, irr[-1]) for c in irr), mult))
+    return sorted(found, key=lambda item: (len(item[0]), item[0]))

@@ -136,6 +136,14 @@ def test_sparse_trinomial_hits_the_dense_degree_cap():
     assert elapsed < 2.0
 
 
+def test_sparse_trinomial_hits_the_lifting_cap():
+    proc, _ = _run_capped(["factor", "X^2000+X+1", "--json"])
+    assert proc.returncode == 3, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "resource-limit" and "cap" in payload["error"]
+    assert "MemoryError" not in payload["error"]
+
+
 def test_large_clearing_denominator_hits_the_dense_degree_cap():
     poly = "+".join(f"X^(1/{d})" for d in range(2, 20)) + "+1"
     proc, elapsed = _run_capped(["factor", poly, "--json"])

@@ -13,15 +13,16 @@ from puiseux import (
     classify_cyclotomic,
     cyclotomic_poly,
     elementary_symmetric,
+    factor_over_rationals,
     inverse_totient,
     reciprocal_vanishing_check,
     totient,
 )
 
-from reference import cyclotomic_coeffs
-from puiseux.cyclotomic import _prime_factors
+from reference import cyclotomic_coeffs, factor_without_split
+from puiseux.cyclotomic import _cyclotomic_value, _prime_factors, _totients_up_to, split_cyclotomic
 from puiseux.exact import is_prime
-from randgen import random_cyclotomic_product
+from randgen import NONCYCLOTOMIC_IRREDUCIBLES, random_cyclotomic_product, random_fraction
 
 
 def test_cyclotomic_small():
@@ -75,6 +76,59 @@ def test_factoring_past_the_trial_division_limit_is_refused():
     assert _prime_factors(2**60 * 1_000_003) == [(2, 60), (1_000_003, 1)]
     with pytest.raises(ResourceLimitError):
         _prime_factors(1_000_000_000_039 * 1_000_000_000_061)
+
+
+def test_split_caches_are_bounded():
+    for cached in (_totients_up_to, _cyclotomic_value):
+        assert cached.cache_info().maxsize is not None
+
+
+def test_cyclotomic_values_are_the_polynomials_at_the_point():
+    for n in range(1, 121):
+        for b in (2, 3, 256):
+            assert _cyclotomic_value(n, b) == cyclotomic_poly(n).evaluate(b), (n, b)
+
+
+def test_totients_up_to_lists_every_index():
+    assert _totients_up_to(4) == ((1, 1), (1, 2), (2, 3), (2, 4), (2, 6), (4, 5), (4, 8), (4, 10), (4, 12))
+    for d in (1, 7, 30):
+        assert sorted(n for _, n in _totients_up_to(d)) == sorted(
+            n for n in range(1, 2 * d * d + 3) if totient(n) <= d
+        )
+
+
+def test_split_cyclotomic_examples():
+    x105 = [-1] + [0] * 104 + [1]
+    assert split_cyclotomic(x105) == ([1, 3, 5, 7, 15, 21, 35, 105], [1])
+    f = list((QPoly([-1] + [0] * 11 + [1]) * QPoly([2, 1]) * QPoly([-2, 0, 1])).prim)
+    assert split_cyclotomic(f) == ([1, 2, 3, 4, 6, 12], [-4, -2, 2, 1])
+    # X - 2 makes 2 a root, so the first point moves on to 3.
+    f = list((cyclotomic_poly(6) * QPoly([-2, 1])).prim)
+    assert split_cyclotomic(f) == ([6], [-2, 1])
+
+
+def random_split_case(rng: random.Random) -> QPoly:
+    """A rational content times X^k, cyclotomic and non-cyclotomic
+    irreducibles, and a cyclotomic product that may be squared."""
+    f = random_cyclotomic_product(rng)
+    for _ in range(rng.randint(0, 2)):
+        f = f * rng.choice(NONCYCLOTOMIC_IRREDUCIBLES)
+    f = f * random_cyclotomic_product(rng, max_degree=10) ** rng.randint(1, 2)
+    return f * QPoly.monomial(random_fraction(rng), rng.randint(0, 2))
+
+
+def test_split_matches_factoring_without_it():
+    rng = random.Random(83)
+    cases = [random_split_case(rng) for _ in range(40)]
+    assert any(f.prim[0] == 0 for f in cases)  # an X^k factor
+    assert any(f.content.denominator > 1 for f in cases)  # a rational content
+    repeated = 0
+    for f in cases:
+        fact = factor_over_rationals(f)
+        assert fact.constant == f.leading_coefficient
+        assert [(q.coeffs, m) for q, m in fact.factors] == factor_without_split(f.prim), f
+        repeated += any(m > 1 for _, m in fact.factors)
+    assert repeated >= 10
 
 
 def test_cyclotomic_degree_is_totient():

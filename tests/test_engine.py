@@ -311,6 +311,24 @@ def test_cyclotomic_rich_divisor_walk_is_fast():
     assert len(result.divisors) == 1120
 
 
+def test_cyclotomic_rich_dense_factorization_is_fast():
+    seven = QPoly.one()
+    for n in (7, 9, 15, 21, 35, 45, 63):
+        seven = seven * cyclotomic_poly(n)
+    cases = [
+        (parse_poly("X^106 + 2*X^105 - X - 2"), (1, 3, 5, 7, 15, 21, 35, 105), 1),
+        (PuiseuxPoly.from_qpoly(seven), (7, 9, 15, 21, 35, 45, 63), 0),
+    ]
+    for f, indices, primes in cases:
+        start = time.perf_counter()
+        cf = canonical_factorization(f)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.1, f"{f.degree}: {elapsed:.3f}s"
+        assert cf.cyclotomic_part == tuple((n, 1) for n in indices)
+        assert len(cf.prime_part) == primes
+        assert recompose(cf) == f
+
+
 def test_resource_limit_guard():
     S = PuiseuxMonoid([1])
     f = parse_poly("X^6 - 1")

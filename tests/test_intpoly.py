@@ -6,11 +6,16 @@ import random
 import time
 from fractions import Fraction
 
-from puiseux import QPoly, cyclotomic_poly, factor_over_rationals, poly_divrem, poly_gcd
+import pytest
+
+from puiseux import QPoly, ResourceLimitError, cyclotomic_poly, factor_over_rationals, poly_divrem, poly_gcd
 from puiseux import squarefree_decompose
 from puiseux import _intpoly
+from puiseux.cyclotomic import split_cyclotomic
 from puiseux._intpoly import (
+    MAX_LIFT_SIZE,
     _choose_prime,
+    _mignotte_bound,
     gf_berlekamp,
     gf_is_squarefree,
     gf_monic,
@@ -237,6 +242,42 @@ def test_sparse_trinomial_factors_in_bounded_time():
     elapsed = time.perf_counter() - start
     assert result.factors == ((f, 1),)  # Selmer: X^n + X + 1 is irreducible for n = 1 mod 3
     assert elapsed < 8.0, f"X^250 + X + 1 took {elapsed:.2f}s"
+
+
+def test_lifting_cap_admits_x400_and_refuses_larger_trinomials():
+    def size(f):
+        return (len(f) - 1) * _mignotte_bound(f).bit_length()
+
+    x400 = [1, 1] + [0] * 398 + [1]
+    assert size(x400) <= MAX_LIFT_SIZE
+    x1000 = [1, 1] + [0] * 998 + [1]
+    assert size(x1000) > MAX_LIFT_SIZE
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="cap"):
+        zz_factor_squarefree(x1000)
+    assert time.perf_counter() - start < 0.1
+
+
+def seven_phi_product() -> QPoly:
+    f = QPoly.one()
+    for n in (7, 9, 15, 21, 35, 45, 63):
+        f = f * cyclotomic_poly(n)
+    return f
+
+
+def test_pure_cyclotomic_products_skip_zassenhaus(monkeypatch):
+    for f in (seven_phi_product(), X**60 - 1):
+        result, calls = count_calls(monkeypatch, "zz_factor_squarefree", lambda: factor_over_rationals(f))
+        assert calls == 0
+        assert result.expand() == f and all(m == 1 for _, m in result.factors)
+        assert len(result.factors) == (7 if f.degree == 116 else 12)
+
+
+def test_sd32_split_makes_no_trial_division(monkeypatch):
+    sd32 = swinnerton_dyer([2, 3, 5, 7, 11])
+    (indices, rest), calls = count_calls(monkeypatch, "zz_trial_div", lambda: split_cyclotomic(sd32))
+    assert indices == [] and rest == sd32
+    assert calls == 0  # the value tests reject all 64 indices with phi(n) <= 32
 
 
 def eisenstein_block(rng: random.Random) -> list[int]:
