@@ -239,55 +239,58 @@ def _factor_key(item: tuple[QPoly, int]):
     return (poly.degree, poly.coeffs)
 
 
-def factor_over_rationals(f: QPoly) -> QFactorization:
-    """Factor f into monic irreducibles over Q with multiplicities.
+def factor_primitive(f: list[int]) -> tuple[list[tuple[int, int]], list[tuple[list[int], int]]]:
+    """(cyclotomic, other) for a primitive f with lc(f) > 0 and f(0) != 0:
+    the pairs (n, e), n increasing, with Phi_n^e exactly dividing f, and
+    the pairs (g, e) for every other irreducible g, primitive.
 
-    The recomposition ``constant * prod(q**m)`` reproduces f exactly.  Yun's
-    split of the primitive core gives pairwise coprime squarefree parts;
-    :func:`split_cyclotomic` peels every Phi_n off each part, and only the
-    rest goes through Zassenhaus (:func:`._intpoly.zz_factor_squarefree`),
-    which raises :class:`ResourceLimitError` on a rest whose degree times
-    the bit length of its coefficient bound exceeds
-    :data:`._intpoly.MAX_LIFT_SIZE`.
+    Yun's split gives pairwise coprime squarefree parts;
+    :func:`split_cyclotomic` names every Phi_n in each part, and only the
+    rest goes through Zassenhaus (:func:`._intpoly.zz_factor_squarefree`,
+    which raises :class:`ResourceLimitError` past its lifting cap).
+
+    >>> factor_primitive([-4, 0, 4, 0, -1, 0, 4, 0, -4, 0, 1])  # (X^6 - 1)(X^2 - 2)^2
+    ([(1, 1), (2, 1), (3, 1), (6, 1)], [([-2, 0, 1], 2)])
+    """
+    cyclotomic, other = [], []
+    for part, e in zz.zz_squarefree(f):
+        indices, rest = split_cyclotomic(part)
+        cyclotomic += [(n, e) for n in indices]
+        if len(rest) > 1:
+            other += [(g, e) for g in zz.zz_factor_squarefree(rest)]
+    return sorted(cyclotomic), other
+
+
+def factor_over_rationals(f: QPoly) -> QFactorization:
+    """Factor f into monic irreducibles over Q with multiplicities, through
+    :func:`factor_primitive`.
+
+    The recomposition ``constant * prod(q**m)`` reproduces f exactly.
     """
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
-    if f.degree == 0:
-        return QFactorization(f.leading_coefficient, ())
     k, core = f.split_monomial()
-    found: dict[QPoly, int] = {}
+    cyclotomic, other = factor_primitive(list(core.prim))
+    found = [(cyclotomic_poly(n), e) for n, e in cyclotomic]
+    found += [(QPoly.from_ints(Fraction(1, g[-1]), g), e) for g, e in other]
     if k:
-        found[QPoly.variable()] = k
-    for part, mult in zz.zz_squarefree(core.prim):
-        indices, rest = split_cyclotomic(part)
-        for n in indices:
-            found[cyclotomic_poly(n)] = mult
-        if len(rest) > 1:
-            for irr in zz.zz_factor_squarefree(rest):
-                found[QPoly.from_ints(Fraction(1, irr[-1]), irr)] = mult
-    factors = tuple(sorted(found.items(), key=_factor_key))
-    return QFactorization(core.leading_coefficient, factors)
+        found.append((QPoly.variable(), k))
+    return QFactorization(core.leading_coefficient, tuple(sorted(found, key=_factor_key)))
 
 
-def classify_cyclotomic(p: QPoly, *, assume_irreducible: bool = False) -> int | None:
+def classify_cyclotomic(p: QPoly) -> int | None:
     """Return n when p equals the n-th cyclotomic polynomial, else None.
 
-    ``p`` must be monic and irreducible over Q.  Recognition compares ``p``
-    against every candidate index of matching degree (the inverse-totient
-    fiber), which is complete over Q.
+    ``p`` must be monic and irreducible over Q; n is the index that
+    :func:`factor_primitive` splits off.
     """
     if p.is_zero or not p.is_monic:
         raise DomainError("cyclotomic classification needs a monic polynomial")
-    if p.degree < 1:
-        raise DomainError("constants are units, not irreducible polynomials")
-    if not assume_irreducible:
-        fact = factor_over_rationals(p)
-        if len(fact.factors) != 1 or fact.factors[0][1] != 1:
-            raise DomainError("cyclotomic classification needs an irreducible polynomial")
-    for n in sorted(inverse_totient(p.degree)):
-        if p == cyclotomic_poly(n):
-            return n
-    return None
+    k, core = p.split_monomial()
+    cyclotomic, other = factor_primitive(list(core.prim))
+    if k + sum(e for _, e in cyclotomic + other) != 1:
+        raise DomainError("cyclotomic classification needs an irreducible polynomial")
+    return cyclotomic[0][0] if cyclotomic else None
 
 
 def elementary_symmetric(

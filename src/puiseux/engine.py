@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._intpoly import zz_mul
-from .cyclotomic import binomial_indices, classify_cyclotomic, cyclotomic_poly, factor_over_rationals
+from .cyclotomic import _factor_key, binomial_indices, cyclotomic_poly, factor_primitive
 from .errors import DomainError, ResourceLimitError
 from .exact import Rat
 from .monoid import PuiseuxMonoid
@@ -74,26 +74,19 @@ def _binomial_factorization(f: PuiseuxPoly) -> CanonicalFactorization | None:
 def _dense_factorization(f: PuiseuxPoly) -> CanonicalFactorization:
     """The canonical form of a nonzero f through its cleared dense polynomial.
 
-    Clears denominators, factors the resulting ordinary polynomial over Q,
-    and classifies each monic irreducible as cyclotomic or not.
+    Clears denominators and factors the resulting ordinary polynomial over
+    Q, where the cyclotomic split names every Phi_n.
     """
     m, cleared = f.clear_denominators()
     k, core = cleared.split_monomial()
-    fact = factor_over_rationals(core)
-    cyclo: list[tuple[int, int]] = []
-    primes: list[tuple[QPoly, int]] = []
-    for poly, mult in fact.factors:
-        n = classify_cyclotomic(poly, assume_irreducible=True)
-        if n is None:
-            primes.append((poly, mult))
-        else:
-            cyclo.append((n, mult))
+    cyclotomic, other = factor_primitive(list(core.prim))
+    primes = [(QPoly.from_ints(Fraction(1, g[-1]), g), e) for g, e in other]
     return CanonicalFactorization(
-        constant=fact.constant,
+        constant=core.leading_coefficient,
         clearing_denominator=m,
         monomial_exponent=Rat(k, m),
-        cyclotomic_part=tuple(sorted(cyclo)),
-        prime_part=tuple(primes),
+        cyclotomic_part=tuple(cyclotomic),
+        prime_part=tuple(sorted(primes, key=_factor_key)),
     )
 
 
@@ -156,10 +149,11 @@ def divisors_in_algebra(
     scale, numerical = monoid.normalization()
     cleared = f.substitute(scale).to_qpoly()
     k, core = cleared.split_monomial()
-    fact = factor_over_rationals(core)
+    cyclotomic, other = factor_primitive(list(core.prim))
+    factors = [(cyclotomic_poly(n).prim, e) for n, e in cyclotomic] + other
 
     monomial_splits = numerical.divisors(k)
-    combinations = len(monomial_splits) * math.prod(m + 1 for _, m in fact.factors)
+    combinations = len(monomial_splits) * math.prod(m + 1 for _, m in factors)
     if combinations > limit:
         raise ResourceLimitError(
             f"{combinations} candidate divisors exceed the cap of {limit}"
@@ -170,10 +164,10 @@ def divisors_in_algebra(
     # The walk multiplies primitive integer associates: by Gauss's lemma
     # scaling changes no support, and every kept divisor is made monic.
     powers = []
-    for poly, mult in fact.factors:
+    for g, mult in factors:
         row = [[1]]
         for _ in range(mult):
-            row.append(zz_mul(row[-1], poly.prim))
+            row.append(zz_mul(row[-1], g))
         powers.append(row)
 
     inverse = Rat(1) / scale

@@ -238,9 +238,11 @@ class PuiseuxPoly:
         """Multiply every exponent by a positive rational r (coefficients fixed).
 
         This realizes the algebra isomorphism induced by scaling the exponent
-        monoid; the inverse is substitution by 1/r.
+        monoid; the inverse is substitution by 1/r, and the ratio 1 gives self.
         """
         s = _as_scale(r)
+        if s == 1:
+            return self
         return PuiseuxPoly((e * s, c) for e, c in self.terms)
 
     def clear_denominators(self) -> tuple[int, QPoly]:

@@ -14,7 +14,11 @@ Berlekamp's splitting loop takes gcd(w, v - c) for every piece w of degree
 at least 2 and every c in F_p, Hensel steps divide by pseudo-division over
 Z, and recombination trial-divides every subset.  Factorization over Q
 without the cyclotomic split runs the kernel's Yun split and Zassenhaus on
-every squarefree part, cyclotomic factors included.
+every squarefree part, cyclotomic factors included.  The cyclotomic
+recognizer compares a monic irreducible factor with the library's
+``cyclotomic_poly(n)`` for every n in the library's inverse-totient fiber
+of its degree, and the canonical form built on it classifies every factor
+of ``factor_over_rationals`` that way, after the split has already run.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from puiseux import CanonicalFactorization, Rat, cyclotomic_poly, factor_over_rationals, inverse_totient
 from puiseux import _intpoly as zz
 
 
@@ -527,3 +532,31 @@ def factor_without_split(f):
         for irr in zz.zz_factor_squarefree(part):
             found.append((tuple(Fraction(c, irr[-1]) for c in irr), mult))
     return sorted(found, key=lambda item: (len(item[0]), item[0]))
+
+
+# -- cyclotomic recognition by the inverse-totient fiber ---------------------
+
+def classify_by_fiber(p):
+    """n when the monic irreducible QPoly p equals Phi_n, else None: p is
+    compared with Phi_n for every n with phi(n) = deg p, which is complete
+    over Q."""
+    for n in sorted(inverse_totient(p.degree)):
+        if p == cyclotomic_poly(n):
+            return n
+    return None
+
+
+def canonical_by_fiber(f):
+    """The canonical factorization of a nonzero PuiseuxPoly f: clear
+    denominators, factor the core over Q, then classify every factor."""
+    m, cleared = f.clear_denominators()
+    k, core = cleared.split_monomial()
+    fact = factor_over_rationals(core)
+    cyclo, primes = [], []
+    for poly, mult in fact.factors:
+        n = classify_by_fiber(poly)
+        if n is None:
+            primes.append((poly, mult))
+        else:
+            cyclo.append((n, mult))
+    return CanonicalFactorization(fact.constant, m, Rat(k, m), tuple(sorted(cyclo)), tuple(primes))

@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from puiseux import (
     totient,
 )
 
-from reference import cyclotomic_coeffs, factor_without_split
+from reference import classify_by_fiber, cyclotomic_coeffs, factor_without_split
 from puiseux.cyclotomic import _cyclotomic_value, _prime_factors, _totients_up_to, split_cyclotomic
 from puiseux.exact import is_prime
 from randgen import NONCYCLOTOMIC_IRREDUCIBLES, random_cyclotomic_product, random_fraction
@@ -169,7 +170,15 @@ def test_classify_examples():
 
 def test_classify_round_trip():
     for n in range(1, 101):
-        assert classify_cyclotomic(cyclotomic_poly(n), assume_irreducible=True) == n
+        assert classify_cyclotomic(cyclotomic_poly(n)) == n
+
+
+def test_classify_matches_fiber_oracle():
+    cases = [cyclotomic_poly(n) for n in range(1, 301)]
+    cases += [QPoly.variable(), QPoly([Fraction(1, 2), 1])]
+    cases += [q.monic() for q in NONCYCLOTOMIC_IRREDUCIBLES]
+    for p in cases:
+        assert classify_cyclotomic(p) == classify_by_fiber(p), p
 
 
 def test_classify_rejects_bad_input():

@@ -11,7 +11,6 @@ from puiseux import (
     DomainError,
     PuiseuxMonoid,
     PuiseuxPoly,
-    QFactorization,
     QPoly,
     Rat,
     ResourceLimitError,
@@ -19,7 +18,6 @@ from puiseux import (
     classify_cyclotomic,
     cyclotomic_poly,
     divisors_in_algebra,
-    factor_over_rationals,
     ff_divisor_count,
     generalized_poly,
     is_atom_in_algebra,
@@ -29,8 +27,8 @@ from puiseux import (
 )
 from puiseux import engine
 
-from reference import brute_divisor_set
-from randgen import random_composite
+from reference import brute_divisor_set, canonical_by_fiber
+from randgen import NONCYCLOTOMIC_IRREDUCIBLES, random_composite, random_cyclotomic_product, random_fraction
 
 
 def test_canonical_factorization_examples():
@@ -81,20 +79,41 @@ def test_round_trip_random_composites():
         assert recompose(canonical_factorization(f)) == f
 
 
+def test_canonical_factorization_matches_fiber_classification():
+    # The route that classifies each factor of factor_over_rationals by its
+    # inverse-totient fiber, on random composites and on cyclotomic products
+    # times powers of non-cyclotomic irreducibles, a squared cyclotomic
+    # product, a monomial X^(k/den) and a rational constant.
+    rng = random.Random(307)
+    cases = [random_composite(rng) for _ in range(60)]
+    for _ in range(40):
+        q = random_cyclotomic_product(rng) * random_cyclotomic_product(rng, max_degree=8) ** 2
+        q = q * rng.choice(NONCYCLOTOMIC_IRREDUCIBLES) ** rng.randint(1, 3)
+        den = rng.randint(1, 4)
+        monomial = PuiseuxPoly.monomial(random_fraction(rng), Rat(rng.randint(0, 3), den))
+        cases.append(PuiseuxPoly.from_qpoly(q, Rat(1, den)) * monomial)
+    results = [canonical_factorization(f) for f in cases]
+    assert results == [canonical_by_fiber(f) for f in cases]
+    assert sum(cf.clearing_denominator > 1 for cf in results) >= 40
+    assert sum(cf.monomial_exponent > 0 for cf in results) >= 40
+    assert sum(any(e > 1 for _, e in cf.cyclotomic_part + cf.prime_part) for cf in results) >= 40
+    assert sum(bool(cf.cyclotomic_part and cf.prime_part) for cf in results) >= 40
+
+
 def test_binomial_shortcut_matches_dense_path(monkeypatch):
     # c*X^(j/m)*(X^(n/m) +- 1) read off its terms against the dense route
-    # (clear, factor over Q, classify).  The cleared cores are c*(X^k +- 1)
-    # with k <= 60, so the factorizations of their monic associates are
-    # memoized: a core factors as its leading coefficient times those.
-    factored: dict[QPoly, QFactorization] = {}
+    # (clear, factor over Q with the cyclotomic split).  The primitive
+    # cleared cores are X^k +- 1 with k <= 60, so their factorizations are
+    # memoized.
+    factored: dict[tuple[int, ...], tuple] = {}
+    factor_primitive = engine.factor_primitive
 
     def factor(core):
-        monic = core.monic()
-        if monic not in factored:
-            factored[monic] = factor_over_rationals(monic)
-        return QFactorization(core.leading_coefficient, factored[monic].factors)
+        if tuple(core) not in factored:
+            factored[tuple(core)] = factor_primitive(core)
+        return factored[tuple(core)]
 
-    monkeypatch.setattr(engine, "factor_over_rationals", factor)
+    monkeypatch.setattr(engine, "factor_primitive", factor)
     rng = random.Random(211)
     for n in range(1, 61):
         for m in range(1, 7):
@@ -110,8 +129,8 @@ def test_binomial_shortcut_matches_dense_path(monkeypatch):
 
 def test_shortcut_leaves_other_elements_to_the_dense_path(monkeypatch):
     calls = []
-    factor = engine.factor_over_rationals
-    monkeypatch.setattr(engine, "factor_over_rationals", lambda q: calls.append(q) or factor(q))
+    factor = engine.factor_primitive
+    monkeypatch.setattr(engine, "factor_primitive", lambda f: calls.append(f) or factor(f))
     for text in ("X^5 - 2", "2*X^3 + 3", "X^2 + X + 1", "X^(1/2) + 2*X"):
         f = parse_poly(text)
         before = len(calls)
@@ -120,10 +139,10 @@ def test_shortcut_leaves_other_elements_to_the_dense_path(monkeypatch):
 
 
 def test_binomials_factor_without_dense_work(monkeypatch):
-    def refuse(q):
+    def refuse(f):
         raise AssertionError("a binomial reached the dense factorizer")
 
-    monkeypatch.setattr(engine, "factor_over_rationals", refuse)
+    monkeypatch.setattr(engine, "factor_primitive", refuse)
     cf = canonical_factorization(parse_poly("X^3000000 + 1"))
     assert cf.cyclotomic_part[0] == (128, 1) and cf.cyclotomic_part[-1] == (6_000_000, 1)
     assert len(cf.cyclotomic_part) == 14 and cf.prime_part == ()
@@ -141,7 +160,7 @@ def test_prime_components_are_noncyclotomic():
         cf = canonical_factorization(f)
         for q, _ in cf.prime_part:
             assert q.is_monic
-            assert classify_cyclotomic(q, assume_irreducible=True) is None
+            assert classify_cyclotomic(q) is None
             # coprime to X^d - 1 for every candidate d up to the degree fiber
             for d in range(1, 13):
                 xd = QPoly([-1] + [0] * (d - 1) + [1])

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from puiseux import QPoly, ResourceLimitError, cyclotomic_poly, factor_over_rationals, poly_divrem, poly_gcd
+from puiseux import PuiseuxPoly, QPoly, ResourceLimitError, canonical_factorization, cyclotomic_poly
+from puiseux import factor_over_rationals, poly_divrem, poly_gcd
 from puiseux import squarefree_decompose
 from puiseux import _intpoly
 from puiseux.cyclotomic import split_cyclotomic
@@ -271,6 +272,17 @@ def test_pure_cyclotomic_products_skip_zassenhaus(monkeypatch):
         assert calls == 0
         assert result.expand() == f and all(m == 1 for _, m in result.factors)
         assert len(result.factors) == (7 if f.degree == 116 else 12)
+
+
+def test_canonical_factorization_looks_up_only_true_cyclotomic_factors():
+    def lookups(f: QPoly) -> int:
+        before = cyclotomic_poly.cache_info()
+        canonical_factorization(PuiseuxPoly.from_qpoly(f))
+        after = cyclotomic_poly.cache_info()
+        return after.hits + after.misses - before.hits - before.misses
+
+    assert lookups(QPoly(swinnerton_dyer([2, 3, 5, 7, 11]))) == 0  # 7 with the fiber compare
+    assert lookups(seven_phi_product()) <= 7  # 27 with the fiber compare
 
 
 def test_sd32_split_makes_no_trial_division(monkeypatch):

@@ -80,6 +80,9 @@ def test_symmetric_support_not_closed_under_products():
 def test_substitute_examples():
     assert parse_poly("X^(1/2) + 1").substitute(2) == parse_poly("X + 1")
     assert parse_poly("X - 1").substitute(Rat(1, 2)) == parse_poly("X^(1/2) - 1")
+    f = parse_poly("X^3 + X + 2")
+    assert f.substitute(1) is f and f.substitute(Rat(2, 2)) is f
+    assert f.clear_denominators() == (1, f.to_qpoly())
     with pytest.raises(DomainError):
         parse_poly("X").substitute(0)
 
