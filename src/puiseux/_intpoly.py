@@ -21,6 +21,12 @@ from .exact import is_prime
 # whose rest has size 251000, took 13 s.
 MAX_LIFT_SIZE = 170_000
 
+# Moduli of the first gcd in zz_squarefree.  Small primes such as 3 divide
+# the discriminant of many squarefree inputs (X^n - 1 for 3 | n); near 2^15
+# the first prime almost always settles the gcd, and products mod p stay
+# below 2^30.
+SQUAREFREE_PRIMES = (32749, 32719)
+
 
 # ---------------------------------------------------------------------------
 # arithmetic over Z
@@ -169,11 +175,33 @@ def zz_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
     """Yun's split (SYMSAC 1976) of a primitive f with lc(f) > 0 into the pairs
     (a_i, i), i increasing, with a_i primitive, squarefree, pairwise coprime,
     of degree >= 1 and f = prod a_i^i.  Every gcd is primitive, so every
-    division is exact over Z by Gauss's lemma."""
+    division is exact over Z by Gauss's lemma.
+
+    Yun's first gcd, gcd(f, f'), is first taken modulo each prime p of
+    :data:`SQUAREFREE_PRIMES` that does not divide lc(f).  A constant gcd
+    mod p certifies f squarefree, since a square a^2 | f would stay a square
+    mod p.  Otherwise the primitive part of lc(f) times the monic gcd mod p,
+    in symmetric residues, is gcd(f, f') if it divides both, because no
+    common divisor has a larger degree than the gcd mod p.  Only when no
+    prime settles it does the primitive remainder sequence run, whose
+    coefficients can grow to thousands of digits.
+    """
+    if len(f) < 2:
+        return []
     df = zz_derivative(f)
-    g = zz_gcd(f, df)
-    c = zz_trial_div(f, g)
-    d = zz_sub(zz_trial_div(df, g), zz_derivative(c))
+    for p in SQUAREFREE_PRIMES:
+        if f[-1] % p:
+            h = gf_gcd(f, df, p)
+            if len(h) == 1:
+                return [(f, 1)]
+            g = zz_primitive(zz_trunc_sym(zz_mul_scalar(h, f[-1]), p))[1]
+            c, q = zz_trial_div(f, g), zz_trial_div(df, g)
+            if c is not None and q is not None:
+                break
+    else:
+        g = zz_gcd(f, df)
+        c, q = zz_trial_div(f, g), zz_trial_div(df, g)
+    d = zz_sub(q, zz_derivative(c))
     parts, i = [], 1
     while zz_deg(c) > 0:
         a = zz_gcd(c, d)

@@ -12,7 +12,9 @@ beyond the clearing denominator of the input.
 
 Divisor enumeration reduces Q[S] for a finitely generated monoid S to a
 polynomial ring by scaling, factors there, and keeps exactly the
-sub-products whose support and cofactor support land back inside S.
+sub-products whose support and cofactor support land back inside S.  Only
+the coefficients below the conductor of the scaled monoid can land outside
+it, so the walk runs on truncated products and builds kept divisors only.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 
 from ._intpoly import zz_mul
 from .cyclotomic import _factor_key, binomial_indices, cyclotomic_poly, factor_primitive
@@ -130,16 +134,18 @@ def _divisor_sort_key(g: PuiseuxPoly):
     return (g.degree, g.terms)
 
 
-def divisors_in_algebra(
-    f: PuiseuxPoly, monoid: PuiseuxMonoid, *, limit: int = DEFAULT_DIVISOR_LIMIT
-) -> DivisorSet:
-    """Enumerate every divisor class of f in Q[S] for a finitely generated S.
+def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
+    """A generator of the kept (t, choice) keys of f's divisors in Q[S], and
+    the function that builds the monic divisor of a key.
 
-    Requires supp f inside S.  The element is scaled into a numerical monoid,
-    factored over Q, and all monomial-split / factor-sub-multiset
-    combinations whose two supports stay inside the scaled monoid are kept.
-    The number of candidate combinations is capped by ``limit``; exceeding it
-    raises :class:`ResourceLimitError` rather than truncating.
+    f is scaled into a numerical monoid N as X^k times a primitive core,
+    factored over Z.  A key pairs a split t (t and k - t in N) with one
+    exponent per factor, naming the divisor X^t * g with cofactor
+    X^(k-t) * h.  The factors are pairwise non-associate, so distinct keys
+    name distinct classes.  Every exponent at or above the conductor c of N
+    is a member, so only the coefficients of g and h below degree c decide
+    a key, and the walk multiplies factor powers truncated there.  By
+    Gauss's lemma the integer associates have the supports of the factors.
     """
     if f.is_zero:
         raise DomainError("divisors of the zero element are undefined")
@@ -152,65 +158,101 @@ def divisors_in_algebra(
     cyclotomic, other = factor_primitive(list(core.prim))
     factors = [(cyclotomic_poly(n).prim, e) for n, e in cyclotomic] + other
 
-    monomial_splits = numerical.divisors(k)
-    combinations = len(monomial_splits) * math.prod(m + 1 for _, m in factors)
+    splits = numerical.divisors(k)
+    combinations = len(splits) * math.prod(m + 1 for _, m in factors)
     if combinations > limit:
         raise ResourceLimitError(
             f"{combinations} candidate divisors exceed the cap of {limit}"
         )
 
-    # Enumerate (g, cofactor) products over sub-multisets of the factor list,
-    # keeping a candidate when both supports land inside the scaled monoid.
-    # The walk multiplies primitive integer associates: by Gauss's lemma
-    # scaling changes no support, and every kept divisor is made monic.
     powers = []
     for g, mult in factors:
         row = [[1]]
         for _ in range(mult):
             row.append(zz_mul(row[-1], g))
         powers.append(row)
+    c = numerical.conductor
+    low = [[p[:c] for p in row] for row in powers]
+    member = numerical.contains
 
-    inverse = Rat(1) / scale
-    found: set[PuiseuxPoly] = set()
-
-    def consider(g: list[int], h: list[int]):
-        g_support = [i for i, c in enumerate(g) if c]
-        h_support = [i for i, c in enumerate(h) if c]
-        for t in monomial_splits:
-            if all(numerical.contains(t + e) for e in g_support) and all(
-                numerical.contains(k - t + e) for e in h_support
-            ):
-                found.add(
-                    PuiseuxPoly(
-                        (Rat(t + i) * inverse, Fraction(g[i], g[-1])) for i in g_support
-                    )
-                )
-
-    def walk(index: int, g: list[int], h: list[int]):
-        if index == len(powers):
-            consider(g, h)
+    def walk(index: int, g: list[int], h: list[int], choice: tuple[int, ...]):
+        if index == len(low):
+            g_low = [i for i, x in enumerate(g) if x]
+            h_low = [i for i, x in enumerate(h) if x]
+            for t in splits:
+                if all(member(t + i) for i in g_low) and all(
+                    member(k - t + i) for i in h_low
+                ):
+                    yield t, choice
             return
-        row = powers[index]
-        top = len(row) - 1
-        for j in range(top + 1):
-            walk(index + 1, zz_mul(g, row[j]), zz_mul(h, row[top - j]))
+        row = low[index]
+        for j, power in enumerate(row):
+            yield from walk(
+                index + 1, zz_mul(g, power)[:c], zz_mul(h, row[-1 - j])[:c], choice + (j,)
+            )
 
-    walk(0, [1], [1])
-    ordered = tuple(sorted(found, key=_divisor_sort_key))
+    # build keeps the prefix products of the last choice, since keys come in
+    # the walk's order, and shares equal exponents and coefficients.
+    last: list[int] = []
+    prefix = [[1]]
+    exponent = lru_cache(maxsize=None)(lambda i: Rat(i * scale.denominator, scale.numerator))
+    coefficient = lru_cache(maxsize=None)(Fraction)
+
+    def build(key: tuple[int, tuple[int, ...]]) -> PuiseuxPoly:
+        t, choice = key
+        i = 0
+        while i < len(last) and last[i] == choice[i]:
+            i += 1
+        del last[i:], prefix[i + 1 :]
+        for row, j in zip(powers[i:], choice[i:]):
+            prefix.append(zz_mul(prefix[-1], row[j]) if j else prefix[-1])
+            last.append(j)
+        g = prefix[-1]
+        lc = g[-1]
+        return PuiseuxPoly._from_canonical(
+            tuple((exponent(i), coefficient(x, lc)) for i, x in enumerate(g, t) if x)
+        )
+
+    return walk(0, [1][:c], [1][:c], ()), build
+
+
+def divisors_in_algebra(
+    f: PuiseuxPoly, monoid: PuiseuxMonoid, *, limit: int = DEFAULT_DIVISOR_LIMIT
+) -> DivisorSet:
+    """Enumerate every divisor class of f in Q[S] for a finitely generated S.
+
+    Requires supp f inside S.  The element is scaled into a numerical monoid
+    N and factored over Q.  Every monomial-split / factor-sub-multiset
+    combination is walked on products truncated below the conductor of N,
+    the only degrees whose exponents can fall outside N; a combination whose
+    divisor and cofactor pass is kept and only then multiplied out.  The
+    number of combinations is capped by ``limit``; exceeding it raises
+    :class:`ResourceLimitError` rather than truncating.
+    """
+    keys, build = _divisor_walk(f, monoid, limit)
+    ordered = tuple(sorted(map(build, keys), key=_divisor_sort_key))
     return DivisorSet(element=f, monoid=monoid, divisors=ordered)
 
 
 def ff_divisor_count(
     f: PuiseuxPoly, monoid: PuiseuxMonoid, *, limit: int = DEFAULT_DIVISOR_LIMIT
 ) -> int:
-    """Number of non-associate divisors of f in Q[S]; finite by construction."""
-    return len(divisors_in_algebra(f, monoid, limit=limit).divisors)
+    """Number of non-associate divisors of f in Q[S]; finite by construction.
+
+    Counts the kept keys of the walk without building any divisor.
+    """
+    keys, _ = _divisor_walk(f, monoid, limit)
+    return sum(1 for _ in keys)
 
 
 def is_atom_in_algebra(
     f: PuiseuxPoly, monoid: PuiseuxMonoid, *, limit: int = DEFAULT_DIVISOR_LIMIT
 ) -> bool:
-    """True when f's only divisor classes in Q[S] are the unit class and f's own."""
+    """True when f's only divisor classes in Q[S] are the unit class and f's own.
+
+    The walk stops at the third kept key.
+    """
     if f.is_zero or f.is_constant:
         raise DomainError("atoms are nonzero nonunits; constants are units or zero")
-    return ff_divisor_count(f, monoid, limit=limit) == 2
+    keys, _ = _divisor_walk(f, monoid, limit)
+    return sum(1 for _ in islice(keys, 3)) == 2

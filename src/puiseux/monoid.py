@@ -67,6 +67,18 @@ class NumericalMonoid:
                         table[i] = m
         return tuple(table)
 
+    @cached_property
+    def conductor(self) -> int:
+        """Least c such that every integer at or above c is a member.
+
+        It is the Frobenius number plus one, max(Apery) - a + 1 for the least
+        generator a (Selmer, J. Reine Angew. Math. 293/294, 1977).
+
+        >>> [NumericalMonoid(g).conductor for g in ([1], [2, 3], [3, 5, 7])]
+        [0, 2, 5]
+        """
+        return max(self._apery) - self.generators[0] + 1
+
     def contains(self, x: int) -> bool:
         if x < 0:
             return False

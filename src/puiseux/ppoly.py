@@ -61,6 +61,14 @@ class PuiseuxPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _from_canonical(cls, terms: tuple[tuple[Rat, Fraction], ...]) -> "PuiseuxPoly":
+        """Wrap terms already in canonical form (Rat exponents, strictly
+        increasing, nonzero Fraction coefficients) without re-checking them."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    @classmethod
     def zero(cls) -> "PuiseuxPoly":
         return cls()
 

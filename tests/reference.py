@@ -7,9 +7,10 @@ the textbook algorithms over Q on ``Fraction`` coefficient lists.  Slow on
 purpose; intended for degree <= 8 (the rational routines stay usable to
 degree 30 or so).  None of these import the production algorithms.
 
-The exceptions are the Berlekamp and Zassenhaus references at the end.
-They reuse the kernel's arithmetic, null space, prime choice and
-Berlekamp, and keep in textbook form the steps that the kernel shortcuts:
+The exceptions are the references at the end, from Berlekamp on.  The
+Berlekamp and Zassenhaus references reuse the kernel's arithmetic, null
+space, prime choice and Berlekamp, and keep in textbook form the steps that
+the kernel shortcuts:
 Berlekamp's splitting loop takes gcd(w, v - c) for every piece w of degree
 at least 2 and every c in F_p, Hensel steps divide by pseudo-division over
 Z, and recombination trial-divides every subset.  Factorization over Q
@@ -19,6 +20,12 @@ recognizer compares a monic irreducible factor with the library's
 ``cyclotomic_poly(n)`` for every n in the library's inverse-totient fiber
 of its degree, and the canonical form built on it classifies every factor
 of ``factor_over_rationals`` that way, after the split has already run.
+Yun's split takes its first gcd by the primitive remainder sequence, with
+no gcd modulo a prime in front.  The divisor walk reuses the kernel's
+scaling, factoring and membership, but multiplies every sub-multiset of
+factor powers out in full, with no truncation below the conductor, and
+collects the divisors, built by ``PuiseuxPoly``'s checking constructor, in
+a set.
 """
 
 from __future__ import annotations
@@ -28,8 +35,16 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from puiseux import CanonicalFactorization, Rat, cyclotomic_poly, factor_over_rationals, inverse_totient
+from puiseux import (
+    CanonicalFactorization,
+    PuiseuxPoly,
+    Rat,
+    cyclotomic_poly,
+    factor_over_rationals,
+    inverse_totient,
+)
 from puiseux import _intpoly as zz
+from puiseux.cyclotomic import factor_primitive
 
 
 # -- integer polynomial helpers (ascending coefficient lists) ---------------
@@ -323,6 +338,22 @@ def dp_membership(q: Fraction, generators) -> bool:
     return reachable[target]
 
 
+def conductor_by_dp(generators) -> int:
+    """Least c with every integer >= c a non-negative integer combination of
+    the positive integer generators (gcd 1): a reachability table grown
+    until it shows a run of min(generators) consecutive members, after which
+    adding the least generator reaches everything."""
+    gens = sorted(set(generators))
+    a = gens[0]
+    reachable = [True]
+    run = 1
+    while run < a:
+        x = len(reachable)
+        reachable.append(any(g <= x and reachable[x - g] for g in gens))
+        run = run + 1 if reachable[-1] else 0
+    return len(reachable) - run
+
+
 # -- brute-force divisor enumeration -----------------------------------------
 
 def brute_divisor_set(terms, generators):
@@ -560,3 +591,66 @@ def canonical_by_fiber(f):
         else:
             cyclo.append((n, mult))
     return CanonicalFactorization(fact.constant, m, Rat(k, m), tuple(sorted(cyclo)), tuple(primes))
+
+
+# -- Yun's split without the modular first gcd -------------------------------
+
+def yun_squarefree(f):
+    """Yun's split of a primitive f with lc(f) > 0 by primitive remainder
+    sequences, as ``zz_squarefree`` returns it, for every input."""
+    df = zz.zz_derivative(f)
+    g = zz.zz_gcd(f, df)
+    c = zz.zz_trial_div(f, g)
+    d = zz.zz_sub(zz.zz_trial_div(df, g), zz.zz_derivative(c))
+    parts, i = [], 1
+    while zz.zz_deg(c) > 0:
+        a = zz.zz_gcd(c, d)
+        c = zz.zz_trial_div(c, a)
+        d = zz.zz_sub(zz.zz_trial_div(d, a), zz.zz_derivative(c))
+        if zz.zz_deg(a) > 0:
+            parts.append((a, i))
+        i += 1
+    return parts
+
+
+# -- the divisor walk on full products ---------------------------------------
+
+def untruncated_divisors(f, monoid):
+    """The sorted divisors of f in Q[S], from every (monomial split,
+    sub-multiset) pair whose full g and cofactor supports lie in the scaled
+    monoid; the same pair may be met twice and is kept once."""
+    scale, numerical = monoid.normalization()
+    k, core = f.substitute(scale).to_qpoly().split_monomial()
+    cyclotomic, other = factor_primitive(list(core.prim))
+    factors = [(cyclotomic_poly(n).prim, e) for n, e in cyclotomic] + other
+    splits = numerical.divisors(k)
+    powers = []
+    for g, mult in factors:
+        row = [[1]]
+        for _ in range(mult):
+            row.append(zz.zz_mul(row[-1], g))
+        powers.append(row)
+    inverse = Rat(1) / scale
+    found = set()
+
+    def walk(index, g, h):
+        if index == len(powers):
+            g_support = [i for i, c in enumerate(g) if c]
+            h_support = [i for i, c in enumerate(h) if c]
+            for t in splits:
+                if all(numerical.contains(t + e) for e in g_support) and all(
+                    numerical.contains(k - t + e) for e in h_support
+                ):
+                    found.add(
+                        PuiseuxPoly(
+                            (Rat(t + i) * inverse, Fraction(g[i], g[-1])) for i in g_support
+                        )
+                    )
+            return
+        row = powers[index]
+        top = len(row) - 1
+        for j in range(top + 1):
+            walk(index + 1, zz.zz_mul(g, row[j]), zz.zz_mul(h, row[top - j]))
+
+    walk(0, [1], [1])
+    return tuple(sorted(found, key=lambda g: (g.degree, g.terms)))

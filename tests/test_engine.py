@@ -27,7 +27,7 @@ from puiseux import (
 )
 from puiseux import engine
 
-from reference import brute_divisor_set, canonical_by_fiber
+from reference import brute_divisor_set, canonical_by_fiber, untruncated_divisors
 from randgen import NONCYCLOTOMIC_IRREDUCIBLES, random_composite, random_cyclotomic_product, random_fraction
 
 
@@ -326,8 +326,68 @@ def test_matches_brute_force_oracle():
 def test_cyclotomic_rich_divisor_walk_is_fast():
     start = time.perf_counter()
     result = divisors_in_algebra(parse_poly("X^60 - 1"), PuiseuxMonoid([2, 3]))
-    assert time.perf_counter() - start < 2.0
+    assert time.perf_counter() - start < 1.0
     assert len(result.divisors) == 1120
+
+
+def test_divisor_count_and_atom_test_build_no_divisor(monkeypatch):
+    built = []
+    original = PuiseuxPoly._from_canonical
+
+    def counting(cls, terms):
+        built.append(terms)
+        return original(terms)
+
+    monkeypatch.setattr(PuiseuxPoly, "_from_canonical", classmethod(counting))
+    f, S = parse_poly("X^60 - 1"), PuiseuxMonoid([2, 3])
+    assert ff_divisor_count(f, S) == 1120
+    assert built == []
+    assert not is_atom_in_algebra(f, S)
+    assert len(built) <= 3
+    built.clear()
+    assert len(divisors_in_algebra(f, S).divisors) == 1120
+    assert len(built) == 1120
+
+
+def _element_in(rng: random.Random, S: PuiseuxMonoid) -> PuiseuxPoly:
+    """c * Y^t * prod B(Y^g)^e with Y = X^(1/scale): blocks B composed with
+    generators g of the scaled monoid N, some squared or cubed, and t a
+    member of N up to just past its conductor, so the support lies in S and
+    straddles the conductor."""
+    scale, N = S.normalization()
+    pool = [cyclotomic_poly(n) for n in (1, 2, 3, 4, 6)] + NONCYCLOTOMIC_IRREDUCIBLES
+    t = rng.choice([x for x in range(N.conductor + 4) if N.contains(x)])
+    f = PuiseuxPoly.monomial(random_fraction(rng), t)
+    for _ in range(rng.randint(1, 4)):
+        g = rng.choice(N.generators)
+        block = rng.choice(pool)
+        power = rng.choice((1, 1, 2, 3))
+        if f.degree - t + block.degree * g * power > 36:
+            break
+        f = f * PuiseuxPoly.from_qpoly(block, g) ** power
+    return f.substitute(Rat(1) / scale)
+
+
+def test_divisors_match_untruncated_walk():
+    rng = random.Random(127)
+    monoids = [
+        PuiseuxMonoid([1]),
+        PuiseuxMonoid([2, 3]),
+        PuiseuxMonoid([3, 5, 7]),
+        PuiseuxMonoid([5, 7]),
+        PuiseuxMonoid([Rat(1, 2), Rat(1, 3)]),
+        PuiseuxMonoid([Rat(2, 3), 1]),
+    ]
+    for S in monoids:
+        for _ in range(12):
+            f = _element_in(rng, S)
+            expected = untruncated_divisors(f, S)
+            result = divisors_in_algebra(f, S)
+            assert result.divisors == expected
+            for g in result.divisors:
+                assert all(type(e) is Rat and type(c) is Fraction for e, c in g.terms)
+            keys, _ = engine._divisor_walk(f, S, engine.DEFAULT_DIVISOR_LIMIT)
+            assert len(list(keys)) == len(set(expected)) == ff_divisor_count(f, S)
 
 
 def test_cyclotomic_rich_dense_factorization_is_fast():

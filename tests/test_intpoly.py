@@ -41,6 +41,7 @@ from reference import (
     q_divmod,
     q_gcd,
     q_squarefree,
+    yun_squarefree,
     zassenhaus_all_subsets,
 )
 from randgen import random_fraction, random_qpoly
@@ -152,6 +153,41 @@ def test_zz_squarefree_parts():
             for b, _ in parts[j + 1 :]:
                 assert zz_gcd(a, b) == [1]
     assert zz_squarefree([7]) == [] and zz_squarefree([1]) == []
+
+
+def test_squarefree_certificate_skips_yun_on_sparse_trinomials():
+    f = [1, 1] + [0] * 7998 + [1]  # X^8000 + X + 1
+    start = time.perf_counter()
+    parts = zz_squarefree(f)
+    elapsed = time.perf_counter() - start
+    assert parts == [(f, 1)]
+    assert elapsed < 0.5, f"X^8000 + X + 1 took {elapsed:.2f}s"
+
+
+def test_squarefree_matches_plain_yun():
+    rng = random.Random(67)
+    # squarefree, but not modulo any certificate prime: Yun must run
+    both = 32749 * 32719
+    unlucky = [[-both, 0, 1], [1, both], [1, 1, both * 7]]
+    cases = [(X**2 - 2) ** 3 * (X + 1), X**3 * (X - 1) ** 2]
+    # gcd(f, f') has a coefficient beyond p/2: its lift modulo p fails
+    cases += [(X + 40000) ** 2 * (X + 1), (3 * X**2 + 50000 * X - 7) ** 3 * (X - 2) ** 2]
+    cases += [random_power_product(rng) for _ in range(40)]
+    for _ in range(40):
+        f = random_power_product(rng) * random_qpoly(rng, max_degree=4)
+        if f.degree > 0:
+            cases.append(f)
+    # a square that vanishes modulo both primes, where lc(f) is a multiple
+    # of each: f mod p is the squarefree X + 2
+    hidden = zz_mul(zz_mul([1, both], [1, both]), [2, 1])
+    prims = [f.primitive_integer()[1] for f in cases] + unlucky + [hidden]
+    for prim in prims:
+        if prim[-1] < 0:
+            prim = [-c for c in prim]
+        assert zz_squarefree(prim) == yun_squarefree(prim)
+    for f in unlucky:
+        assert zz_squarefree(f) == [(f, 1)]
+    assert zz_squarefree(hidden) == [([2, 1], 1), ([1, both], 2)]
 
 
 def swinnerton_dyer(primes: list[int]) -> list[int]:

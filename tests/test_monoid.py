@@ -11,7 +11,7 @@ from puiseux import DomainError, NumericalMonoid, PuiseuxMonoid, Rat, ResourceLi
 from puiseux.monoid import APERY_LIMIT
 from puiseux.ppoly import MAX_DENSE_DEGREE
 
-from reference import dp_membership
+from reference import conductor_by_dp, dp_membership
 
 
 def test_normalize_examples():
@@ -89,6 +89,21 @@ def test_apery_table_matches_direct_dp():
             assert least % a == r
             assert dp_membership(least, N.generators)
             assert least < a or not dp_membership(least - a, N.generators)
+        checked += 1
+
+
+def test_conductor_matches_dp_reachability():
+    rng = random.Random(89)
+    checked = 0
+    while checked < 60:
+        gens = [rng.randint(1, 24) for _ in range(rng.randint(1, 4))]
+        if math.gcd(*gens) != 1:
+            continue
+        N = NumericalMonoid(gens)
+        c = N.conductor
+        assert c == conductor_by_dp(N.generators)
+        assert all(N.contains(x) for x in range(c, c + N.generators[0]))
+        assert c == 0 or not N.contains(c - 1)
         checked += 1
 
 
