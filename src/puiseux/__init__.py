@@ -30,22 +30,10 @@ from .engine import (
     recompose,
 )
 from .errors import DomainError, ParseError, PuiseuxError, ResourceLimitError
-from .exact import (
-    PrimeFieldElement,
-    PrimeFieldPoly,
-    Rat,
-    is_prime,
-    lcm_denominators,
-    reduce_rat,
-)
+from .exact import Rat, is_prime
 from .monoid import NumericalMonoid, PuiseuxMonoid
-from .ppoly import PuiseuxPoly, generalized_poly
-from .qpoly import (
-    QPoly,
-    poly_divrem,
-    poly_gcd,
-    squarefree_decompose,
-)
+from .ppoly import PuiseuxPoly
+from .qpoly import QPoly, squarefree_decompose
 from .textform import (
     format_monoid,
     format_poly,
@@ -62,8 +50,6 @@ __all__ = [
     "DomainError",
     "NumericalMonoid",
     "ParseError",
-    "PrimeFieldElement",
-    "PrimeFieldPoly",
     "PuiseuxError",
     "PuiseuxMonoid",
     "PuiseuxPoly",
@@ -82,19 +68,14 @@ __all__ = [
     "format_monoid",
     "format_poly",
     "format_rat",
-    "generalized_poly",
     "inverse_totient",
     "is_atom_in_algebra",
     "is_prime",
-    "lcm_denominators",
     "parse_monoid",
     "parse_poly",
     "parse_rat",
-    "poly_divrem",
-    "poly_gcd",
     "recompose",
     "reciprocal_vanishing_check",
-    "reduce_rat",
     "squarefree_decompose",
     "totient",
 ]

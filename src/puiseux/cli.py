@@ -28,8 +28,7 @@ from .engine import (
     is_atom_in_algebra,
 )
 from .errors import DomainError, ParseError, ResourceLimitError
-from .exact import PrimeFieldPoly, is_prime
-from .ppoly import PuiseuxPoly
+from .exact import is_prime
 from .textform import format_monoid, format_poly, format_rat, parse_monoid, parse_poly, parse_rat
 
 _EXIT_CODES = {
@@ -72,17 +71,6 @@ def _parse_field(spec: str) -> int:
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     return p
-
-
-def _poly_mod_p(f: PuiseuxPoly, p: int) -> PrimeFieldPoly:
-    """Reduce a parsed integer-exponent polynomial modulo p."""
-    q = f.to_qpoly()
-    coeffs = []
-    for c in q.coeffs:
-        if c.denominator % p == 0:
-            raise DomainError(f"coefficient {c} has no image in F_{p}")
-        coeffs.append(c.numerator * pow(c.denominator, -1, p) % p)
-    return PrimeFieldPoly(tuple(coeffs), p)
 
 
 def _limit(args) -> int:
@@ -214,10 +202,11 @@ def _cmd_totient_inv(args):
 
 def _cmd_lemma21(args):
     f = parse_poly(args.poly)
-    poly = f.to_qpoly() if args.field is None else _poly_mod_p(f, _parse_field(args.field))
-    # str of a Fraction is format_rat's text, and of an F_p element its value
-    rendered = [str(v) for v in elementary_symmetric(poly)]
-    report = reciprocal_vanishing_check(poly)
+    p = None if args.field is None else _parse_field(args.field)
+    poly = f.to_qpoly()
+    # str of a Fraction is format_rat's text, and of an F_p residue its value
+    rendered = [str(v) for v in elementary_symmetric(poly, p)]
+    report = reciprocal_vanishing_check(poly, p)
     payload = {
         "command": "lemma21",
         "input": format_poly(f),

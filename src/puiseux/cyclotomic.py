@@ -4,6 +4,7 @@ vanishing-pattern check for polynomials whose roots are roots of unity."""
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,7 +13,7 @@ from itertools import combinations
 
 from . import _intpoly as zz
 from .errors import DomainError, ResourceLimitError
-from .exact import CACHE_SIZE, PrimeFieldElement, PrimeFieldPoly, is_prime
+from .exact import CACHE_SIZE, _require_modulus, is_prime
 from .ppoly import MAX_DENSE_DEGREE
 from .qpoly import QPoly
 
@@ -162,10 +163,21 @@ def inverse_totient(d: int) -> frozenset[int]:
     return frozenset(found)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+# (limit, pairs): every pair (phi(n), n) with phi(n) <= limit, increasing.
+# One table for every degree, extended only by the totients above its limit
+# and replaced whole, so a racing extension leaves a correct table.
+_totient_table: tuple[int, tuple[tuple[int, int], ...]] = (0, ())
+
+
 def _totients_up_to(d: int) -> tuple[tuple[int, int], ...]:
     """The pairs (phi(n), n) with phi(n) <= d, increasing."""
-    return tuple(sorted((k, n) for k in [1, *range(2, d + 1, 2)] for n in inverse_totient(k)))
+    global _totient_table
+    limit, pairs = _totient_table
+    if d > limit:
+        ks = [k for k in [1, *range(2, d + 1, 2)] if k > limit]
+        pairs += tuple(sorted((k, n) for k in ks for n in inverse_totient(k)))
+        _totient_table = (d, pairs)
+    return pairs[: bisect.bisect(pairs, (d, math.inf))]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -227,12 +239,6 @@ class QFactorization:
     constant: Fraction
     factors: tuple[tuple[QPoly, int], ...]
 
-    def expand(self) -> QPoly:
-        out = QPoly([self.constant])
-        for poly, mult in self.factors:
-            out = out * poly**mult
-        return out
-
 
 def _factor_key(item: tuple[QPoly, int]):
     poly = item[0]
@@ -261,21 +267,29 @@ def factor_primitive(f: list[int]) -> tuple[list[tuple[int, int]], list[tuple[li
     return sorted(cyclotomic), other
 
 
+def factor_parts(f: QPoly) -> tuple[int, Fraction, list[tuple[int, int]], list[tuple[QPoly, int]]]:
+    """(k, c, cyclotomic, other) with f = c * X^k * prod Phi_n^e * prod g^e
+    for a nonzero f: the monomial split off, :func:`factor_primitive` on the
+    rest, and every other irreducible g made a monic ``QPoly``, sorted."""
+    k, core = f.split_monomial()
+    cyclotomic, other = factor_primitive(list(core.prim))
+    monic = [(QPoly.from_ints(Fraction(1, g[-1]), g), e) for g, e in other]
+    return k, core.leading_coefficient, cyclotomic, sorted(monic, key=_factor_key)
+
+
 def factor_over_rationals(f: QPoly) -> QFactorization:
     """Factor f into monic irreducibles over Q with multiplicities, through
-    :func:`factor_primitive`.
+    :func:`factor_parts`.
 
     The recomposition ``constant * prod(q**m)`` reproduces f exactly.
     """
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
-    k, core = f.split_monomial()
-    cyclotomic, other = factor_primitive(list(core.prim))
-    found = [(cyclotomic_poly(n), e) for n, e in cyclotomic]
-    found += [(QPoly.from_ints(Fraction(1, g[-1]), g), e) for g, e in other]
+    k, constant, cyclotomic, found = factor_parts(f)
+    found += [(cyclotomic_poly(n), e) for n, e in cyclotomic]
     if k:
         found.append((QPoly.variable(), k))
-    return QFactorization(core.leading_coefficient, tuple(sorted(found, key=_factor_key)))
+    return QFactorization(constant, tuple(sorted(found, key=_factor_key)))
 
 
 def classify_cyclotomic(p: QPoly) -> int | None:
@@ -286,31 +300,34 @@ def classify_cyclotomic(p: QPoly) -> int | None:
     """
     if p.is_zero or not p.is_monic:
         raise DomainError("cyclotomic classification needs a monic polynomial")
-    k, core = p.split_monomial()
-    cyclotomic, other = factor_primitive(list(core.prim))
+    k, _, cyclotomic, other = factor_parts(p)
     if k + sum(e for _, e in cyclotomic + other) != 1:
         raise DomainError("cyclotomic classification needs an irreducible polynomial")
     return cyclotomic[0][0] if cyclotomic else None
 
 
-def elementary_symmetric(
-    f: QPoly | PrimeFieldPoly,
-) -> tuple[Fraction, ...] | tuple[PrimeFieldElement, ...]:
+def elementary_symmetric(f: QPoly, p: int | None = None) -> tuple[Fraction, ...] | tuple[int, ...]:
     """The values (e_0, ..., e_n) of the elementary symmetric polynomials of
     the roots of a monic degree-n polynomial, read off its coefficients.
 
     e_k equals (-1)^k times the X^(n-k) coefficient; e_0 = 1 by convention.
-    Over F_p the sign is applied inside the field (so it vanishes for p = 2).
+    With a prime p, f is first reduced into F_p and must be monic there; the
+    values are residues in [0, p), so the sign vanishes for p = 2.
     """
-    if not isinstance(f, (QPoly, PrimeFieldPoly)):
-        raise TypeError(f"expected QPoly or PrimeFieldPoly, got {type(f).__name__}")
-    if not f.is_monic:
+    if not isinstance(f, QPoly):
+        raise TypeError(f"expected QPoly, got {type(f).__name__}")
+    coeffs = f.coeffs
+    if p is not None:
+        _require_modulus(p)
+        for c in coeffs:
+            if c.denominator % p == 0:
+                raise DomainError(f"coefficient {c} has no image in F_{p}")
+        coeffs = zz.gf_normal([c.numerator * pow(c.denominator, -1, p) for c in coeffs], p)
+    if not coeffs or coeffs[-1] != 1:
         raise DomainError("elementary symmetric values are defined for monic polynomials")
-    n = f.degree
-    values = tuple((-1) ** k * f.coeff(n - k) for k in range(n + 1))
-    if isinstance(f, PrimeFieldPoly):
-        return tuple(PrimeFieldElement(v, f.modulus) for v in values)
-    return values
+    n = len(coeffs) - 1
+    values = tuple((-1) ** k * coeffs[n - k] for k in range(n + 1))
+    return values if p is None else tuple(v % p for v in values)
 
 
 @dataclass(frozen=True)
@@ -326,19 +343,16 @@ class VanishingReport:
     witnesses: tuple[int, ...]
 
 
-def reciprocal_vanishing_check(f: QPoly | PrimeFieldPoly) -> VanishingReport:
-    """Check whether zeros of e_k are mirrored at e_{n-k}.
+def reciprocal_vanishing_check(f: QPoly, p: int | None = None) -> VanishingReport:
+    """Check whether zeros of e_k are mirrored at e_{n-k}, over Q or, with a
+    prime p, over F_p.
 
     For monic polynomials over Q whose roots are all roots of unity the
     pattern always holds; over prime fields it can fail.
     """
-    if f.degree < 1:
-        raise DomainError("the vanishing check needs degree >= 1")
-    values = elementary_symmetric(f)
-    if isinstance(f, PrimeFieldPoly):
-        iszero = [v.is_zero for v in values]
-    else:
-        iszero = [v == 0 for v in values]
+    values = elementary_symmetric(f, p)
     n = len(values) - 1
-    witnesses = tuple(k for k in range(n + 1) if iszero[k] and not iszero[n - k])
+    if n < 1:
+        raise DomainError("the vanishing check needs degree >= 1")
+    witnesses = tuple(k for k in range(n + 1) if values[k] == 0 and values[n - k] != 0)
     return VanishingReport(holds=not witnesses, witnesses=witnesses)

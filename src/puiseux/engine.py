@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import islice
 
 from ._intpoly import zz_mul
-from .cyclotomic import _factor_key, binomial_indices, cyclotomic_poly, factor_primitive
+from .cyclotomic import binomial_indices, cyclotomic_poly, factor_parts, factor_primitive
 from .errors import DomainError, ResourceLimitError
 from .exact import Rat
 from .monoid import PuiseuxMonoid
@@ -82,15 +82,13 @@ def _dense_factorization(f: PuiseuxPoly) -> CanonicalFactorization:
     Q, where the cyclotomic split names every Phi_n.
     """
     m, cleared = f.clear_denominators()
-    k, core = cleared.split_monomial()
-    cyclotomic, other = factor_primitive(list(core.prim))
-    primes = [(QPoly.from_ints(Fraction(1, g[-1]), g), e) for g, e in other]
+    k, constant, cyclotomic, primes = factor_parts(cleared)
     return CanonicalFactorization(
-        constant=core.leading_coefficient,
+        constant=constant,
         clearing_denominator=m,
         monomial_exponent=Rat(k, m),
         cyclotomic_part=tuple(cyclotomic),
-        prime_part=tuple(sorted(primes, key=_factor_key)),
+        prime_part=tuple(primes),
     )
 
 

@@ -7,11 +7,12 @@ non-negative rational exponents ``s_1 < ... < s_n``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError, ResourceLimitError
-from .exact import Rat, lcm_denominators
+from .exact import Rat
 from .qpoly import QPoly
 
 # Largest degree an element may have when it is made dense (after clearing
@@ -259,19 +260,5 @@ class PuiseuxPoly:
         Returns (m, g) with g an integer-exponent polynomial such that
         substituting 1/m into g recovers self.
         """
-        self._require_nonzero()
-        m = lcm_denominators(self.support)
+        m = math.lcm(*(e.denominator for e in self.support))
         return m, self.substitute(m).to_qpoly()
-
-    def normalized_leading(self) -> "PuiseuxPoly":
-        """The associate with leading (highest-exponent) coefficient 1."""
-        self._require_nonzero()
-        lc = self.leading_coefficient
-        if lc == 1:
-            return self
-        return PuiseuxPoly((e, c / lc) for e, c in self.terms)
-
-
-def generalized_poly(h: QPoly, s) -> PuiseuxPoly:
-    """The generalized polynomial h(X^s) for an ordinary polynomial h and s > 0."""
-    return PuiseuxPoly.from_qpoly(h, s)

@@ -1,9 +1,10 @@
-"""Dense univariate polynomials over Q.
+"""Dense univariate polynomials over Q, as values.
 
-``QPoly`` stores ``(content, primitive int tuple)`` and hands the tuple to
-:mod:`._intpoly`, where every algorithm runs: multiplication, division,
-the gcd and Yun's squarefree split.  Factorization over Q, which also
-splits off cyclotomic factors, lives in :mod:`.cyclotomic`.
+``QPoly`` stores ``(content, primitive int tuple)``; it is the type the
+public API takes and returns, with the queries, equality, printing and
+multiplication.  Every algorithm runs on the tuple in :mod:`._intpoly`:
+Yun's squarefree split here, and factorization over Q, which also splits
+off cyclotomic factors, in :mod:`.cyclotomic`.
 """
 
 from __future__ import annotations
@@ -54,22 +55,8 @@ class QPoly:
         raise AttributeError("QPoly is immutable")
 
     @classmethod
-    def zero(cls) -> "QPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls([1])
-
-    @classmethod
     def variable(cls) -> "QPoly":
         return cls([0, 1])
-
-    @classmethod
-    def monomial(cls, coeff: Fraction | int, exponent: int) -> "QPoly":
-        if exponent < 0:
-            raise DomainError("monomial exponent must be non-negative")
-        return cls([0] * exponent + [coeff])
 
     # -- basic queries ------------------------------------------------------
 
@@ -96,77 +83,16 @@ class QPoly:
             raise DomainError("the zero polynomial has no leading coefficient")
         return self.content * self.prim[-1]
 
-    def coeff(self, i: int) -> Fraction:
-        return self.content * self.prim[i] if 0 <= i < len(self.prim) else Fraction(0)
-
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, QPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QPoly([other])
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        # Over the common denominator d both contents are integers.
-        d = math.lcm(self.content.denominator, other.content.denominator)
-        a, b = (zz.zz_mul_scalar(p.prim, int(p.content * d)) for p in (self, other))
-        return QPoly.from_ints(Fraction(1, d), zz.zz_add(a, b))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QPoly.from_ints(-self.content, self.prim)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if isinstance(other, (int, Fraction)):
+            other = QPoly([other])
+        elif not isinstance(other, QPoly):
+            return NotImplemented
         return QPoly.from_ints(self.content * other.content, zz.zz_mul(self.prim, other.prim))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("negative polynomial power")
-        result = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other) -> tuple["QPoly", "QPoly"]:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        if other.is_zero:
-            raise DomainError("polynomial division by zero")
-        c1, c2 = self.content, other.content
-        a, q, r = zz.zz_pseudo_divmod(self.prim, other.prim)
-        # self = c1*p1 and other = c2*p2, so a*self = c1*q*p2 + c1*r.
-        return QPoly.from_ints(c1 / (a * c2), q), QPoly.from_ints(c1 / a, r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     # -- structure ----------------------------------------------------------
 
@@ -189,42 +115,12 @@ class QPoly:
 
         return format_poly(PuiseuxPoly.from_qpoly(self))
 
-    def monic(self) -> "QPoly":
-        if self.is_zero:
-            raise DomainError("the zero polynomial has no monic associate")
-        if self.is_monic:
-            return self
-        return QPoly.from_ints(Fraction(1, self.prim[-1]), self.prim)
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.prim):
-            acc = acc * x + c
-        return self.content * acc
-
     def split_monomial(self) -> tuple[int, "QPoly"]:
         """Write self = X^k * core with core(0) != 0; returns (k, core)."""
         if self.is_zero:
             raise DomainError("the zero polynomial has no monomial split")
         k = next(i for i, c in enumerate(self.prim) if c)
         return k, QPoly.from_ints(self.content, self.prim[k:])
-
-    def primitive_integer(self) -> tuple[Fraction, list[int]]:
-        """Write self = content * P with P a primitive integer polynomial, lc(P) > 0."""
-        return self.content, list(self.prim)
-
-
-def poly_divrem(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly]:
-    """Exact division with remainder: f = q*g + r with deg r < deg g."""
-    return divmod(f, g)
-
-
-def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
-    """Monic greatest common divisor; gcd(f, 0) is the monic associate of f."""
-    if f.is_zero and g.is_zero:
-        raise DomainError("gcd(0, 0) is undefined")
-    d = zz.zz_gcd(f.prim, g.prim)
-    return QPoly.from_ints(Fraction(1, d[-1]), d)
 
 
 def squarefree_decompose(f: QPoly) -> list[tuple[QPoly, int]]:

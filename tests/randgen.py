@@ -1,11 +1,24 @@
-"""Seeded random generators shared by the property-style tests."""
+"""Seeded random generators shared by the property-style tests, and the
+QPoly power and expansion that the tests build with."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from puiseux import PuiseuxPoly, QPoly, Rat, cyclotomic_poly
+
+
+def power(f: QPoly, n: int) -> QPoly:
+    """f^n for n >= 0, by repeated multiplication."""
+    return math.prod([f] * n, start=QPoly([1]))
+
+
+def expand(factorization) -> QPoly:
+    """constant * prod(q^m) of a QFactorization."""
+    powers = (power(q, m) for q, m in factorization.factors)
+    return math.prod(powers, start=QPoly([factorization.constant]))
 
 
 def random_fraction(rng: random.Random, max_num=9, max_den=4, signed=True) -> Fraction:
@@ -35,7 +48,7 @@ def random_puiseux_poly(rng: random.Random, max_terms=5, max_den=6) -> PuiseuxPo
 
 def random_cyclotomic_product(rng: random.Random, max_index=30, max_degree=24) -> QPoly:
     """A product of cyclotomic polynomials with total degree <= max_degree."""
-    poly = QPoly.one()
+    poly = QPoly([1])
     while True:
         n = rng.randint(1, max_index)
         step = cyclotomic_poly(n)
@@ -66,7 +79,7 @@ def random_composite(rng: random.Random, max_cleared_degree=16) -> PuiseuxPoly:
     den = rng.randint(1, 6)
     scale = Rat(1, den)
     budget = max_cleared_degree // den
-    poly = QPoly.one()
+    poly = QPoly([1])
     for _ in range(rng.randint(1, 4)):
         if rng.random() < 0.5:
             step = cyclotomic_poly(rng.randint(1, 8))

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 from puiseux import (
-    PrimeFieldPoly,
     PuiseuxMonoid,
     PuiseuxPoly,
     QPoly,
@@ -21,7 +20,6 @@ from puiseux import (
     elementary_symmetric,
     factor_over_rationals,
     ff_divisor_count,
-    generalized_poly,
     parse_poly,
     reciprocal_vanishing_check,
     recompose,
@@ -38,16 +36,16 @@ def _report(number: int, elapsed: float, budget: float, detail: str):
 
 
 def test_criterion_01_prime_field_counterexample():
-    poly = PrimeFieldPoly((1, 0, 1, 1), 2)
-    elementary_symmetric(poly)  # warm any caches before timing
+    poly = QPoly([1, 0, 1, 1])
+    elementary_symmetric(poly, 2)  # warm any caches before timing
     start = time.perf_counter()
-    values = elementary_symmetric(poly)
-    report = reciprocal_vanishing_check(poly)
+    values = elementary_symmetric(poly, 2)
+    report = reciprocal_vanishing_check(poly, 2)
     elapsed = time.perf_counter() - start
-    assert tuple(v.value for v in values) == (1, 1, 0, 1)
+    assert values == (1, 1, 0, 1)
     assert report.holds is False
     assert report.witnesses == (2,)
-    assert values[2].is_zero and not values[1].is_zero
+    assert values[2] == 0 and values[1] != 0
     _report(1, elapsed, 0.001, "e-vector (1,1,0,1) over F_2, violation at k=2")
 
 
@@ -89,7 +87,7 @@ def test_criterion_04_generalized_symmetric_support():
     while checked < 200:
         product = random_cyclotomic_product(rng, max_index=30, max_degree=24)
         for s in scales:
-            assert generalized_poly(product, s).is_symmetric_support()
+            assert PuiseuxPoly.from_qpoly(product, s).is_symmetric_support()
         checked += 1
     elapsed = time.perf_counter() - start
     _report(4, elapsed, 10.0, f"{checked} products x 3 scales, symmetric support")
@@ -98,7 +96,7 @@ def test_criterion_04_generalized_symmetric_support():
 def test_criterion_05_cyclotomic_identities():
     start = time.perf_counter()
     for n in range(1, 101):
-        product = QPoly.one()
+        product = QPoly([1])
         for d in range(1, n + 1):
             if n % d == 0:
                 product = product * cyclotomic_poly(d)
@@ -124,8 +122,7 @@ def test_criterion_06_factorization_soundness():
             for p, m in factor_over_rationals(core).factors:
                 mine.extend([p.coeffs] * m)
             mine.sort(key=lambda t: (len(t), t))
-            _, ints = core.primitive_integer()
-            assert tuple(mine) == kronecker_monic_factors(ints)
+            assert tuple(mine) == kronecker_monic_factors(list(core.prim))
             oracle_checked += 1
     elapsed = time.perf_counter() - start
     _report(
@@ -173,7 +170,7 @@ def test_criterion_07_divisor_enumeration_witness():
                 if rng.random() < 0.35:
                     break
             shift = rng.randint(0, max(0, 6 - f.degree))
-            f = f * QPoly.monomial(1, shift)
+            f = f * QPoly([0] * shift + [1])
             element = PuiseuxPoly.from_qpoly(f, 1)
             if any(not S.contains(e) for e in element.support):
                 continue
@@ -204,7 +201,7 @@ def test_criterion_08_generalized_cyclotomic_ff_witness():
     for S, scales in grids:
         for product in products:
             for s in scales:
-                f = generalized_poly(product, s)
+                f = PuiseuxPoly.from_qpoly(product, s)
                 count = ff_divisor_count(f, S)
                 assert count >= 2
                 for g in divisors_in_algebra(f, S).divisors:
@@ -236,7 +233,7 @@ def test_criterion_09_scaling_divisor_bijection():
         before = divisors_in_algebra(f, S)
         after = divisors_in_algebra(f.substitute(r), S.scaled(r))
         assert len(before.divisors) == len(after.divisors)
-        mapped = {g.substitute(r).normalized_leading() for g in before.divisors}
+        mapped = {g.substitute(r) * (1 / g.leading_coefficient) for g in before.divisors}
         assert mapped == set(after.divisors)
     elapsed = time.perf_counter() - start
     _report(9, elapsed, 30.0, "100 scaled instances give divisor-set bijections")

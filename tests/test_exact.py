@@ -1,41 +1,34 @@
-"""Rational substrate and prime-field arithmetic."""
+"""Rational substrate, primality and the prime-field modulus check."""
 
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
-from puiseux import (
-    DomainError,
-    PrimeFieldElement,
-    Rat,
-    ResourceLimitError,
-    lcm_denominators,
-    reduce_rat,
-)
+from puiseux import DomainError, PuiseuxPoly, QPoly, Rat, ResourceLimitError, elementary_symmetric
 from puiseux.exact import PRIME_TEST_LIMIT, is_prime
 
 
+# Rat(num, den) is the reduced form of num/den, the library's exponent type.
+
+
 def test_reduce_rat_examples():
-    assert reduce_rat(6, 4) == Rat(3, 2)
-    assert reduce_rat(0, 5) == Rat(0, 1)
-    assert reduce_rat(0, 5).denominator == 1
-    assert reduce_rat(5, 1) == Rat(5, 1)
+    assert Rat(6, 4) == Rat(3, 2)
+    assert Rat(0, 5) == Rat(0, 1)
+    assert Rat(0, 5).denominator == 1
+    assert Rat(5, 1) == 5
 
 
 def test_reduce_rat_accessors():
-    r = reduce_rat(10, 4)
+    r = Rat(10, 4)
     assert (r.numerator, r.denominator) == (5, 2)
 
 
 def test_reduce_rat_errors():
     with pytest.raises(DomainError):
-        reduce_rat(1, 0)
+        Rat(1, 0)
     with pytest.raises(DomainError):
-        reduce_rat(1, -2)
-    with pytest.raises(DomainError):
-        reduce_rat(-1, 2)
+        Rat(1, -2)
     with pytest.raises(DomainError):
         Rat(-1, 2)
 
@@ -46,7 +39,7 @@ def test_reduce_rat_scale_invariance():
         a = rng.randint(0, 500)
         b = rng.randint(1, 500)
         k = rng.randint(1, 50)
-        assert reduce_rat(a, b) == reduce_rat(k * a, k * b)
+        assert Rat(a, b) == Rat(k * a, k * b)
 
 
 def test_rat_is_always_reduced():
@@ -61,15 +54,19 @@ def test_rat_is_always_reduced():
         assert r.denominator >= 1
 
 
+def _clearing_denominator(exponents):
+    return PuiseuxPoly((e, 1) for e in exponents).clear_denominators()[0]
+
+
 def test_lcm_denominators_examples():
-    assert lcm_denominators([Rat(1, 2), Rat(2, 3)]) == 6
-    assert lcm_denominators([Rat(2, 1)]) == 1
-    assert lcm_denominators([Rat(5, 2), Rat(1, 3), Rat(7, 4)]) == 12
+    assert _clearing_denominator([Rat(1, 2), Rat(2, 3)]) == 6
+    assert _clearing_denominator([Rat(2, 1)]) == 1
+    assert _clearing_denominator([Rat(5, 2), Rat(1, 3), Rat(7, 4)]) == 12
 
 
 def test_lcm_denominators_empty():
     with pytest.raises(DomainError):
-        lcm_denominators([])
+        _clearing_denominator([])
 
 
 def test_rational_arithmetic_cross_check():
@@ -86,35 +83,12 @@ def test_rational_arithmetic_cross_check():
         assert m.numerator * (b * d) == (a * c) * m.denominator
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_prime_field_axioms_exhaustive(p):
-    elems = [PrimeFieldElement(v, p) for v in range(p)]
-    zero, one = elems[0], elems[1 % p]
-    for x, y in product(elems, repeat=2):
-        assert x + y == y + x
-        assert x * y == y * x
-    for x, y, z in product(elems, repeat=3):
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-    for x in elems:
-        assert x + zero == x
-        assert x * one == x
-        assert x + (-x) == zero
-        if x != zero:
-            assert x * x.inverse() == one
-
-
-def test_prime_field_mixed_moduli_rejected():
-    with pytest.raises(DomainError):
-        PrimeFieldElement(1, 2) + PrimeFieldElement(1, 3)
-
-
 def test_prime_field_modulus_validation():
-    with pytest.raises(DomainError):
-        PrimeFieldElement(1, 4)
-    with pytest.raises(DomainError):
-        PrimeFieldElement(1, 2**31 + 11)
+    f = QPoly([1, 0, 1, 1])
+    with pytest.raises(DomainError, match="not prime"):
+        elementary_symmetric(f, 4)
+    with pytest.raises(DomainError, match="2\\^31"):
+        elementary_symmetric(f, 2**31 + 11)
 
 
 def test_rat_text_round_trip():

@@ -12,7 +12,6 @@ from puiseux import (
     Rat,
     ResourceLimitError,
     cyclotomic_poly,
-    generalized_poly,
     parse_poly,
 )
 
@@ -113,7 +112,7 @@ def test_generalized_cyclotomic_products_have_symmetric_support():
     for _ in range(60):
         product = random_cyclotomic_product(rng, max_degree=16)
         for s in scales:
-            assert generalized_poly(product, s).is_symmetric_support()
+            assert PuiseuxPoly.from_qpoly(product, s).is_symmetric_support()
 
 
 def test_clear_denominators_examples():
@@ -134,11 +133,11 @@ def test_clear_denominators_round_trip():
 
 
 def test_generalized_poly_examples():
-    assert generalized_poly(QPoly([-1, 1]), 2) == parse_poly("X^2 - 1")
-    assert generalized_poly(cyclotomic_poly(2), Rat(1, 2)) == parse_poly("X^(1/2) + 1")
-    assert generalized_poly(cyclotomic_poly(6), 3) == parse_poly("X^6 - X^3 + 1")
+    assert PuiseuxPoly.from_qpoly(QPoly([-1, 1]), 2) == parse_poly("X^2 - 1")
+    assert PuiseuxPoly.from_qpoly(cyclotomic_poly(2), Rat(1, 2)) == parse_poly("X^(1/2) + 1")
+    assert PuiseuxPoly.from_qpoly(cyclotomic_poly(6), 3) == parse_poly("X^6 - X^3 + 1")
     with pytest.raises(DomainError):
-        generalized_poly(QPoly([-1, 1]), 0)
+        PuiseuxPoly.from_qpoly(QPoly([-1, 1]), 0)
 
 
 def test_negative_exponents_rejected():
