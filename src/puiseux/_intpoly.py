@@ -21,12 +21,6 @@ from .exact import is_prime
 # whose rest has size 251000, took 13 s.
 MAX_LIFT_SIZE = 170_000
 
-# Moduli of the first gcd in zz_squarefree.  Small primes such as 3 divide
-# the discriminant of many squarefree inputs (X^n - 1 for 3 | n); near 2^15
-# the first prime almost always settles the gcd, and products mod p stay
-# below 2^30.
-SQUAREFREE_PRIMES = (32749, 32719)
-
 
 # ---------------------------------------------------------------------------
 # arithmetic over Z
@@ -108,39 +102,6 @@ def zz_derivative(f: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(f)][1:]
 
 
-def zz_pseudo_divmod(f: list[int], g: list[int]) -> tuple[int, list[int], list[int]]:
-    """(a, q, r) with a*f = q*g + r and deg r < deg g over Z.
-
-    A step scales by lc(g) only where lc(g) does not divide the leading
-    coefficient, so a is a power of lc(g), and 1 when g is monic.
-    """
-    m, glc, a = len(g) - 1, g[-1], 1
-    r = list(f)
-    q = [0] * max(len(r) - m, 0)
-    for i in reversed(range(len(q))):
-        c = r[i + m]
-        if c % glc:
-            a *= glc
-            r = [x * glc for x in r]
-            q = [x * glc for x in q]
-        else:
-            c //= glc
-        q[i] = c
-        if c:
-            for j, gc in enumerate(g):
-                r[i + j] -= c * gc
-    return a, zz_strip(q), zz_strip(r[:m])
-
-
-def zz_gcd(f: list[int], g: list[int]) -> list[int]:
-    """The gcd of the primitive parts of f and g, primitive with lc > 0, by the
-    primitive remainder sequence (Brown & Traub, J. ACM 18, 1971)."""
-    a, b = zz_primitive(f)[1], zz_primitive(g)[1]
-    while b:
-        a, b = b, zz_primitive(zz_pseudo_divmod(a, b)[2])[1]
-    return a
-
-
 def zz_trial_div(f: list[int], g: list[int]) -> list[int] | None:
     """Quotient ``f // g`` when g divides f exactly over Z, else None.
 
@@ -171,42 +132,77 @@ def zz_trial_div(f: list[int], g: list[int]) -> list[int] | None:
     return zz_strip(q)
 
 
+def _eval_pow2(f: list[int], k: int) -> int:
+    """f(2^k), by halves: lo + X^m * hi gives lo(2^k) + (hi(2^k) << k*m).
+    Horner's rule shifts an ever longer integer once per coefficient, which
+    is quadratic in the degree."""
+    if len(f) <= 32:
+        v = 0
+        for c in reversed(f):
+            v = (v << k) + c
+        return v
+    m = len(f) // 2
+    return _eval_pow2(f[:m], k) + (_eval_pow2(f[m:], k) << (k * m))
+
+
+def zz_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(h, f/h, g/h) with h the gcd of the primitive parts of f and g,
+    primitive with lc > 0, by the heuristic gcd (Char, Geddes & Gonnet,
+    J. Symb. Comp. 7, 1989; Geddes, Czapor & Labahn, Algorithms for
+    Computer Algebra, 7.7).
+
+    At x = 2^k > 2 * min(|f|, |g|) + 2 the candidate is the primitive part
+    of the polynomial whose symmetric base-x digits are gcd(f(x), g(x)); it
+    is h exactly when it divides both f and g, and the two quotients are
+    the cofactors.  Otherwise k doubles: the stray integer factor divides a
+    resultant of the cofactors, so some x reads h off.  A constant candidate
+    is h at once, with no division: every root of a common divisor is below
+    x/2 in absolute value (Cauchy's bound), so a nonconstant one exceeds x/2
+    at x.  gcd(f, 0) = pp(f) and gcd(0, 0) = 0.
+    """
+    if not f or not g:
+        if not f and not g:
+            return [], [], []
+        cont, h = zz_primitive(f or g)
+        return (h, [cont], []) if f else (h, [], [cont])
+    k = (2 * min(zz_max_norm(f), zz_max_norm(g)) + 2).bit_length()
+    while True:
+        v = math.gcd(_eval_pow2(f, k), _eval_pow2(g, k))
+        x = 1 << k
+        if 2 * v <= x:
+            return [1], list(f), list(g)
+        cand = []
+        while v:
+            c = v & (x - 1)
+            if 2 * c > x:
+                c -= x
+            cand.append(c)
+            v = (v - c) >> k
+        h = zz_primitive(cand)[1]
+        qf = zz_trial_div(f, h)
+        qg = None if qf is None else zz_trial_div(g, h)
+        if qg is not None:
+            return h, qf, qg
+        k *= 2
+
+
 def zz_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
     """Yun's split (SYMSAC 1976) of a primitive f with lc(f) > 0 into the pairs
     (a_i, i), i increasing, with a_i primitive, squarefree, pairwise coprime,
     of degree >= 1 and f = prod a_i^i.  Every gcd is primitive, so every
-    division is exact over Z by Gauss's lemma.
-
-    Yun's first gcd, gcd(f, f'), is first taken modulo each prime p of
-    :data:`SQUAREFREE_PRIMES` that does not divide lc(f).  A constant gcd
-    mod p certifies f squarefree, since a square a^2 | f would stay a square
-    mod p.  Otherwise the primitive part of lc(f) times the monic gcd mod p,
-    in symmetric residues, is gcd(f, f') if it divides both, because no
-    common divisor has a larger degree than the gcd mod p.  Only when no
-    prime settles it does the primitive remainder sequence run, whose
-    coefficients can grow to thousands of digits.
+    cofactor is exact over Z by Gauss's lemma, and a constant gcd(f, f')
+    returns [(f, 1)] at once.
     """
     if len(f) < 2:
         return []
-    df = zz_derivative(f)
-    for p in SQUAREFREE_PRIMES:
-        if f[-1] % p:
-            h = gf_gcd(f, df, p)
-            if len(h) == 1:
-                return [(f, 1)]
-            g = zz_primitive(zz_trunc_sym(zz_mul_scalar(h, f[-1]), p))[1]
-            c, q = zz_trial_div(f, g), zz_trial_div(df, g)
-            if c is not None and q is not None:
-                break
-    else:
-        g = zz_gcd(f, df)
-        c, q = zz_trial_div(f, g), zz_trial_div(df, g)
-    d = zz_sub(q, zz_derivative(c))
+    g, c, w = zz_gcd(f, zz_derivative(f))
+    if len(g) == 1:
+        return [(f, 1)]
+    d = zz_sub(w, zz_derivative(c))
     parts, i = [], 1
     while zz_deg(c) > 0:
-        a = zz_gcd(c, d)
-        c = zz_trial_div(c, a)
-        d = zz_sub(zz_trial_div(d, a), zz_derivative(c))
+        a, c, w = zz_gcd(c, d)
+        d = zz_sub(w, zz_derivative(c))
         if zz_deg(a) > 0:
             parts.append((a, i))
         i += 1

@@ -20,12 +20,13 @@ recognizer compares a monic irreducible factor with the library's
 ``cyclotomic_poly(n)`` for every n in the library's inverse-totient fiber
 of its degree, and the canonical form built on it classifies every factor
 of ``factor_over_rationals`` that way, after the split has already run.
-Yun's split takes its first gcd by the primitive remainder sequence, with
-no gcd modulo a prime in front.  The divisor walk reuses the kernel's
-scaling, factoring and membership, but multiplies every sub-multiset of
-factor powers out in full, with no truncation below the conductor, and
-collects the divisors, built by ``PuiseuxPoly``'s checking constructor, in
-a set.
+Pseudo-division and the primitive remainder sequence over Z live here,
+not in the kernel, and Yun's split runs on that gcd with trial division,
+where the kernel's heuristic gcd returns the cofactors.  The divisor walk
+reuses the kernel's scaling, factoring and membership, but multiplies
+every sub-multiset of factor powers out in full, with no truncation below
+the conductor, and collects the divisors, built by ``PuiseuxPoly``'s
+checking constructor, in a set.
 """
 
 from __future__ import annotations
@@ -471,19 +472,56 @@ def berlekamp_scan(f, p):
     return sorted(factors, key=lambda g: (len(g), g))
 
 
+# -- pseudo-division and the primitive remainder sequence over Z ------------
+
+def pseudo_divmod(f, g):
+    """(a, q, r) with a*f = q*g + r and deg r < deg g over Z.
+
+    A step scales by lc(g) only where lc(g) does not divide the leading
+    coefficient, so a is a power of lc(g), and 1 when g is monic.
+    """
+    m, glc, a = len(g) - 1, g[-1], 1
+    r = list(f)
+    q = [0] * max(len(r) - m, 0)
+    for i in reversed(range(len(q))):
+        c = r[i + m]
+        if c % glc:
+            a *= glc
+            r = [x * glc for x in r]
+            q = [x * glc for x in q]
+        else:
+            c //= glc
+        q[i] = c
+        if c:
+            for j, gc in enumerate(g):
+                r[i + j] -= c * gc
+    return a, strip(q), strip(r[:m])
+
+
+def prs_gcd(f, g):
+    """The gcd of the primitive parts of f and g, primitive with lc > 0, by the
+    primitive remainder sequence (Brown & Traub, J. ACM 18, 1971)."""
+    a = primitive(list(f)) if f else []
+    b = primitive(list(g)) if g else []
+    while b:
+        r = pseudo_divmod(a, b)[2]
+        a, b = b, primitive(r) if r else []
+    return a
+
+
 # -- Zassenhaus without recombination pre-tests ------------------------------
 
 def hensel_step_pseudo(m, f, g, h, s, t):
     """One quadratic lifting step, dividing by the monic h over Z."""
     big = m * m
     e = zz.zz_trunc_sym(zz.zz_sub(f, zz.zz_mul(g, h)), big)
-    _, q, r = zz.zz_pseudo_divmod(zz.zz_mul(s, e), h)
+    _, q, r = pseudo_divmod(zz.zz_mul(s, e), h)
     q = zz.zz_trunc_sym(q, big)
     r = zz.zz_trunc_sym(r, big)
     g1 = zz.zz_trunc_sym(zz.zz_add(g, zz.zz_add(zz.zz_mul(t, e), zz.zz_mul(q, g))), big)
     h1 = zz.zz_trunc_sym(zz.zz_add(h, r), big)
     b = zz.zz_trunc_sym(zz.zz_sub(zz.zz_add(zz.zz_mul(s, g1), zz.zz_mul(t, h1)), [1]), big)
-    _, c, d = zz.zz_pseudo_divmod(zz.zz_mul(s, b), h1)
+    _, c, d = pseudo_divmod(zz.zz_mul(s, b), h1)
     c = zz.zz_trunc_sym(c, big)
     d = zz.zz_trunc_sym(d, big)
     s1 = zz.zz_trunc_sym(zz.zz_sub(s, d), big)
@@ -593,18 +631,18 @@ def canonical_by_fiber(f):
     return CanonicalFactorization(fact.constant, m, Rat(k, m), tuple(sorted(cyclo)), tuple(primes))
 
 
-# -- Yun's split without the modular first gcd -------------------------------
+# -- Yun's split by primitive remainder sequences ----------------------------
 
 def yun_squarefree(f):
     """Yun's split of a primitive f with lc(f) > 0 by primitive remainder
-    sequences, as ``zz_squarefree`` returns it, for every input."""
+    sequences and trial division, as ``zz_squarefree`` returns it."""
     df = zz.zz_derivative(f)
-    g = zz.zz_gcd(f, df)
+    g = prs_gcd(f, df)
     c = zz.zz_trial_div(f, g)
     d = zz.zz_sub(zz.zz_trial_div(df, g), zz.zz_derivative(c))
     parts, i = [], 1
     while zz.zz_deg(c) > 0:
-        a = zz.zz_gcd(c, d)
+        a = prs_gcd(c, d)
         c = zz.zz_trial_div(c, a)
         d = zz.zz_sub(zz.zz_trial_div(d, a), zz.zz_derivative(c))
         if zz.zz_deg(a) > 0:

@@ -178,9 +178,23 @@ def test_caps_refuse_before_allocating(argv):
 
 
 def test_large_field_modulus_is_a_domain_error_not_a_hang():
-    proc, elapsed = _run_capped(["lemma21", "X+1", "--field", "F2305843009213693951"])
+    # a prime above 2^31, and a modulus beyond the deterministic primality test
+    for field in ("F2305843009213693951", "F10000000000000000000000000000000"):
+        proc, elapsed = _run_capped(["lemma21", "X+1", "--field", field])
+        assert proc.returncode == 1, proc.stderr
+        assert "2^31" in proc.stdout
+        assert elapsed < 2.0
+    proc, _ = _run_capped(["lemma21", "X+1", "--field", "F4"])
     assert proc.returncode == 1, proc.stderr
-    assert "2^31" in proc.stdout
+    assert "field modulus 4 is not prime" in proc.stdout
+
+
+def test_sparse_square_hits_the_lifting_cap_quickly():
+    # (X^2000 + X + 1)^2 expanded: Yun's split finds the square, then the
+    # squarefree part is refused by the lifting cap
+    proc, elapsed = _run_capped(["factor", "X^4000+2*X^2001+2*X^2000+X^2+2*X+1", "--json"])
+    assert proc.returncode == 3, proc.stderr
+    assert "cap" in json.loads(proc.stdout)["error"]
     assert elapsed < 2.0
 
 

@@ -29,7 +29,6 @@ from puiseux._intpoly import (
     zz_mul,
     zz_mul_scalar,
     zz_primitive,
-    zz_pseudo_divmod,
     zz_squarefree,
     zz_sub,
     zz_trial_div,
@@ -38,6 +37,8 @@ from puiseux._intpoly import (
 from reference import (
     berlekamp_scan,
     hensel_lift_pseudo,
+    prs_gcd,
+    pseudo_divmod,
     q_divmod,
     q_gcd,
     q_squarefree,
@@ -70,7 +71,7 @@ EXAMPLE = power(X2_MINUS_2, 5) * power(QPoly([1, 3]), 3)
 
 def _divmod_over_q(f, g) -> tuple[list[Fraction], list[Fraction]]:
     """f = (q/a)*g + r/a over Q from the pseudo-division a*f = q*g + r."""
-    a, q, r = zz_pseudo_divmod(f, g)
+    a, q, r = pseudo_divmod(f, g)
     return [Fraction(c, a) for c in q], [Fraction(c, a) for c in r]
 
 
@@ -93,9 +94,9 @@ def test_gcd_matches_fraction_oracle():
         g = h * random_power_product(rng)
         if f.is_zero:
             continue
-        d = zz_gcd(f.prim, g.prim)
+        d = zz_gcd(f.prim, g.prim)[0]
         assert [Fraction(c, d[-1]) for c in d] == q_gcd(f.coeffs, g.coeffs)
-    assert zz_gcd(EXAMPLE.prim, (EXAMPLE * QPoly([-1, 1])).prim) == list(EXAMPLE.prim)
+    assert zz_gcd(EXAMPLE.prim, (EXAMPLE * QPoly([-1, 1])).prim)[0] == list(EXAMPLE.prim)
 
 
 def test_squarefree_matches_fraction_oracle():
@@ -114,14 +115,14 @@ def test_pseudo_divmod_identity():
         f = random_zz(rng, rng.randint(0, 12))
         monic = rng.random() < 0.3
         g = random_zz(rng, rng.randint(0, 5), 1 if monic else None)
-        a, q, r = zz_pseudo_divmod(f, g)
+        a, q, r = pseudo_divmod(f, g)
         assert zz_mul_scalar(f, a) == zz_sub(zz_mul(q, g), zz_mul_scalar(r, -1))
         assert len(r) < len(g)
         if monic:
             assert a == 1
         assert a in [g[-1] ** k for k in range(len(f) + 1)]
         # an exact divisor never scales, and then agrees with trial division
-        a, q, r = zz_pseudo_divmod(zz_mul(f, g), g)
+        a, q, r = pseudo_divmod(zz_mul(f, g), g)
         assert (a, q, r) == (1, zz_trial_div(zz_mul(f, g), g), [])
 
 
@@ -131,15 +132,43 @@ def test_zz_gcd_is_the_primitive_gcd():
         h = random_zz(rng, rng.randint(0, 4))
         f = zz_mul(h, random_zz(rng, rng.randint(0, 6)))
         g = zz_mul(h, random_zz(rng, rng.randint(0, 6)))
-        d = zz_gcd(f, g)
+        d, cf, cg = zz_gcd(f, g)
         assert zz_primitive(d) == (1, d)
-        assert zz_trial_div(f, d) is not None and zz_trial_div(g, d) is not None
+        assert zz_mul(d, cf) == f and zz_mul(d, cg) == g
         assert zz_trial_div(d, zz_primitive(h)[1]) is not None
         monic = [Fraction(c, d[-1]) for c in d]
         assert monic == q_gcd(f, g)
-    assert zz_gcd([], []) == []
-    assert zz_gcd([0, 4, -6], []) == [0, -2, 3]
-    assert zz_gcd([-2, 2], [3, 0, -3]) == [-1, 1]
+    assert zz_gcd([], []) == ([], [], [])
+    assert zz_gcd([0, 4, -6], []) == ([0, -2, 3], [-2], [])
+    assert zz_gcd([], [0, 4, -6]) == ([0, -2, 3], [], [-2])
+    assert zz_gcd([-2, 2], [3, 0, -3]) == ([-1, 1], [2], [-3, -3])
+    assert zz_gcd([6], [0, 4]) == ([1], [6], [0, 4])
+    assert zz_gcd([96], [0, 1]) == ([1], [96], [0, 1])
+    assert zz_gcd([-5], []) == ([1], [-5], [])
+    assert zz_gcd([0, 4, -6], [-2]) == ([1], [0, 4, -6], [-2])
+
+
+def test_zz_gcd_retries_when_the_first_candidate_fails():
+    # at x = 8, gcd(f(8), g(8)) = gcd(6, 90) = 6 reads as the candidate X - 2
+    assert zz_gcd([-2, 1], [2, 3, 1]) == ([1], [-2, 1], [2, 3, 1])
+    # at x = 8, gcd(5, 80) = 5 reads as X - 3, which does not divide X^2 + 2X
+    assert zz_gcd([-3, 1], [0, 2, 1]) == ([1], [-3, 1], [0, 2, 1])
+    # a common factor times a stray integer at x = 8: 6 * 7 = 42 reads as 5X + 2
+    f, g = zz_mul([-1, 1], [-2, 1]), zz_mul([-1, 1], [2, 3, 1])
+    assert zz_gcd(f, g) == ([-1, 1], [-2, 1], [2, 3, 1])
+
+
+def test_zz_gcd_matches_remainder_sequence():
+    rng = random.Random(61)
+    for _ in range(150):
+        digits = rng.randint(1, 20)
+        coeff = lambda: rng.randint(-(10**digits), 10**digits)
+        h = [coeff() for _ in range(rng.randint(0, 4))] + [rng.randint(1, 9)]
+        f = zz_mul(h, [coeff() for _ in range(rng.randint(0, 6))] + [rng.randint(-9, 9) or 1])
+        g = zz_mul(h, [coeff() for _ in range(rng.randint(0, 6))] + [rng.randint(-9, 9) or 1])
+        d, cf, cg = zz_gcd(f, g)
+        assert d == prs_gcd(f, g)
+        assert zz_mul(d, cf) == f and zz_mul(d, cg) == g
 
 
 def test_zz_squarefree_parts():
@@ -156,26 +185,38 @@ def test_zz_squarefree_parts():
         assert product == prim
         for j, (a, _) in enumerate(parts):
             for b, _ in parts[j + 1 :]:
-                assert zz_gcd(a, b) == [1]
+                assert zz_gcd(a, b)[0] == [1]
     assert zz_squarefree([7]) == [] and zz_squarefree([1]) == []
 
 
 def test_squarefree_certificate_skips_yun_on_sparse_trinomials():
-    f = [1, 1] + [0] * 7998 + [1]  # X^8000 + X + 1
+    # X^65536 + X + 1 guards the evaluation at 2^k against Horner's rule
+    for n in (8000, 65536):
+        f = [1, 1] + [0] * (n - 2) + [1]
+        start = time.perf_counter()
+        parts = zz_squarefree(f)
+        elapsed = time.perf_counter() - start
+        assert parts == [(f, 1)]
+        assert elapsed < 0.5, f"X^{n} + X + 1 took {elapsed:.2f}s"
+
+
+def test_squarefree_loop_is_bounded_on_a_sparse_square():
+    a = [1, 1] + [0] * 1998 + [1]  # X^2000 + X + 1
+    f = zz_mul(a, a)
     start = time.perf_counter()
     parts = zz_squarefree(f)
     elapsed = time.perf_counter() - start
-    assert parts == [(f, 1)]
-    assert elapsed < 0.5, f"X^8000 + X + 1 took {elapsed:.2f}s"
+    assert parts == [(a, 2)]
+    assert elapsed < 0.5, f"(X^2000 + X + 1)^2 took {elapsed:.2f}s"
 
 
 def test_squarefree_matches_plain_yun():
     rng = random.Random(67)
-    # squarefree, but not modulo any certificate prime: Yun must run
+    # squarefree, with a large leading or constant coefficient
     both = 32749 * 32719
-    unlucky = [[-both, 0, 1], [1, both], [1, 1, both * 7]]
+    large = [[-both, 0, 1], [1, both], [1, 1, both * 7]]
     cases = [power(X2_MINUS_2, 3) * QPoly([1, 1]), power(X, 3) * power(QPoly([-1, 1]), 2)]
-    # gcd(f, f') has a coefficient beyond p/2: its lift modulo p fails
+    # gcd(f, f') with large coefficients, monic and not
     cases += [power(QPoly([40000, 1]), 2) * QPoly([1, 1])]
     cases += [power(QPoly([-7, 50000, 3]), 3) * power(QPoly([-2, 1]), 2)]
     cases += [random_power_product(rng) for _ in range(40)]
@@ -183,15 +224,14 @@ def test_squarefree_matches_plain_yun():
         f = random_power_product(rng) * random_qpoly(rng, max_degree=4)
         if f.degree > 0:
             cases.append(f)
-    # a square that vanishes modulo both primes, where lc(f) is a multiple
-    # of each: f mod p is the squarefree X + 2
+    # a square whose leading coefficient is large: (both*X + 1)^2 * (X + 2)
     hidden = zz_mul(zz_mul([1, both], [1, both]), [2, 1])
-    prims = [list(f.prim) for f in cases] + unlucky + [hidden]
+    prims = [list(f.prim) for f in cases] + large + [hidden]
     for prim in prims:
         if prim[-1] < 0:
             prim = [-c for c in prim]
         assert zz_squarefree(prim) == yun_squarefree(prim)
-    for f in unlucky:
+    for f in large:
         assert zz_squarefree(f) == [(f, 1)]
     assert zz_squarefree(hidden) == [([2, 1], 1), ([1, both], 2)]
 
