@@ -383,12 +383,13 @@ def gf_berlekamp(f: list[int], p: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # Hensel lifting (quadratic, multifactor)
 
-def zz_hensel_step(m, f, g, h, s, t):
+def zz_hensel_step(m, f, g, h, s, t, bezout=True):
     """One quadratic lifting step: from f = g*h, s*g + t*h = 1 (mod m) to mod m^2.
 
     Requires lc(h) = 1 and lc(f) invertible mod m.  Both divisions are by a
     monic polynomial and reduce modulo m^2 at every step, so no coefficient
-    outgrows m^2.
+    outgrows m^2.  With ``bezout`` false (the last step) s and t come back
+    unlifted.
     """
     big = m * m
     e = zz_trunc_sym(zz_sub(f, zz_mul(g, h)), big)
@@ -398,6 +399,8 @@ def zz_hensel_step(m, f, g, h, s, t):
     u = zz_add(zz_mul(t, e), zz_mul(q, g))
     g1 = zz_trunc_sym(zz_add(g, u), big)
     h1 = zz_trunc_sym(zz_add(h, r), big)
+    if not bezout:
+        return g1, h1, s, t
     u = zz_add(zz_mul(s, g1), zz_mul(t, h1))
     b = zz_trunc_sym(zz_sub(u, [1]), big)
     c, d = gf_divmod(zz_mul(s, b), h1, big)
@@ -431,7 +434,7 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> li
     t = zz_trunc_sym(t, p)
     m = p
     while m < pl:
-        g, h, s, t = zz_hensel_step(m, f, g, h, s, t)
+        g, h, s, t = zz_hensel_step(m, f, g, h, s, t, m * m < pl)
         m = m * m
     return zz_hensel_lift(p, g, factors[:k], l) + zz_hensel_lift(p, h, factors[k:], l)
 

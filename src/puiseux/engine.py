@@ -151,7 +151,7 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
         if not monoid.contains(s):
             raise DomainError(f"support exponent {s} lies outside the monoid")
     scale, numerical = monoid.normalization()
-    cleared = f.substitute(scale).to_qpoly()
+    cleared = f.to_qpoly(scale)
     k, core = cleared.split_monomial()
     cyclotomic, other = factor_primitive(list(core.prim))
     factors = [(cyclotomic_poly(n).prim, e) for n, e in cyclotomic] + other

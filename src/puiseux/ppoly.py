@@ -44,17 +44,10 @@ class PuiseuxPoly:
         acc: dict[Rat, Fraction] = {}
         for exponent, coeff in terms:
             e = exponent if isinstance(exponent, Rat) else Rat(exponent)
-            c = Fraction(coeff)
-            if c == 0:
-                continue
-            total = acc.get(e, Fraction(0)) + c
-            if total == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = total
-        object.__setattr__(
-            self, "terms", tuple(sorted(acc.items(), key=lambda t: t[0]))
-        )
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            prev = acc.get(e)
+            acc[e] = c if prev is None else prev + c
+        object.__setattr__(self, "terms", tuple(sorted(t for t in acc.items() if t[1])))
 
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxPoly is immutable")
@@ -89,29 +82,34 @@ class PuiseuxPoly:
     def from_qpoly(cls, h: QPoly, scale=1) -> "PuiseuxPoly":
         """The generalized polynomial h(X^s): every exponent of h times s > 0."""
         s = _as_scale(scale)
-        return cls((Rat(i) * s, c) for i, c in enumerate(h.coeffs) if c)
+        return cls._from_canonical(tuple((Rat(i * s), c) for i, c in enumerate(h.coeffs) if c))
 
-    def to_qpoly(self) -> QPoly:
-        """Reinterpret as an ordinary polynomial; requires integer exponents.
+    def to_qpoly(self, scale=1) -> QPoly:
+        """The ordinary polynomial self(X^scale); every scaled exponent must be an integer.
 
-        This is where a sparse element becomes dense, so a degree above
-        :data:`MAX_DENSE_DEGREE` raises :class:`ResourceLimitError` instead
-        of allocating one coefficient per exponent.
+        This is the one place where a sparse element becomes dense: exponents
+        are scaled in integers, a degree above :data:`MAX_DENSE_DEGREE` raises
+        :class:`ResourceLimitError` before anything dense is allocated, and
+        the coefficients go over one common denominator.
         """
+        s = _as_scale(scale)
+        exponents = []
         for e, _ in self.terms:
-            if e.denominator != 1:
-                raise DomainError(f"exponent {e} is not an integer")
-        if not self.terms:
+            k, r = divmod(e.numerator * s.numerator, e.denominator * s.denominator)
+            if r:
+                raise DomainError(f"exponent {e * s} is not an integer")
+            exponents.append(k)
+        if not exponents:
             return QPoly()
-        degree = int(self.degree)
-        if degree > MAX_DENSE_DEGREE:
+        if exponents[-1] > MAX_DENSE_DEGREE:
             raise ResourceLimitError(
-                f"dense degree {degree} exceeds the cap of {MAX_DENSE_DEGREE}"
+                f"dense degree {exponents[-1]} exceeds the cap of {MAX_DENSE_DEGREE}"
             )
-        out = [Fraction(0)] * (degree + 1)
-        for e, c in self.terms:
-            out[int(e)] = c
-        return QPoly(out)
+        lcm = math.lcm(*(c.denominator for _, c in self.terms))
+        ints = [0] * (exponents[-1] + 1)
+        for k, (_, c) in zip(exponents, self.terms):
+            ints[k] = c.numerator * (lcm // c.denominator)
+        return QPoly.from_ints(Fraction(1, lcm), ints)
 
     # -- queries ----------------------------------------------------------
 
@@ -252,7 +250,7 @@ class PuiseuxPoly:
         s = _as_scale(r)
         if s == 1:
             return self
-        return PuiseuxPoly((e * s, c) for e, c in self.terms)
+        return PuiseuxPoly._from_canonical(tuple((Rat(e * s), c) for e, c in self.terms))
 
     def clear_denominators(self) -> tuple[int, QPoly]:
         """Scale exponents by m = lcm of support denominators, landing in Q[X].
@@ -260,5 +258,6 @@ class PuiseuxPoly:
         Returns (m, g) with g an integer-exponent polynomial such that
         substituting 1/m into g recovers self.
         """
-        m = math.lcm(*(e.denominator for e in self.support))
-        return m, self.substitute(m).to_qpoly()
+        self._require_nonzero()
+        m = math.lcm(*(e.denominator for e, _ in self.terms))
+        return m, self.to_qpoly(m)

@@ -26,7 +26,9 @@ where the kernel's heuristic gcd returns the cofactors.  The divisor walk
 reuses the kernel's scaling, factoring and membership, but multiplies
 every sub-multiset of factor powers out in full, with no truncation below
 the conductor, and collects the divisors, built by ``PuiseuxPoly``'s
-checking constructor, in a set.
+checking constructor, in a set.  Making an element dense rebuilds the
+scaled element through that constructor and gives every dense coefficient
+its own ``Fraction``, where ``PuiseuxPoly.to_qpoly`` scales in integers.
 """
 
 from __future__ import annotations
@@ -38,14 +40,18 @@ from functools import lru_cache
 
 from puiseux import (
     CanonicalFactorization,
+    DomainError,
     PuiseuxPoly,
+    QPoly,
     Rat,
+    ResourceLimitError,
     cyclotomic_poly,
     factor_over_rationals,
     inverse_totient,
 )
 from puiseux import _intpoly as zz
 from puiseux.cyclotomic import factor_primitive
+from puiseux.ppoly import MAX_DENSE_DEGREE
 
 
 # -- integer polynomial helpers (ascending coefficient lists) ---------------
@@ -692,3 +698,23 @@ def untruncated_divisors(f, monoid):
 
     walk(0, [1], [1])
     return tuple(sorted(found, key=lambda g: (g.degree, g.terms)))
+
+
+# -- sparse to dense through a rebuilt element --------------------------------
+
+def dense_by_substitution(f, scale):
+    """f(X^scale) as a QPoly, through the scaled element rebuilt by the
+    checking constructor and a dense list with one Fraction per exponent."""
+    scaled = PuiseuxPoly((e * Rat(scale), c) for e, c in f.terms)
+    for e, _ in scaled.terms:
+        if e.denominator != 1:
+            raise DomainError(f"exponent {e} is not an integer")
+    if not scaled.terms:
+        return QPoly()
+    degree = int(scaled.degree)
+    if degree > MAX_DENSE_DEGREE:
+        raise ResourceLimitError(f"dense degree {degree} exceeds the cap of {MAX_DENSE_DEGREE}")
+    out = [Fraction(0)] * (degree + 1)
+    for e, c in scaled.terms:
+        out[int(e)] = c
+    return QPoly(out)

@@ -420,3 +420,24 @@ def test_resource_limit_guard():
         divisors_in_algebra(f, S, limit=4)
     # generous limit succeeds
     assert len(divisors_in_algebra(f, S, limit=1 << 20).divisors) > 2
+
+
+def test_dense_paths_build_no_checked_element(monkeypatch):
+    """Clearing denominators and the divisor walk never rebuild an element
+    through the checking constructor; a return to that path fails here."""
+    dense = parse_poly("2*X^(5/2) - X^(4/3) + 3*X^(1/2) + X^(1/6) - 1")
+    element = parse_poly("X^6 - X^(7/2) + X^(5/2) - 1")
+    monoid = PuiseuxMonoid([Rat(1, 2), Rat(1, 3)])
+    calls = []
+    checking = PuiseuxPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        checking(self, *args, **kwargs)
+
+    monkeypatch.setattr(PuiseuxPoly, "__init__", counted)
+    assert canonical_factorization(dense).clearing_denominator == 6
+    assert len(divisors_in_algebra(element, monoid).divisors) > 2
+    assert calls == []
+    PuiseuxPoly.one()
+    assert len(calls) == 1

@@ -1,6 +1,8 @@
 """Elements of Q[Q_+]: support geometry, products, exponent scaling."""
 
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from puiseux import (
 )
 
 from randgen import random_cyclotomic_product, random_puiseux_poly
+from reference import dense_by_substitution
 
 
 def test_ord_deg_supp():
@@ -155,6 +158,19 @@ def test_to_qpoly_requires_integer_exponents():
     with pytest.raises(DomainError):
         parse_poly("X^(1/2)").to_qpoly()
     assert parse_poly("X^2 - 1").to_qpoly() == QPoly([-1, 0, 1])
+    f = parse_poly("X^(1/3) + 1")
+    for scale in (Rat(3, 2), 2):
+        with pytest.raises(DomainError) as scaled:
+            f.to_qpoly(scale)
+        with pytest.raises(DomainError) as reference:
+            dense_by_substitution(f, scale)
+        assert str(scaled.value) == str(reference.value)
+    assert str(scaled.value) == "exponent 2/3 is not an integer"
+    g = PuiseuxPoly([(Rat(1, 3), Fraction(1, 2)), (Rat(0), Fraction(-2, 3))])
+    assert g.to_qpoly(Rat(6)) == QPoly([Fraction(-2, 3), 0, Fraction(1, 2)])
+    assert PuiseuxPoly.zero().to_qpoly(Rat(2, 3)) == dense_by_substitution(PuiseuxPoly.zero(), 2) == QPoly()
+    with pytest.raises(DomainError):
+        f.to_qpoly(0)
 
 
 def test_to_qpoly_caps_the_dense_degree():
@@ -165,3 +181,43 @@ def test_to_qpoly_caps_the_dense_degree():
     with pytest.raises(ResourceLimitError):
         (top * parse_poly("X")).to_qpoly()
     assert PuiseuxPoly.zero().to_qpoly() == QPoly()
+    over = PuiseuxPoly([(Rat(MAX_DENSE_DEGREE + 1, 2), Fraction(1, 3)), (Rat(0), Fraction(1))])
+    with pytest.raises(ResourceLimitError) as reference:
+        dense_by_substitution(over, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as scaled:
+            over.to_qpoly(2)
+        with pytest.raises(ResourceLimitError):
+            PuiseuxPoly.monomial(1, Rat(10**30, 7)).to_qpoly(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(scaled.value) == str(reference.value)
+    # The cap is checked before anything dense is allocated: a dense list
+    # of MAX_DENSE_DEGREE + 2 entries takes about 512 KB.
+    assert peak < 64 * 1024
+
+
+def _dense_or_error(make):
+    try:
+        return make()
+    except (DomainError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def test_to_qpoly_matches_the_substitution_path_random():
+    rng = random.Random(1414)
+    outcomes = set()
+    for _ in range(400):
+        f = random_puiseux_poly(rng, max_terms=6) if rng.random() < 0.95 else PuiseuxPoly.zero()
+        m = math.lcm(*(e.denominator for e, _ in f.terms))
+        scale = rng.choice(
+            [m, m * rng.randint(2, 5), Rat(m * rng.randint(1, 6), rng.randint(1, 4)),
+             Rat(rng.randint(1, 6), rng.randint(1, 6))]
+        )
+        got = _dense_or_error(lambda: f.to_qpoly(scale))
+        assert got == _dense_or_error(lambda: dense_by_substitution(f, scale))
+        assert got == _dense_or_error(lambda: f.substitute(scale).to_qpoly())
+        outcomes.add(type(got))
+    assert outcomes == {QPoly, tuple}
