@@ -132,7 +132,7 @@ def zz_trial_div(f: list[int], g: list[int]) -> list[int] | None:
     return zz_strip(q)
 
 
-def _eval_pow2(f: list[int], k: int) -> int:
+def zz_eval_pow2(f: list[int], k: int) -> int:
     """f(2^k), by halves: lo + X^m * hi gives lo(2^k) + (hi(2^k) << k*m).
     Horner's rule shifts an ever longer integer once per coefficient, which
     is quadratic in the degree."""
@@ -142,7 +142,7 @@ def _eval_pow2(f: list[int], k: int) -> int:
             v = (v << k) + c
         return v
     m = len(f) // 2
-    return _eval_pow2(f[:m], k) + (_eval_pow2(f[m:], k) << (k * m))
+    return zz_eval_pow2(f[:m], k) + (zz_eval_pow2(f[m:], k) << (k * m))
 
 
 def zz_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
@@ -167,7 +167,7 @@ def zz_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]
         return (h, [cont], []) if f else (h, [], [cont])
     k = (2 * min(zz_max_norm(f), zz_max_norm(g)) + 2).bit_length()
     while True:
-        v = math.gcd(_eval_pow2(f, k), _eval_pow2(g, k))
+        v = math.gcd(zz_eval_pow2(f, k), zz_eval_pow2(g, k))
         x = 1 << k
         if 2 * v <= x:
             return [1], list(f), list(g)

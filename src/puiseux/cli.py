@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -71,19 +70,9 @@ def _parse_field(spec: str) -> int:
 
 
 def _limit(args) -> int:
-    if args.limit is not None:
-        limit, source = args.limit, "--limit"
-    else:
-        env = os.environ.get("PUISEUX_LIMIT")
-        if env is None:
-            return DEFAULT_DIVISOR_LIMIT
-        try:
-            limit, source = int(env), "PUISEUX_LIMIT"
-        except ValueError:
-            raise _UsageError(f"PUISEUX_LIMIT must be an integer (got {env!r})") from None
-    if limit < 0:
-        raise _UsageError(f"{source} must not be negative (got {limit})")
-    return limit
+    if args.limit < 0:
+        raise _UsageError(f"--limit must not be negative (got {args.limit})")
+    return args.limit
 
 
 # -- command handlers: each returns (payload, human-readable text) ----------
@@ -101,7 +90,6 @@ def _cmd_factor(args):
         f"[{q}]{inner}" + (f"^{l}" if l > 1 else "") for q, l in cf.prime_part
     )
     payload = {
-        "command": "factor",
         "input": format_poly(f),
         "constant": format_rat(cf.constant),
         "clearing_denominator": m,
@@ -125,7 +113,6 @@ def _cmd_symsupp(args):
     verdict = f.is_symmetric_support()
     supp = ", ".join(format_rat(s) for s in sorted(f.support))
     payload = {
-        "command": "symsupp",
         "input": format_poly(f),
         "support": [format_rat(s) for s in sorted(f.support)],
         "symmetric": verdict,
@@ -146,7 +133,6 @@ def _cmd_divisors(args):
     result = divisors_in_algebra(f, monoid, limit=_limit(args))
     listed = [format_poly(g) for g in result.divisors]
     payload = {
-        "command": "divisors",
         "element": format_poly(f),
         "monoid": format_monoid(monoid),
         "count": len(listed),
@@ -164,7 +150,6 @@ def _cmd_atom(args):
     monoid = _require_monoid(args)
     verdict = is_atom_in_algebra(f, monoid, limit=_limit(args))
     payload = {
-        "command": "atom",
         "element": format_poly(f),
         "monoid": format_monoid(monoid),
         "atom": verdict,
@@ -177,7 +162,6 @@ def _cmd_count(args):
     monoid = _require_monoid(args)
     count = ff_divisor_count(f, monoid, limit=_limit(args))
     payload = {
-        "command": "count",
         "element": format_poly(f),
         "monoid": format_monoid(monoid),
         "count": count,
@@ -187,13 +171,13 @@ def _cmd_count(args):
 
 def _cmd_cyclotomic(args):
     text = str(cyclotomic_poly(args.index))
-    payload = {"command": "cyclotomic", "index": args.index, "poly": text}
+    payload = {"index": args.index, "poly": text}
     return payload, text
 
 
 def _cmd_totient_inv(args):
     hits = sorted(inverse_totient(args.value))
-    payload = {"command": "totient-inv", "value": args.value, "indices": hits}
+    payload = {"value": args.value, "indices": hits}
     return payload, " ".join(map(str, hits)) if hits else "(none)"
 
 
@@ -205,7 +189,6 @@ def _cmd_lemma21(args):
     rendered = [str(v) for v in elementary_symmetric(poly, p)]
     report = reciprocal_vanishing_check(poly, p)
     payload = {
-        "command": "lemma21",
         "input": format_poly(f),
         "field": args.field or "Q",
         "e_vector": rendered,
@@ -227,7 +210,6 @@ def _cmd_monoid_atoms(args):
     monoid = parse_monoid(args.monoid_literal)
     atoms = monoid.atoms()
     payload = {
-        "command": "monoid-atoms",
         "monoid": format_monoid(monoid),
         "atoms": [format_rat(a) for a in atoms],
     }
@@ -239,7 +221,6 @@ def _cmd_monoid_divisors(args):
     element = parse_rat(args.element)
     divisors = monoid.divisors_of(element)
     payload = {
-        "command": "monoid-divisors",
         "monoid": format_monoid(monoid),
         "element": format_rat(element),
         "divisors": [format_rat(d) for d in divisors],
@@ -252,7 +233,6 @@ def _cmd_substitute(args):
     ratio = parse_rat(args.by)
     result = f.substitute(ratio)
     payload = {
-        "command": "substitute",
         "input": format_poly(f),
         "by": format_rat(ratio),
         "result": format_poly(result),
@@ -283,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, handler, summary)
         p.add_argument("poly")
         p.add_argument("--monoid", help='monoid literal, e.g. "<2, 3>"')
-        p.add_argument("--limit", type=int, help="candidate-combination cap")
+        p.add_argument(
+            "--limit", type=int, default=DEFAULT_DIVISOR_LIMIT, help="candidate-combination cap"
+        )
     p = add("cyclotomic", _cmd_cyclotomic, "print the n-th cyclotomic polynomial")
     p.add_argument("index", type=int)
     p = add("totient-inv", _cmd_totient_inv, "all n with phi(n) = d")
@@ -304,12 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv: list[str]) -> CommandResult:
     """Dispatch one argv vector; never raises for expected error classes."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        return CommandResult("parse-error", None, str(exc))
-    as_json = getattr(args, "json", False)
+    # Until argparse has read argv, the raw flag decides the output form.
+    as_json = "--json" in argv
 
     def finish(status: str, payload: dict | None, text: str) -> CommandResult:
         if as_json:
@@ -318,6 +296,8 @@ def run_command(argv: list[str]) -> CommandResult:
         return CommandResult(status, payload, text)
 
     try:
+        args = build_parser().parse_args(argv)
+        as_json = args.json
         payload, text = args.handler(args)
     except ParseError as exc:
         return finish("parse-error", {"error": str(exc)}, f"parse error: {exc}")
@@ -332,7 +312,7 @@ def run_command(argv: list[str]) -> CommandResult:
         # a domain error and never a traceback.
         error = str(exc) or type(exc).__name__
         return finish("resource-limit", {"error": error}, f"resource limit: {error}")
-    return finish("ok", payload, text)
+    return finish("ok", {"command": args.command, **payload}, text)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -22,12 +22,17 @@ from .qpoly import QPoly
 # or index read from input never runs for O(sqrt n) steps.
 TRIAL_DIVISION_LIMIT = 1 << 20
 
-# split_cyclotomic compares values at these points, each moved to the next
-# integer while it is a root.  At 2 the values Phi_n(2) are the smallest,
-# so this test is the cheapest and rejects nearly every index; but
+# split_cyclotomic compares values at these powers of two, each moved to the
+# next power of two while it is a root.  At 2 the values Phi_n(2) are the
+# smallest, so this test is the cheapest and rejects nearly every index; but
 # Phi_1(2) = 1 divides every value and Phi_2(2) = Phi_6(2) = 3 every third
 # one.  Phi_n(2^8) >= 255 for every n, so few of those pass the second test.
 SPLIT_POINTS = (2, 1 << 8)
+
+# Largest degree of a squarefree part that split_cyclotomic scans: its
+# candidate indices and their values grow with the degree, so the scan of a
+# part of degree 8000 takes seconds.
+MAX_SPLIT_DEGREE = 1 << 12
 
 
 def _prime_factors(n: int) -> list[tuple[int, int]]:
@@ -196,13 +201,6 @@ def _cyclotomic_value(n: int, b: int) -> int:
     return num // den
 
 
-def _evaluate(f: list[int], b: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = acc * b + c
-    return acc
-
-
 def split_cyclotomic(f: list[int]) -> tuple[list[int], list[int]]:
     """(indices, rest): the n, increasing, with Phi_n | f, and f divided by
     every such Phi_n, for a primitive squarefree f with lc(f) > 0.
@@ -211,13 +209,18 @@ def split_cyclotomic(f: list[int]) -> tuple[list[int], list[int]]:
     divides f(b) at every b of :data:`SPLIT_POINTS`, which every factor of f
     must pass; the trial division decides.  Phi_n divides a squarefree f at
     most once, so each index is tried once and f shrinks as factors come off.
+    A degree above :data:`MAX_SPLIT_DEGREE` raises :class:`ResourceLimitError`
+    before anything is evaluated.
     """
-    points = []
+    if len(f) - 1 > MAX_SPLIT_DEGREE:
+        raise ResourceLimitError(f"split degree {len(f) - 1} exceeds the cap of {MAX_SPLIT_DEGREE}")
+    points, values = [], []
     for b in SPLIT_POINTS:
-        while not _evaluate(f, b):
-            b += 1
-        points.append(b)
-    values = [_evaluate(f, b) for b in points]
+        k = b.bit_length() - 1
+        while not (v := zz.zz_eval_pow2(f, k)):
+            k += 1
+        points.append(1 << k)
+        values.append(v)
     indices = []
     for phi, n in _totients_up_to(len(f) - 1):
         if phi >= len(f):

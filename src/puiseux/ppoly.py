@@ -63,10 +63,6 @@ class PuiseuxPoly:
         return out
 
     @classmethod
-    def zero(cls) -> "PuiseuxPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "PuiseuxPoly":
         return cls(((Rat(0), Fraction(1)),))
 
@@ -121,10 +117,6 @@ class PuiseuxPoly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
 
-    @property
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def _require_nonzero(self):
         if not self.terms:
             raise DomainError("undefined for the zero element")
@@ -151,46 +143,13 @@ class PuiseuxPoly:
         self._require_nonzero()
         return self.terms[-1][1]
 
-    def coeff(self, exponent) -> Fraction:
-        e = Rat(exponent)
-        for te, tc in self.terms:
-            if te == e:
-                return tc
-        return Fraction(0)
-
-    # -- ring structure ---------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, PuiseuxPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PuiseuxPoly.constant(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return PuiseuxPoly(self.terms + other.terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PuiseuxPoly((e, -c) for e, c in self.terms)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    # -- multiplicative structure -----------------------------------------
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if isinstance(other, (int, Fraction)):
+            other = PuiseuxPoly.constant(other)
+        elif not isinstance(other, PuiseuxPoly):
+            return NotImplemented
         acc: dict[Fraction, Fraction] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
@@ -215,8 +174,6 @@ class PuiseuxPoly:
     def __eq__(self, other):
         if isinstance(other, PuiseuxPoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == PuiseuxPoly.constant(other)
         return NotImplemented
 
     def __hash__(self):

@@ -99,8 +99,6 @@ class QPoly:
     def __eq__(self, other):
         if isinstance(other, QPoly):
             return self.content == other.content and self.prim == other.prim
-        if isinstance(other, (int, Fraction)):
-            return self == QPoly([other])
         return NotImplemented
 
     def __hash__(self):

@@ -17,26 +17,13 @@ round-trips through the parser bit-exactly.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
 from .exact import Rat
 from .monoid import PuiseuxMonoid
 from .ppoly import PuiseuxPoly
-
-_PUNCT = {
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "/": "SLASH",
-    "^": "CARET",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "<": "LT",
-    ">": "GT",
-    ",": "COMMA",
-}
-
 
 class _Token:
     __slots__ = ("kind", "text", "offset")
@@ -56,20 +43,17 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, i))
+        if ch in "+-*/^()<>,X":
+            # a one-character token's kind is the character itself
+            tokens.append(_Token(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("INT", text[i:j], i))
             i = j
-            continue
-        if ch == "X":
-            tokens.append(_Token("X", ch, i))
-            i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("END", "", n))
@@ -104,14 +88,19 @@ class _Parser:
     # -- shared pieces ----------------------------------------------------
 
     def uint(self, what: str) -> int:
-        return int(self.expect("INT", what).text)
+        tok = self.expect("INT", what)
+        try:
+            return int(tok.text)
+        except ValueError:
+            # an ASCII digit run fails only past the interpreter's digit limit
+            raise _digit_limit_error() from None
 
     def unsigned_rational(self, what: str) -> Fraction:
         start = self.current.offset
         num = self.uint(what)
-        if self.current.kind == "SLASH":
+        if self.current.kind == "/":
             self.advance()
-            if self.current.kind == "MINUS":
+            if self.current.kind == "-":
                 raise ParseError("denominator must be positive", self.current.offset)
             den = self.uint("denominator")
             if den == 0:
@@ -121,32 +110,32 @@ class _Parser:
 
     def coefficient(self) -> Fraction:
         sign = 1
-        if self.current.kind == "MINUS":
+        if self.current.kind == "-":
             self.advance()
             sign = -1
         return sign * self.unsigned_rational("a number")
 
     def exponent(self) -> Rat:
         tok = self.current
-        if tok.kind == "MINUS":
+        if tok.kind == "-":
             raise ParseError("negative exponent is not allowed", tok.offset)
         if tok.kind == "INT":
             return Rat(self.uint("an exponent"))
-        if tok.kind == "LPAREN":
+        if tok.kind == "(":
             self.advance()
-            if self.current.kind == "MINUS":
+            if self.current.kind == "-":
                 raise ParseError(
                     "negative exponent is not allowed", self.current.offset
                 )
             start = self.current.offset
             num = self.uint("an exponent numerator")
-            self.expect("SLASH", "'/' in fractional exponent")
-            if self.current.kind == "MINUS":
+            self.expect("/", "'/' in fractional exponent")
+            if self.current.kind == "-":
                 raise ParseError("denominator must be positive", self.current.offset)
             den = self.uint("an exponent denominator")
             if den == 0:
                 raise ParseError("zero denominator", start)
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             return Rat(num, den)
         raise ParseError("expected an exponent", tok.offset)
 
@@ -154,7 +143,7 @@ class _Parser:
 
     def mono_exponent(self) -> Rat:
         self.expect("X", "'X'")
-        if self.current.kind == "CARET":
+        if self.current.kind == "^":
             self.advance()
             return self.exponent()
         return Rat(1)
@@ -163,9 +152,9 @@ class _Parser:
         tok = self.current
         if tok.kind == "X":
             return self.mono_exponent(), Fraction(1)
-        if tok.kind in ("INT", "MINUS"):
+        if tok.kind in ("INT", "-"):
             coeff = self.coefficient()
-            if self.current.kind == "STAR":
+            if self.current.kind == "*":
                 self.advance()
                 return self.mono_exponent(), coeff
             if self.current.kind == "X":
@@ -175,8 +164,8 @@ class _Parser:
 
     def poly(self) -> PuiseuxPoly:
         terms = [self.term()]
-        while self.current.kind in ("PLUS", "MINUS"):
-            sign = 1 if self.advance().kind == "PLUS" else -1
+        while self.current.kind in ("+", "-"):
+            sign = 1 if self.advance().kind == "+" else -1
             exponent, coeff = self.term()
             terms.append((exponent, sign * coeff))
         if not self.at_end():
@@ -187,7 +176,7 @@ class _Parser:
 
     def generator(self) -> Rat:
         tok = self.current
-        if tok.kind == "MINUS":
+        if tok.kind == "-":
             raise ParseError("generator must be positive", tok.offset)
         value = self.unsigned_rational("a generator")
         if value == 0:
@@ -195,12 +184,12 @@ class _Parser:
         return Rat(value)
 
     def monoid(self) -> PuiseuxMonoid:
-        self.expect("LT", "'<'")
+        self.expect("<", "'<'")
         gens = [self.generator()]
-        while self.current.kind == "COMMA":
+        while self.current.kind == ",":
             self.advance()
             gens.append(self.generator())
-        self.expect("GT", "'>'")
+        self.expect(">", "'>'")
         if not self.at_end():
             raise ParseError("unexpected trailing input", self.current.offset)
         return PuiseuxMonoid(gens)
@@ -229,15 +218,28 @@ def parse_rat(text: str) -> Rat:
     return Rat(value)
 
 
+def _digit_limit_error() -> ResourceLimitError:
+    limit = sys.get_int_max_str_digits()
+    return ResourceLimitError(f"a number of more than {limit} digits exceeds the conversion cap")
+
+
+def _str(value: Fraction) -> str:
+    try:
+        return str(value)
+    except ValueError:
+        # str of a rational fails only past the interpreter's digit limit
+        raise _digit_limit_error() from None
+
+
 def format_rat(value: Fraction) -> str:
     """Render ``a/b``, omitting ``/1``; round-trips through :func:`parse_rat`."""
-    return str(Fraction(value))
+    return _str(Fraction(value))
 
 
 def _format_exponent(e: Rat) -> str:
     if e.denominator == 1:
-        return f"X^{e.numerator}" if e.numerator != 1 else "X"
-    return f"X^({e.numerator}/{e.denominator})"
+        return f"X^{_str(e)}" if e != 1 else "X"
+    return f"X^({_str(e)})"
 
 
 def format_poly(f: PuiseuxPoly) -> str:

@@ -77,27 +77,61 @@ def test_exit_codes():
     assert run_command(["divisors", "X-1", "--monoid", "<2,3>"]).exit_code == 1
     assert run_command(["symsupp", "X^("]).exit_code == 2
     assert run_command(["no-such-command"]).exit_code == 2
+    for field in ("G2", "Fx"):
+        assert run_command(["lemma21", "X+1", "--field", field]).exit_code == 2
+    unbound = run_command(["divisors", "X^6-1"])
+    assert unbound.exit_code == 2 and "--monoid" in unbound.text
     limited = run_command(["divisors", "X^6-1", "--monoid", "<1>", "--limit", "2"])
     assert limited.status == "resource-limit" and limited.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["factor", "X^\u00b2"], 2),  # a Unicode digit is no digit of the grammar
+        (["monoid-atoms", "<\u00b2>"], 2),
+        (["factor", "1" * 5000 + "*X+1"], 3),  # past the int/str digit limit
+        (["substitute", "X^1" + "0" * 4000, "--by", "1" + "0" * 4000], 3),
+    ],
+)
+def test_digits_end_in_an_exit_code(argv, code):
+    for as_json in ([], ["--json"]):
+        result = run_command(argv + as_json)
+        assert result.exit_code == code, result.text
+    assert json.loads(result.text)["status"] in ("parse-error", "resource-limit")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cyclotomic", "abc", "--json"],
+        ["count", "X", "--monoid", "<1>", "--limit", "x", "--json"],
+        ["nope", "--json"],
+        ["factor", "--json"],
+    ],
+)
+def test_json_usage_errors_are_json_documents(argv):
+    result = run_command(argv)
+    assert result.exit_code == 2
+    document = json.loads(result.text)
+    assert document["status"] == "parse-error" and "usage:" in document["error"]
+    # without --json the same error stays plain usage text
+    plain = run_command([a for a in argv if a != "--json"])
+    assert plain.exit_code == 2 and plain.text.startswith("usage:")
+
+
 def test_limit_env_variable(monkeypatch):
+    # the environment sets no cap: only --limit does
     monkeypatch.setenv("PUISEUX_LIMIT", "2")
-    assert run_command(["divisors", "X^6-1", "--monoid", "<1>"]).exit_code == 3
-    # explicit flag wins over the environment
-    ok = run_command(["divisors", "X^6-1", "--monoid", "<1>", "--limit", "1000000"])
-    assert ok.exit_code == 0
+    assert run_command(["divisors", "X^6-1", "--monoid", "<1>"]).exit_code == 0
+    assert run_command(["divisors", "X^6-1", "--monoid", "<1>", "--limit", "2"]).exit_code == 3
 
 
-def test_negative_limit_is_a_usage_error(monkeypatch):
+def test_negative_limit_is_a_usage_error():
     argv = ["count", "X^6-1", "--monoid", "<2,3>"]
     flagged = run_command(argv + ["--limit", "-5", "--json"])
     assert flagged.status == "parse-error" and flagged.exit_code == 2
     assert "--limit" in json.loads(flagged.text)["error"]
-    monkeypatch.setenv("PUISEUX_LIMIT", "-1")
-    from_env = run_command(argv)
-    assert from_env.status == "parse-error" and from_env.exit_code == 2
-    assert "PUISEUX_LIMIT" in from_env.text
     # a cap of zero is a valid (if useless) cap, not a usage error
     assert run_command(argv + ["--limit", "0"]).exit_code == 3
 
@@ -142,6 +176,15 @@ def test_sparse_trinomial_hits_the_lifting_cap():
     payload = json.loads(proc.stdout)
     assert payload["status"] == "resource-limit" and "cap" in payload["error"]
     assert "MemoryError" not in payload["error"]
+
+
+@pytest.mark.parametrize("poly", ["X^8000+X+1", "X^65536+X+1"])
+def test_sparse_trinomial_hits_the_split_cap(poly):
+    proc, elapsed = _run_capped(["factor", poly, "--json"])
+    assert proc.returncode == 3, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "resource-limit" and "cap" in payload["error"]
+    assert elapsed < 2.0
 
 
 def test_large_clearing_denominator_hits_the_dense_degree_cap():

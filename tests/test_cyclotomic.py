@@ -21,7 +21,14 @@ from puiseux import (
 )
 
 from reference import classify_by_fiber, cyclotomic_coeffs, evaluate, factor_without_split
-from puiseux.cyclotomic import _cyclotomic_value, _prime_factors, _totients_up_to, split_cyclotomic
+from puiseux import cyclotomic
+from puiseux.cyclotomic import (
+    MAX_SPLIT_DEGREE,
+    _cyclotomic_value,
+    _prime_factors,
+    _totients_up_to,
+    split_cyclotomic,
+)
 from puiseux.exact import is_prime
 from randgen import NONCYCLOTOMIC_IRREDUCIBLES, power, random_cyclotomic_product, random_fraction
 
@@ -36,6 +43,10 @@ def test_cyclotomic_small():
 def test_cyclotomic_index_error():
     with pytest.raises(DomainError):
         cyclotomic_poly(0)
+    with pytest.raises(DomainError, match="positive integers"):
+        totient(0)
+    with pytest.raises(DomainError, match="positive integers"):
+        inverse_totient(0)
 
 
 def test_cyclotomic_product_identity():
@@ -130,6 +141,16 @@ def random_split_case(rng: random.Random) -> QPoly:
     return f * QPoly([0] * rng.randint(0, 2) + [c])
 
 
+def test_split_refuses_a_part_above_the_cap_before_evaluating(monkeypatch):
+    def no_value(n, b):
+        raise AssertionError("a candidate was evaluated")
+
+    monkeypatch.setattr(cyclotomic, "_cyclotomic_value", no_value)
+    part = [1, 1] + [0] * (MAX_SPLIT_DEGREE - 1) + [1]  # X^4097 + X + 1
+    with pytest.raises(ResourceLimitError, match="cap"):
+        split_cyclotomic(part)
+
+
 def test_split_matches_factoring_without_it():
     rng = random.Random(83)
     cases = [random_split_case(rng) for _ in range(40)]
@@ -213,6 +234,8 @@ def test_elementary_symmetric_requires_monic():
         elementary_symmetric(QPoly([1, 2]))
     with pytest.raises(DomainError):
         elementary_symmetric(QPoly([1, 1, 2]), 3)
+    with pytest.raises(DomainError, match="no image in F_2"):
+        elementary_symmetric(QPoly([1, Fraction(1, 2)]), 2)
     with pytest.raises(TypeError):
         elementary_symmetric((1, 0, 1))
 
@@ -227,6 +250,9 @@ def test_vanishing_check_examples():
 
     report = reciprocal_vanishing_check(QPoly([-1, 1]))
     assert report.holds
+
+    with pytest.raises(DomainError, match="degree >= 1"):
+        reciprocal_vanishing_check(QPoly([1]))
 
 
 def test_vanishing_check_on_random_cyclotomic_products():

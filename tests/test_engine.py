@@ -64,7 +64,7 @@ def test_canonical_factorization_examples():
 
 def test_canonical_factorization_zero_rejected():
     with pytest.raises(DomainError):
-        canonical_factorization(PuiseuxPoly.zero())
+        canonical_factorization(PuiseuxPoly())
 
 
 def test_recompose_examples():
@@ -197,7 +197,7 @@ def test_divisors_preconditions():
     with pytest.raises(DomainError):
         divisors_in_algebra(parse_poly("X - 1"), S)  # supp not inside S
     with pytest.raises(DomainError):
-        divisors_in_algebra(PuiseuxPoly.zero(), S)
+        divisors_in_algebra(PuiseuxPoly(), S)
 
 
 def test_atom_examples():
@@ -279,7 +279,7 @@ def test_scaling_gives_divisor_bijection():
         f = PuiseuxPoly.one()
         for _ in range(rng.randint(1, 2)):
             g = rng.choice(gens)
-            f = f * (PuiseuxPoly.monomial(1, g) + (-1) ** rng.randint(0, 1))
+            f = f * PuiseuxPoly([(g, 1), (0, (-1) ** rng.randint(0, 1))])
         f = f * PuiseuxPoly.monomial(rng.randint(1, 3), rng.choice(gens))
         r = rng.choice(ratios)
         before = divisors_in_algebra(f, S)

@@ -41,6 +41,7 @@ def test_contains_examples():
     assert PuiseuxMonoid([Rat(1, 2), Rat(2, 3)]).contains(Fraction(7, 6))
     assert PuiseuxMonoid([2, 3]).contains(7)
     assert PuiseuxMonoid([2, 3]).contains(0)
+    assert not NumericalMonoid([2, 3]).contains(-1)
 
 
 def test_contains_rejects_negative():
@@ -186,6 +187,12 @@ def test_puiseux_monoid_validation():
         PuiseuxMonoid([0])
     with pytest.raises(DomainError):
         PuiseuxMonoid([Fraction(-1, 2)])
+    trivial = PuiseuxMonoid([])  # the monoid {0}
+    assert trivial.contains(0) and not trivial.contains(1)
+    with pytest.raises(DomainError, match="at least one generator"):
+        trivial.normalization()
+    with pytest.raises(DomainError, match="at least one generator"):
+        trivial.atoms()
 
 
 def test_scaled_monoid():
@@ -193,3 +200,5 @@ def test_scaled_monoid():
     T = S.scaled(Rat(1, 2))
     assert T.generators == (1, Rat(3, 2))
     assert T.contains(Fraction(5, 2))
+    with pytest.raises(DomainError, match="positive"):
+        S.scaled(0)

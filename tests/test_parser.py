@@ -3,12 +3,15 @@
 import random
 import string
 
+from fractions import Fraction
+
 import pytest
 
 from puiseux import (
     ParseError,
     PuiseuxPoly,
     Rat,
+    ResourceLimitError,
     format_monoid,
     format_poly,
     format_rat,
@@ -24,9 +27,10 @@ def test_parse_poly_examples():
     f = parse_poly("X^(1/2) - 1")
     assert f.terms == ((Rat(0), -1), (Rat(1, 2), 1))
     assert parse_poly("X^3+X+2") == parse_poly("X^3 + X + 2")
-    assert parse_poly("3/2*X^2").coeff(2) == Rat(3, 2)
+    assert dict(parse_poly("3/2*X^2").terms)[2] == Rat(3, 2)
     assert parse_poly("0").is_zero
     assert parse_poly("X - X").is_zero
+    assert parse_poly("3X") == parse_poly("3*X")  # the '*' is optional
 
 
 def test_parse_poly_merges_like_terms():
@@ -57,6 +61,11 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as err:
         parse_poly("X^2 junk")
     assert err.value.offset > 0
+    # str.isdigit accepts these Unicode digits; the grammar's uint is 0-9 only
+    for text, offset in (("X^\u00b2", 2), ("\u0663*X", 0)):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_poly(text)
+        assert err.value.offset == offset
 
 
 def test_parse_monoid_examples():
@@ -82,7 +91,7 @@ def test_parse_rat():
 
 def test_format_examples():
     assert format_poly(parse_poly("X^(1/2) - 1")) == "X^(1/2) - 1"
-    assert format_poly(PuiseuxPoly.zero()) == "0"
+    assert format_poly(PuiseuxPoly()) == "0"
     assert format_poly(parse_poly("3/2*X^2")) == "3/2*X^2"
     assert format_rat(Rat(3, 2)) == "3/2"
     assert format_rat(Rat(4)) == "4"
@@ -93,7 +102,7 @@ def test_format_leading_negative_round_trips():
     f = parse_poly("0 - X")
     text = format_poly(f)
     assert parse_poly(text) == f
-    g = parse_poly("0") - parse_poly("X^(1/2) + 2")
+    g = PuiseuxPoly([(Rat(1, 2), -1), (0, -2)])
     assert parse_poly(format_poly(g)) == g
 
 
@@ -127,3 +136,21 @@ def test_parser_rejects_structures_outside_grammar():
     for bad in ("X*X", "(X+1)", "X^X", "X^^2", "2**X", "", "+", "X+"):
         with pytest.raises(ParseError):
             parse_poly(bad)
+    for bad in ("X^(1/-2)", "1/-2"):
+        with pytest.raises(ParseError, match="denominator must be positive"):
+            parse_poly(bad)
+    with pytest.raises(ParseError, match="trailing input"):
+        parse_monoid("<2,3> 5")
+
+
+def test_numbers_past_the_digit_limit_are_resource_limits():
+    # the interpreter converts between int and str up to a digit limit
+    with pytest.raises(ResourceLimitError, match="digits"):
+        parse_poly("1" * 5000 + "*X + 1")
+    with pytest.raises(ResourceLimitError, match="digits"):
+        parse_rat("1/" + "7" * 5000)
+    huge = Rat(10**4000) * Rat(10**4000)
+    with pytest.raises(ResourceLimitError, match="digits"):
+        format_poly(PuiseuxPoly([(huge, 1)]))
+    with pytest.raises(ResourceLimitError, match="digits"):
+        format_rat(Fraction(1, 10**4000) ** 2)

@@ -148,6 +148,12 @@ def test_factor_examples():
 def test_factor_zero_rejected():
     with pytest.raises(DomainError):
         factor_over_rationals(QPoly())
+    with pytest.raises(DomainError, match="leading coefficient"):
+        QPoly().leading_coefficient
+    with pytest.raises(DomainError, match="monomial split"):
+        QPoly().split_monomial()
+    with pytest.raises(DomainError, match="zero polynomial"):
+        squarefree_decompose(QPoly())
 
 
 def _rational_root_free(p: QPoly) -> bool:
