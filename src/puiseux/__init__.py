@@ -9,12 +9,9 @@ non-associate divisors inside Q[S].
 """
 
 from .cyclotomic import (
-    QFactorization,
     VanishingReport,
-    classify_cyclotomic,
     cyclotomic_poly,
     elementary_symmetric,
-    factor_over_rationals,
     inverse_totient,
     reciprocal_vanishing_check,
     totient,
@@ -33,7 +30,7 @@ from .errors import DomainError, ParseError, PuiseuxError, ResourceLimitError
 from .exact import Rat, is_prime
 from .monoid import NumericalMonoid, PuiseuxMonoid
 from .ppoly import PuiseuxPoly
-from .qpoly import QPoly, squarefree_decompose
+from .qpoly import QPoly
 from .textform import (
     format_monoid,
     format_poly,
@@ -53,17 +50,14 @@ __all__ = [
     "PuiseuxError",
     "PuiseuxMonoid",
     "PuiseuxPoly",
-    "QFactorization",
     "QPoly",
     "Rat",
     "ResourceLimitError",
     "VanishingReport",
     "canonical_factorization",
-    "classify_cyclotomic",
     "cyclotomic_poly",
     "divisors_in_algebra",
     "elementary_symmetric",
-    "factor_over_rationals",
     "ff_divisor_count",
     "format_monoid",
     "format_poly",
@@ -76,6 +70,5 @@ __all__ = [
     "parse_rat",
     "recompose",
     "reciprocal_vanishing_check",
-    "squarefree_decompose",
     "totient",
 ]

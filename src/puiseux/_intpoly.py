@@ -72,15 +72,11 @@ def zz_max_norm(f: list[int]) -> int:
     return max((abs(c) for c in f), default=0)
 
 
-def zz_content(f: list[int]) -> int:
-    return math.gcd(*f) if f else 0
-
-
 def zz_primitive(f: list[int]) -> tuple[int, list[int]]:
     """Split ``f = cont * prim`` with ``prim`` primitive and of positive leading coefficient."""
     if not f:
         return 0, []
-    cont = zz_content(f)
+    cont = math.gcd(*f)
     if f[-1] < 0:
         cont = -cont
     return cont, [c // cont for c in f]
@@ -297,15 +293,9 @@ def gf_pow_mod(f: list[int], n: int, mod: list[int], p: int) -> list[int]:
     return result
 
 
-def gf_derivative(f: list[int], p: int) -> list[int]:
-    return zz_strip([(i * c) % p for i, c in enumerate(f)][1:])
-
-
 def gf_is_squarefree(f: list[int], p: int) -> bool:
-    d = gf_derivative(f, p)
-    if not d:
-        return False
-    return zz_deg(gf_gcd(f, d, p)) == 0
+    d = zz_strip([(i * c) % p for i, c in enumerate(f)][1:])
+    return bool(d) and zz_deg(gf_gcd(f, d, p)) == 0
 
 
 def gf_nullspace(a: list[list[int]], p: int) -> list[list[int]]:

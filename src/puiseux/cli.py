@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclotomic import (
     cyclotomic_poly,
@@ -37,8 +38,7 @@ _EXIT_CODES = {
 }
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     """Outcome of one CLI invocation."""
 
     status: str
@@ -59,14 +59,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}error: {message}")
 
 
-def _parse_field(spec: str) -> int:
-    if not spec.startswith("F"):
-        raise _UsageError(f"field must look like F2, F3, ... (got {spec!r})")
+def _integer(text: str) -> int:
+    """An optional '-' and ASCII digits, as the wire format writes integers."""
     try:
-        p = int(spec[1:])
-    except ValueError:
-        raise _UsageError(f"field must look like F2, F3, ... (got {spec!r})") from None
-    return p
+        if text.isascii() and text.removeprefix("-").isdigit():
+            return int(text)
+    except ValueError:  # past the interpreter's digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+
+
+def _parse_field(spec: str) -> int:
+    try:
+        if spec.startswith("F"):
+            return _integer(spec[1:])
+    except argparse.ArgumentTypeError:
+        pass
+    raise _UsageError(f"field must look like F2, F3, ... (got {spec!r})")
 
 
 def _limit(args) -> int:
@@ -264,12 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("poly")
         p.add_argument("--monoid", help='monoid literal, e.g. "<2, 3>"')
         p.add_argument(
-            "--limit", type=int, default=DEFAULT_DIVISOR_LIMIT, help="candidate-combination cap"
+            "--limit", type=_integer, default=DEFAULT_DIVISOR_LIMIT,
+            help="candidate-combination cap",
         )
     p = add("cyclotomic", _cmd_cyclotomic, "print the n-th cyclotomic polynomial")
-    p.add_argument("index", type=int)
+    p.add_argument("index", type=_integer)
     p = add("totient-inv", _cmd_totient_inv, "all n with phi(n) = d")
-    p.add_argument("value", type=int)
+    p.add_argument("value", type=_integer)
     p = add("lemma21", _cmd_lemma21, "elementary symmetric values and vanishing check")
     p.add_argument("poly")
     p.add_argument("--field", help="prime field such as F2 (default: Q)")
@@ -317,7 +327,13 @@ def run_command(argv: list[str]) -> CommandResult:
 
 def main(argv: list[str] | None = None) -> int:
     result = run_command(sys.argv[1:] if argv is None else argv)
-    print(result.text)
+    try:
+        print(result.text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left.  Python flushes stdout again at exit, so point it
+        # at /dev/null, as the signal module's documentation advises.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return result.exit_code
 
 

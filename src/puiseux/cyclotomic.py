@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from . import _intpoly as zz
 from .errors import DomainError, ResourceLimitError
@@ -33,6 +33,10 @@ SPLIT_POINTS = (2, 1 << 8)
 # candidate indices and their values grow with the degree, so the scan of a
 # part of degree 8000 takes seconds.
 MAX_SPLIT_DEGREE = 1 << 12
+
+# Candidate primes one inverse_totient search may test: 2305843009213693950
+# needs 4.3e5, the split's table at most 2e3 per value, 6983776800 1.3e7.
+MAX_TOTIENT_STEPS = 1 << 21
 
 
 def _prime_factors(n: int) -> list[tuple[int, int]]:
@@ -139,18 +143,24 @@ def inverse_totient(d: int) -> frozenset[int]:
     a product of prime powers p^k of distinct primes with phi(p^k) | d, and
     p - 1 | d restricts p to the primes among the d' + 1, d' | d.  The
     search builds n from these powers in increasing order of p, with the
-    quotient of d still to cover; it is complete, with no search bound.
-    phi(2) = 1, so the power 2^1 covers nothing and doubles an odd n.
+    quotient of d still to cover; it is complete, and raises
+    :class:`ResourceLimitError` past :data:`MAX_TOTIENT_STEPS` candidate
+    primes.  phi(2) = 1, so the power 2^1 covers nothing and doubles an odd n.
     """
     if d < 1:
         raise DomainError("totient values are positive integers")
     primes = [e + 1 for e in _divisors(d) if is_prime(e + 1)]
     found = set()
+    steps = 0
 
     def extend(start: int, rest: int, n: int) -> None:
+        nonlocal steps
         if rest == 1:
             found.add(n)
         for j in range(start, len(primes)):
+            steps += 1
+            if steps > MAX_TOTIENT_STEPS:
+                raise ResourceLimitError(f"phi^-1({d}) tests more than {MAX_TOTIENT_STEPS} primes")
             p = primes[j]
             if p - 1 > rest:
                 break
@@ -235,17 +245,14 @@ def split_cyclotomic(f: list[int]) -> tuple[list[int], list[int]]:
     return sorted(indices), f
 
 
-@dataclass(frozen=True)
-class QFactorization:
-    """Complete factorization over Q: ``constant * prod(factor**multiplicity)``."""
+def classify_cyclotomic(p: QPoly) -> int | None:
+    """n when the monic irreducible p is Phi_n, else None: a ``bench/tracer.py`` hook.
 
-    constant: Fraction
-    factors: tuple[tuple[QPoly, int], ...]
-
-
-def _factor_key(item: tuple[QPoly, int]):
-    poly = item[0]
-    return (poly.degree, poly.coeffs)
+    >>> classify_cyclotomic(QPoly([1, 1, 1]))
+    3
+    """
+    indices, _ = split_cyclotomic(list(p.prim))
+    return indices[0] if indices else None
 
 
 def factor_primitive(f: list[int]) -> tuple[list[tuple[int, int]], list[tuple[list[int], int]]]:
@@ -268,45 +275,6 @@ def factor_primitive(f: list[int]) -> tuple[list[tuple[int, int]], list[tuple[li
         if len(rest) > 1:
             other += [(g, e) for g in zz.zz_factor_squarefree(rest)]
     return sorted(cyclotomic), other
-
-
-def factor_parts(f: QPoly) -> tuple[int, Fraction, list[tuple[int, int]], list[tuple[QPoly, int]]]:
-    """(k, c, cyclotomic, other) with f = c * X^k * prod Phi_n^e * prod g^e
-    for a nonzero f: the monomial split off, :func:`factor_primitive` on the
-    rest, and every other irreducible g made a monic ``QPoly``, sorted."""
-    k, core = f.split_monomial()
-    cyclotomic, other = factor_primitive(list(core.prim))
-    monic = [(QPoly.from_ints(Fraction(1, g[-1]), g), e) for g, e in other]
-    return k, core.leading_coefficient, cyclotomic, sorted(monic, key=_factor_key)
-
-
-def factor_over_rationals(f: QPoly) -> QFactorization:
-    """Factor f into monic irreducibles over Q with multiplicities, through
-    :func:`factor_parts`.
-
-    The recomposition ``constant * prod(q**m)`` reproduces f exactly.
-    """
-    if f.is_zero:
-        raise DomainError("cannot factor the zero polynomial")
-    k, constant, cyclotomic, found = factor_parts(f)
-    found += [(cyclotomic_poly(n), e) for n, e in cyclotomic]
-    if k:
-        found.append((QPoly.variable(), k))
-    return QFactorization(constant, tuple(sorted(found, key=_factor_key)))
-
-
-def classify_cyclotomic(p: QPoly) -> int | None:
-    """Return n when p equals the n-th cyclotomic polynomial, else None.
-
-    ``p`` must be monic and irreducible over Q; n is the index that
-    :func:`factor_primitive` splits off.
-    """
-    if p.is_zero or not p.is_monic:
-        raise DomainError("cyclotomic classification needs a monic polynomial")
-    k, _, cyclotomic, other = factor_parts(p)
-    if k + sum(e for _, e in cyclotomic + other) != 1:
-        raise DomainError("cyclotomic classification needs an irreducible polynomial")
-    return cyclotomic[0][0] if cyclotomic else None
 
 
 def elementary_symmetric(f: QPoly, p: int | None = None) -> tuple[Fraction, ...] | tuple[int, ...]:
@@ -333,8 +301,7 @@ def elementary_symmetric(f: QPoly, p: int | None = None) -> tuple[Fraction, ...]
     return values if p is None else tuple(v % p for v in values)
 
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(NamedTuple):
     """Outcome of the reflected-vanishing check on (e_0, ..., e_n).
 
     ``holds`` is true when e_k = 0 implies e_{n-k} = 0 for every k;

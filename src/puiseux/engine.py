@@ -20,13 +20,13 @@ it, so the walk runs on truncated products and builds kept divisors only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 from ._intpoly import zz_mul
-from .cyclotomic import binomial_indices, cyclotomic_poly, factor_parts, factor_primitive
+from .cyclotomic import binomial_indices, cyclotomic_poly, factor_primitive
 from .errors import DomainError, ResourceLimitError
 from .exact import Rat
 from .monoid import PuiseuxMonoid
@@ -36,8 +36,7 @@ from .qpoly import QPoly
 DEFAULT_DIVISOR_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
-class CanonicalFactorization:
+class CanonicalFactorization(NamedTuple):
     """Canonical monomial / cyclotomic / prime decomposition of an element of Q[Q_+].
 
     ``cyclotomic_part`` holds (index n, exponent e) pairs meaning
@@ -78,17 +77,19 @@ def _binomial_factorization(f: PuiseuxPoly) -> CanonicalFactorization | None:
 def _dense_factorization(f: PuiseuxPoly) -> CanonicalFactorization:
     """The canonical form of a nonzero f through its cleared dense polynomial.
 
-    Clears denominators and factors the resulting ordinary polynomial over
-    Q, where the cyclotomic split names every Phi_n.
+    Clears denominators, splits off X^k and factors the primitive core with
+    :func:`.cyclotomic.factor_primitive`; the non-cyclotomic factors are made monic.
     """
     m, cleared = f.clear_denominators()
-    k, constant, cyclotomic, primes = factor_parts(cleared)
+    k, core = cleared.split_monomial()
+    cyclotomic, other = factor_primitive(list(core.prim))
+    primes = [(QPoly.from_ints(Fraction(1, g[-1]), g), e) for g, e in other]
     return CanonicalFactorization(
-        constant=constant,
+        constant=core.leading_coefficient,
         clearing_denominator=m,
         monomial_exponent=Rat(k, m),
         cyclotomic_part=tuple(cyclotomic),
-        prime_part=tuple(primes),
+        prime_part=tuple(sorted(primes, key=lambda item: (item[0].degree, item[0].coeffs))),
     )
 
 
@@ -114,8 +115,7 @@ def recompose(cf: CanonicalFactorization) -> PuiseuxPoly:
     return out
 
 
-@dataclass(frozen=True)
-class DivisorSet:
+class DivisorSet(NamedTuple):
     """The complete set of non-associate divisors of ``element`` inside Q[S].
 
     Divisors are normalized to leading coefficient 1 (the units of Q[S] for a
@@ -126,10 +126,6 @@ class DivisorSet:
     element: PuiseuxPoly
     monoid: PuiseuxMonoid
     divisors: tuple[PuiseuxPoly, ...]
-
-
-def _divisor_sort_key(g: PuiseuxPoly):
-    return (g.degree, g.terms)
 
 
 def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
@@ -228,7 +224,7 @@ def divisors_in_algebra(
     :class:`ResourceLimitError` rather than truncating.
     """
     keys, build = _divisor_walk(f, monoid, limit)
-    ordered = tuple(sorted(map(build, keys), key=_divisor_sort_key))
+    ordered = tuple(sorted(map(build, keys), key=lambda g: (g.degree, g.terms)))
     return DivisorSet(element=f, monoid=monoid, divisors=ordered)
 
 

@@ -180,9 +180,7 @@ class PuiseuxPoly:
         return hash(self.terms)
 
     def __repr__(self):
-        from .textform import format_poly
-
-        return f"PuiseuxPoly({format_poly(self)!r})"
+        return f"PuiseuxPoly({str(self)!r})"
 
     def __str__(self):
         from .textform import format_poly

@@ -2,9 +2,9 @@
 
 ``QPoly`` stores ``(content, primitive int tuple)``; it is the type the
 public API takes and returns, with the queries, equality, printing and
-multiplication.  Every algorithm runs on the tuple in :mod:`._intpoly`:
-Yun's squarefree split here, and factorization over Q, which also splits
-off cyclotomic factors, in :mod:`.cyclotomic`.
+multiplication.  Every algorithm runs on the tuple in :mod:`._intpoly`;
+factorization over Q, which also splits off cyclotomic factors, is in
+:mod:`.cyclotomic`.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ class QPoly:
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
-    @classmethod
-    def variable(cls) -> "QPoly":
-        return cls([0, 1])
-
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -72,10 +68,6 @@ class QPoly:
     @property
     def is_zero(self) -> bool:
         return not self.prim
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.prim) and self.content * self.prim[-1] == 1
 
     @property
     def leading_coefficient(self) -> Fraction:
@@ -122,11 +114,9 @@ class QPoly:
 
 
 def squarefree_decompose(f: QPoly) -> list[tuple[QPoly, int]]:
-    """Yun decomposition into pairwise-coprime monic squarefree parts.
+    """Yun's monic squarefree parts of f: a ``bench/tracer.py`` hook, not a library path.
 
-    The product of parts raised to their multiplicities equals ``f`` up to a
-    nonzero constant.  Constants decompose into the empty list.
+    >>> squarefree_decompose(QPoly([0, 0, 1]))
+    [(QPoly('X'), 2)]
     """
-    if f.is_zero:
-        raise DomainError("cannot decompose the zero polynomial")
     return [(QPoly.from_ints(Fraction(1, a[-1]), a), i) for a, i in zz.zz_squarefree(f.prim)]

@@ -1,5 +1,5 @@
 """Seeded random generators shared by the property-style tests, and the
-QPoly power and expansion that the tests build with."""
+QPoly power, factor list and expansion that the tests build with."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 import random
 from fractions import Fraction
 
-from puiseux import PuiseuxPoly, QPoly, Rat, cyclotomic_poly
+from puiseux import PuiseuxPoly, QPoly, Rat, canonical_factorization, cyclotomic_poly
 
 
 def power(f: QPoly, n: int) -> QPoly:
@@ -15,10 +15,21 @@ def power(f: QPoly, n: int) -> QPoly:
     return math.prod([f] * n, start=QPoly([1]))
 
 
-def expand(factorization) -> QPoly:
-    """constant * prod(q^m) of a QFactorization."""
-    powers = (power(q, m) for q, m in factorization.factors)
-    return math.prod(powers, start=QPoly([factorization.constant]))
+def factor_over_q(f: QPoly) -> tuple[Fraction, list[tuple[QPoly, int]]]:
+    """(c, factors) with f = c * prod(q^m) for a nonzero f: the monic
+    irreducibles q over Q, X and every Phi_n included, sorted by degree and
+    coefficients, read off the canonical factorization of f in Q[Q_+]."""
+    cf = canonical_factorization(PuiseuxPoly.from_qpoly(f))
+    assert cf.clearing_denominator == 1
+    k = int(cf.monomial_exponent)
+    found = [(QPoly([0, 1]), k)] if k else []
+    found += [(cyclotomic_poly(n), e) for n, e in cf.cyclotomic_part] + list(cf.prime_part)
+    return cf.constant, sorted(found, key=lambda item: (item[0].degree, item[0].coeffs))
+
+
+def expand(constant: Fraction, factors: list[tuple[QPoly, int]]) -> QPoly:
+    """constant * prod(q^m)."""
+    return math.prod((power(q, m) for q, m in factors), start=QPoly([constant]))
 
 
 def random_fraction(rng: random.Random, max_num=9, max_den=4, signed=True) -> Fraction:

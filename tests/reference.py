@@ -18,8 +18,8 @@ without the cyclotomic split runs the kernel's Yun split and Zassenhaus on
 every squarefree part, cyclotomic factors included.  The cyclotomic
 recognizer compares a monic irreducible factor with the library's
 ``cyclotomic_poly(n)`` for every n in the library's inverse-totient fiber
-of its degree, and the canonical form built on it classifies every factor
-of ``factor_over_rationals`` that way, after the split has already run.
+of its degree, and the canonical form built on it classifies that way every
+factor of the factorization without the split.
 Pseudo-division and the primitive remainder sequence over Z live here,
 not in the kernel, and Yun's split runs on that gcd with trial division,
 where the kernel's heuristic gcd returns the cofactors.  The divisor walk
@@ -46,7 +46,6 @@ from puiseux import (
     Rat,
     ResourceLimitError,
     cyclotomic_poly,
-    factor_over_rationals,
     inverse_totient,
 )
 from puiseux import _intpoly as zz
@@ -623,18 +622,21 @@ def classify_by_fiber(p):
 
 def canonical_by_fiber(f):
     """The canonical factorization of a nonzero PuiseuxPoly f: clear
-    denominators, factor the core over Q, then classify every factor."""
+    denominators, factor the core over Q without the cyclotomic split, then
+    classify every factor."""
     m, cleared = f.clear_denominators()
     k, core = cleared.split_monomial()
-    fact = factor_over_rationals(core)
     cyclo, primes = [], []
-    for poly, mult in fact.factors:
+    for coeffs, mult in factor_without_split(core.prim):
+        poly = QPoly(coeffs)
         n = classify_by_fiber(poly)
         if n is None:
             primes.append((poly, mult))
         else:
             cyclo.append((n, mult))
-    return CanonicalFactorization(fact.constant, m, Rat(k, m), tuple(sorted(cyclo)), tuple(primes))
+    return CanonicalFactorization(
+        core.leading_coefficient, m, Rat(k, m), tuple(sorted(cyclo)), tuple(primes)
+    )
 
 
 # -- Yun's split by primitive remainder sequences ----------------------------

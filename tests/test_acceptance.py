@@ -18,7 +18,6 @@ from puiseux import (
     cyclotomic_poly,
     divisors_in_algebra,
     elementary_symmetric,
-    factor_over_rationals,
     ff_divisor_count,
     parse_poly,
     reciprocal_vanishing_check,
@@ -118,9 +117,12 @@ def test_criterion_06_factorization_soundness():
         _, cleared = f.clear_denominators()
         _, core = cleared.split_monomial()
         if 1 <= core.degree <= 8:
+            # the core's monic factors over Q are the Phi_n and q of cf
             mine = []
-            for p, m in factor_over_rationals(core).factors:
-                mine.extend([p.coeffs] * m)
+            for n, e in cf.cyclotomic_part:
+                mine.extend([cyclotomic_poly(n).coeffs] * e)
+            for q, m in cf.prime_part:
+                mine.extend([q.coeffs] * m)
             mine.sort(key=lambda t: (len(t), t))
             assert tuple(mine) == kronecker_monic_factors(list(core.prim))
             oracle_checked += 1

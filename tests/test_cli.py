@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, exit codes, JSON output, determinism."""
 
 import json
+import os
 import pathlib
 import resource
 import subprocess
@@ -79,6 +80,9 @@ def test_exit_codes():
     assert run_command(["no-such-command"]).exit_code == 2
     for field in ("G2", "Fx"):
         assert run_command(["lemma21", "X+1", "--field", field]).exit_code == 2
+    # a negative index or modulus is read, and lies outside the domain
+    assert run_command(["cyclotomic", "-5"]).exit_code == 1
+    assert run_command(["lemma21", "X+1", "--field", "F-3"]).exit_code == 1
     unbound = run_command(["divisors", "X^6-1"])
     assert unbound.exit_code == 2 and "--monoid" in unbound.text
     limited = run_command(["divisors", "X^6-1", "--monoid", "<1>", "--limit", "2"])
@@ -92,6 +96,14 @@ def test_exit_codes():
         (["monoid-atoms", "<\u00b2>"], 2),
         (["factor", "1" * 5000 + "*X+1"], 3),  # past the int/str digit limit
         (["substitute", "X^1" + "0" * 4000, "--by", "1" + "0" * 4000], 3),
+        # integer arguments are ASCII digits too, as in the wire format
+        (["cyclotomic", "\u0666"], 2),  # ARABIC-INDIC DIGIT SIX
+        (["cyclotomic", "1_2"], 2),
+        (["totient-inv", "\u0664"], 2),
+        (["count", "X", "--monoid", "<1>", "--limit", "\u0663"], 2),
+        (["lemma21", "X+1", "--field", "F\u0663"], 2),
+        (["lemma21", "X+1", "--field", "F1_1"], 2),
+        (["lemma21", "X+1", "--field", "F+7"], 2),
     ],
 )
 def test_digits_end_in_an_exit_code(argv, code):
@@ -246,6 +258,40 @@ def test_inverse_totient_of_a_large_value_is_fast():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["indices"] == [2305843009213693951, 4611686018427387902]
     assert elapsed < 2.0
+
+
+def test_inverse_totient_search_hits_its_cap_quickly():
+    # 963761198400 has 6720 divisors, 1601 of them one less than a prime
+    proc, elapsed = _run_capped(["totient-inv", "963761198400", "--json"])
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "resource-limit"
+    assert elapsed < 2.0
+
+
+def test_a_closed_pipe_ends_without_a_traceback():
+    # the read end is closed before the child writes, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "puiseux.cli", "cyclotomic", "65537"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=30,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys; before = set(sys.modules); import puiseux.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"

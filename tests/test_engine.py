@@ -15,7 +15,6 @@ from puiseux import (
     Rat,
     ResourceLimitError,
     canonical_factorization,
-    classify_cyclotomic,
     cyclotomic_poly,
     divisors_in_algebra,
     ff_divisor_count,
@@ -23,10 +22,10 @@ from puiseux import (
     parse_poly,
     recompose,
 )
-from puiseux import cyclotomic, engine
+from puiseux import engine
 from puiseux._intpoly import zz_gcd, zz_trial_div
 
-from reference import brute_divisor_set, canonical_by_fiber, untruncated_divisors
+from reference import brute_divisor_set, canonical_by_fiber, classify_by_fiber, untruncated_divisors
 from randgen import (
     NONCYCLOTOMIC_IRREDUCIBLES,
     power,
@@ -85,10 +84,11 @@ def test_round_trip_random_composites():
 
 
 def test_canonical_factorization_matches_fiber_classification():
-    # The route that classifies each factor of factor_over_rationals by its
-    # inverse-totient fiber, on random composites and on cyclotomic products
-    # times powers of non-cyclotomic irreducibles, a squared cyclotomic
-    # product, a monomial X^(k/den) and a rational constant.
+    # The route that factors over Q without the cyclotomic split and
+    # classifies each factor by its inverse-totient fiber, on random
+    # composites and on cyclotomic products times powers of
+    # non-cyclotomic irreducibles, a squared cyclotomic product, a monomial
+    # X^(k/den) and a rational constant.
     rng = random.Random(307)
     cases = [random_composite(rng) for _ in range(60)]
     for _ in range(40):
@@ -111,14 +111,14 @@ def test_binomial_shortcut_matches_dense_path(monkeypatch):
     # cleared cores are X^k +- 1 with k <= 60, so their factorizations are
     # memoized.
     factored: dict[tuple[int, ...], tuple] = {}
-    factor_primitive = cyclotomic.factor_primitive
+    factor_primitive = engine.factor_primitive
 
     def factor(core):
         if tuple(core) not in factored:
             factored[tuple(core)] = factor_primitive(core)
         return factored[tuple(core)]
 
-    monkeypatch.setattr(cyclotomic, "factor_primitive", factor)
+    monkeypatch.setattr(engine, "factor_primitive", factor)
     rng = random.Random(211)
     for n in range(1, 61):
         for m in range(1, 7):
@@ -134,8 +134,8 @@ def test_binomial_shortcut_matches_dense_path(monkeypatch):
 
 def test_shortcut_leaves_other_elements_to_the_dense_path(monkeypatch):
     calls = []
-    factor = cyclotomic.factor_primitive
-    monkeypatch.setattr(cyclotomic, "factor_primitive", lambda f: calls.append(f) or factor(f))
+    factor = engine.factor_primitive
+    monkeypatch.setattr(engine, "factor_primitive", lambda f: calls.append(f) or factor(f))
     for text in ("X^5 - 2", "2*X^3 + 3", "X^2 + X + 1", "X^(1/2) + 2*X"):
         f = parse_poly(text)
         before = len(calls)
@@ -147,7 +147,7 @@ def test_binomials_factor_without_dense_work(monkeypatch):
     def refuse(f):
         raise AssertionError("a binomial reached the dense factorizer")
 
-    monkeypatch.setattr(cyclotomic, "factor_primitive", refuse)
+    monkeypatch.setattr(engine, "factor_primitive", refuse)
     cf = canonical_factorization(parse_poly("X^3000000 + 1"))
     assert cf.cyclotomic_part[0] == (128, 1) and cf.cyclotomic_part[-1] == (6_000_000, 1)
     assert len(cf.cyclotomic_part) == 14 and cf.prime_part == ()
@@ -164,8 +164,8 @@ def test_prime_components_are_noncyclotomic():
         f = random_composite(rng, max_cleared_degree=10)
         cf = canonical_factorization(f)
         for q, _ in cf.prime_part:
-            assert q.is_monic
-            assert classify_cyclotomic(q) is None
+            assert q.leading_coefficient == 1
+            assert classify_by_fiber(q) is None
             # coprime to X^d - 1 for every candidate d up to the degree fiber
             for d in range(1, 13):
                 xd = QPoly([-1] + [0] * (d - 1) + [1])

@@ -9,10 +9,8 @@ from fractions import Fraction
 import pytest
 
 from puiseux import PuiseuxPoly, QPoly, ResourceLimitError, canonical_factorization, cyclotomic_poly
-from puiseux import factor_over_rationals
-from puiseux import squarefree_decompose
 from puiseux import _intpoly
-from puiseux.cyclotomic import split_cyclotomic
+from puiseux.cyclotomic import factor_primitive, split_cyclotomic
 from puiseux._intpoly import (
     MAX_LIFT_SIZE,
     _choose_prime,
@@ -45,9 +43,9 @@ from reference import (
     yun_squarefree,
     zassenhaus_all_subsets,
 )
-from randgen import expand, power, random_fraction, random_qpoly
+from randgen import power, random_fraction, random_qpoly
 
-X = QPoly.variable()
+X = QPoly([0, 1])
 
 
 def random_power_product(rng: random.Random) -> QPoly:
@@ -104,9 +102,9 @@ def test_squarefree_matches_fraction_oracle():
     cases = [EXAMPLE, EXAMPLE * power(X2_MINUS_2, 2) * Fraction(-5, 3)]
     cases += [random_power_product(rng) for _ in range(60)]
     for f in cases:
-        expected = [(QPoly(a), i) for a, i in q_squarefree(f.coeffs)]
-        assert squarefree_decompose(f) == expected
-    assert squarefree_decompose(EXAMPLE) == [(QPoly([Fraction(1, 3), 1]), 3), (X2_MINUS_2, 5)]
+        parts = [([Fraction(c, a[-1]) for c in a], i) for a, i in zz_squarefree(list(f.prim))]
+        assert parts == q_squarefree(f.coeffs)
+    assert zz_squarefree(list(EXAMPLE.prim)) == [([1, 3], 3), (list(X2_MINUS_2.prim), 5)]
 
 
 def test_pseudo_divmod_identity():
@@ -321,9 +319,10 @@ def test_sd16_of_x_squared_berlekamp_gcds(monkeypatch):
 def test_sparse_trinomial_factors_in_bounded_time():
     f = QPoly([1, 1] + [0] * 248 + [1])
     start = time.perf_counter()
-    result = factor_over_rationals(f)
+    cf = canonical_factorization(PuiseuxPoly.from_qpoly(f))
     elapsed = time.perf_counter() - start
-    assert result.factors == ((f, 1),)  # Selmer: X^n + X + 1 is irreducible for n = 1 mod 3
+    # Selmer: X^n + X + 1 is irreducible for n = 1 mod 3
+    assert cf.cyclotomic_part == () and cf.prime_part == ((f, 1),)
     assert elapsed < 8.0, f"X^250 + X + 1 took {elapsed:.2f}s"
 
 
@@ -350,10 +349,13 @@ def seven_phi_product() -> QPoly:
 
 def test_pure_cyclotomic_products_skip_zassenhaus(monkeypatch):
     for f in (seven_phi_product(), QPoly([-1] + [0] * 59 + [1])):
-        result, calls = count_calls(monkeypatch, "zz_factor_squarefree", lambda: factor_over_rationals(f))
+        (cyclotomic, other), calls = count_calls(
+            monkeypatch, "zz_factor_squarefree", lambda: factor_primitive(list(f.prim))
+        )
         assert calls == 0
-        assert expand(result) == f and all(m == 1 for _, m in result.factors)
-        assert len(result.factors) == (7 if f.degree == 116 else 12)
+        assert other == [] and all(e == 1 for _, e in cyclotomic)
+        assert math.prod((cyclotomic_poly(n) for n, _ in cyclotomic), start=QPoly([1])) == f
+        assert len(cyclotomic) == (7 if f.degree == 116 else 12)
 
 
 def test_canonical_factorization_looks_up_only_true_cyclotomic_factors():

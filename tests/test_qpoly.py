@@ -10,16 +10,17 @@ import pytest
 
 from puiseux import (
     DomainError,
+    PuiseuxPoly,
     QPoly,
+    canonical_factorization,
     cyclotomic_poly,
-    factor_over_rationals,
-    squarefree_decompose,
 )
 from puiseux._intpoly import (
     zz_add,
     zz_gcd,
     zz_mul,
     zz_mul_scalar,
+    zz_squarefree,
     zz_sub,
     zz_trial_div,
 )
@@ -35,9 +36,7 @@ from reference import (
     q_sub,
     strip,
 )
-from randgen import expand, power, random_qpoly
-
-X = QPoly.variable()
+from randgen import expand, factor_over_q, power, random_qpoly
 
 
 def _divmod_over_q(f, g) -> tuple[list[Fraction], list[Fraction]]:
@@ -98,13 +97,10 @@ def test_gcd_both_zero():
 
 def test_squarefree_examples():
     f = power(QPoly([-1, 1]), 2) * QPoly([1, 1])
-    assert sorted(squarefree_decompose(f), key=lambda t: t[1]) == [
-        (QPoly([1, 1]), 1),
-        (QPoly([-1, 1]), 2),
-    ]
-    f6 = QPoly([-1, 0, 0, 0, 0, 0, 1])
-    assert squarefree_decompose(f6) == [(f6, 1)]
-    assert squarefree_decompose(QPoly([0, 0, 1])) == [(X, 2)]
+    assert zz_squarefree(list(f.prim)) == [([1, 1], 1), ([-1, 1], 2)]
+    f6 = [-1, 0, 0, 0, 0, 0, 1]
+    assert zz_squarefree(f6) == [(f6, 1)]
+    assert zz_squarefree([0, 0, 1]) == [([0, 1], 2)]
 
 
 def test_squarefree_recomposition_random():
@@ -116,44 +112,38 @@ def test_squarefree_recomposition_random():
         g = f * power(random_qpoly(rng, max_degree=2), 2)
         if g.is_zero or g.degree == 0:
             continue
-        parts = squarefree_decompose(g)
-        recomposed = QPoly([1])
+        parts = zz_squarefree(list(g.prim))
+        recomposed = [1]
         for part, mult in parts:
-            assert part.is_monic
-            recomposed = recomposed * power(part, mult)
-        assert recomposed == g * (1 / g.leading_coefficient)
+            assert part[-1] > 0 and math.gcd(*part) == 1
+            for _ in range(mult):
+                recomposed = zz_mul(recomposed, part)
+        assert recomposed == list(g.prim)
         for i, (a, _) in enumerate(parts):
             for b, _ in parts[i + 1 :]:
-                assert zz_gcd(a.prim, b.prim)[0] == [1]
+                assert zz_gcd(a, b)[0] == [1]
 
 
 def test_factor_examples():
-    fact = factor_over_rationals(QPoly([-1, 0, 1]))
-    assert fact.constant == 1
-    assert fact.factors == ((QPoly([-1, 1]), 1), (QPoly([1, 1]), 1))
+    assert factor_over_q(QPoly([-1, 0, 1])) == (1, [(QPoly([-1, 1]), 1), (QPoly([1, 1]), 1)])
 
-    fact = factor_over_rationals(QPoly([2, 1, 0, 1]))
-    assert fact.factors == ((QPoly([1, 1]), 1), (QPoly([2, -1, 1]), 1))
+    assert factor_over_q(QPoly([2, 1, 0, 1]))[1] == [(QPoly([1, 1]), 1), (QPoly([2, -1, 1]), 1)]
 
     # X^4 + X^2 + 1 = (X^2+X+1)(X^2-X+1); checked by expansion.
     a, b = QPoly([1, 1, 1]), QPoly([1, -1, 1])
     assert a * b == QPoly([1, 0, 1, 0, 1])
-    fact = factor_over_rationals(QPoly([1, 0, 1, 0, 1]))
-    assert fact.factors == ((b, 1), (a, 1))
+    assert factor_over_q(QPoly([1, 0, 1, 0, 1]))[1] == [(b, 1), (a, 1)]
 
-    fact = factor_over_rationals(QPoly([-2, 0, 1]))
-    assert fact.factors == ((QPoly([-2, 0, 1]), 1),)
+    assert factor_over_q(QPoly([-2, 0, 1]))[1] == [(QPoly([-2, 0, 1]), 1)]
 
 
 def test_factor_zero_rejected():
     with pytest.raises(DomainError):
-        factor_over_rationals(QPoly())
+        canonical_factorization(PuiseuxPoly.from_qpoly(QPoly()))
     with pytest.raises(DomainError, match="leading coefficient"):
         QPoly().leading_coefficient
     with pytest.raises(DomainError, match="monomial split"):
         QPoly().split_monomial()
-    with pytest.raises(DomainError, match="zero polynomial"):
-        squarefree_decompose(QPoly())
 
 
 def _rational_root_free(p: QPoly) -> bool:
@@ -182,12 +172,12 @@ def test_factor_soundness_random():
         h = (f * g) if not (f * g).is_zero else QPoly([1, 1])
         if h.is_zero:
             continue
-        fact = factor_over_rationals(h)
-        assert expand(fact) == h
-        total = sum(m * p.degree for p, m in fact.factors)
+        constant, factors = factor_over_q(h)
+        assert expand(constant, factors) == h
+        total = sum(m * p.degree for p, m in factors)
         assert total == h.degree
-        for p, _ in fact.factors:
-            assert p.is_monic
+        for p, _ in factors:
+            assert p.leading_coefficient == 1
             if 2 <= p.degree <= 3:
                 assert _rational_root_free(p)
 
@@ -208,9 +198,8 @@ def test_factor_matches_kronecker_oracle():
             continue
         cases.append(h)
     for h in cases:
-        fact = factor_over_rationals(h)
         mine = []
-        for p, m in fact.factors:
+        for p, m in factor_over_q(h)[1]:
             mine.extend([p.coeffs] * m)
         mine.sort(key=lambda t: (len(t), t))
         assert tuple(mine) == kronecker_monic_factors(list(h.prim))
@@ -218,10 +207,10 @@ def test_factor_matches_kronecker_oracle():
 
 def test_factor_deterministic_order():
     f = QPoly([-1, 0, 0, 0, 0, 0, 1]) * QPoly([2, -1, 1])
-    first = factor_over_rationals(f)
-    second = factor_over_rationals(f)
+    first = factor_over_q(f)
+    second = factor_over_q(f)
     assert first == second
-    degrees = [p.degree for p, _ in first.factors]
+    degrees = [p.degree for p, _ in first[1]]
     assert degrees == sorted(degrees)
 
 
