@@ -128,6 +128,13 @@ def zz_trial_div(f: list[int], g: list[int]) -> list[int] | None:
     return zz_strip(q)
 
 
+def zz_eval(f: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+    return v
+
+
 def zz_eval_pow2(f: list[int], k: int) -> int:
     """f(2^k), by halves: lo + X^m * hi gives lo(2^k) + (hi(2^k) << k*m).
     Horner's rule shifts an ever longer integer once per coefficient, which
@@ -282,17 +289,6 @@ def gf_gcdex(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int], 
     )
 
 
-def gf_pow_mod(f: list[int], n: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = gf_rem(f, mod, p)
-    while n:
-        if n & 1:
-            result = gf_rem(gf_mul(result, base, p), mod, p)
-        base = gf_rem(gf_mul(base, base, p), mod, p)
-        n >>= 1
-    return result
-
-
 def gf_is_squarefree(f: list[int], p: int) -> bool:
     d = zz_strip([(i * c) % p for i, c in enumerate(f)][1:])
     return bool(d) and zz_deg(gf_gcd(f, d, p)) == 0
@@ -330,25 +326,36 @@ def gf_nullspace(a: list[list[int]], p: int) -> list[list[int]]:
 def gf_berlekamp(f: list[int], p: int) -> list[list[int]]:
     """Irreducible monic factors of a monic squarefree f over F_p (Berlekamp).
 
-    Splitting follows one rule.  Every v in the Berlekamp subalgebra
-    {v : v^p = v mod f} is congruent to a constant modulo each irreducible
-    factor of f.  For each basis vector v, a piece w is reduced to
-    u = v mod w.  If u is constant, v takes one value on every factor of w
-    and cannot split it, so w stays whole.  Otherwise w is replaced by the
-    non-trivial gcd(w, u - c) = gcd(w, v - c) for c = 0, ..., p - 1 in
-    increasing order; these multiply back to w, because w is squarefree and
-    divides v^p - v = prod_c (v - c).  Deterministic: the basis comes from
-    Gaussian elimination, and the factors are returned sorted.
+    The matrix rows X^(p*i) mod f, i < n = deg f, are every p-th step of one
+    walk through the powers of X modulo f: a shift, then top * f subtracted,
+    n operations a step.  The p*n^2 operations are no more than repeated
+    squaring and n products modulo f cost while p <= 2n, and a larger p
+    already costs p gcds in every split below.
+
+    Every v in the Berlekamp subalgebra {v : v^p = v mod f} is congruent to
+    a constant modulo each irreducible factor of f.  For each basis vector
+    v, a piece w is reduced to u = v mod w, and while u is not constant the
+    non-trivial gcd(w, u - c) for c = 0, 1, ... in increasing order splits
+    off the factors of w on which v takes the value c; they are divided out
+    of w, and u is reduced modulo what is left.  Once u is constant, v takes
+    one value on every factor of the rest, which is then a single piece, and
+    the remaining values of c are not tried.  Deterministic: the basis comes
+    from Gaussian elimination, and the factors are returned sorted.
     """
     n = zz_deg(f)
-    rows = []
-    xp = gf_pow_mod([0, 1], p, f, p)
-    cur = [1]
-    for _ in range(n):
-        rows.append(cur + [0] * (n - len(cur)))
-        cur = gf_rem(gf_mul(cur, xp, p), f, p)
+    f0, rest = f[0], f[1:n]
+    cur = [1] + [0] * (n - 1)
+    rows = [cur]
+    for _ in range(n - 1):
+        for _ in range(p):
+            top = cur[-1]
+            if top:
+                cur = [-top * f0 % p] + [(c - top * g) % p for c, g in zip(cur, rest)]
+            else:
+                cur = [0] + cur[:-1]
+        rows.append(cur)
     # v is in the Berlekamp subalgebra iff v(X^p) = v(X) mod f, i.e. R^T v = v.
-    a = [[rows[j][i] for j in range(n)] for i in range(n)]
+    a = [list(col) for col in zip(*rows)]
     for i in range(n):
         a[i][i] = (a[i][i] - 1) % p
     basis = gf_nullspace(a, p)
@@ -359,13 +366,15 @@ def gf_berlekamp(f: list[int], p: int) -> list[list[int]]:
         refined = []
         for w in factors:
             u = gf_rem(v, w, p)
-            if zz_deg(u) <= 0:
-                refined.append(w)
-                continue
-            for c in range(p):
+            c = 0
+            while zz_deg(u) > 0:
                 g = gf_gcd(w, gf_sub(u, [c], p), p)
                 if zz_deg(g) >= 1:
                     refined.append(g)
+                    w = gf_divmod(w, g, p)[0]
+                    u = gf_rem(u, w, p)
+                c += 1
+            refined.append(w)
         factors = refined
     return sorted(factors, key=lambda g: (len(g), g))
 
@@ -455,13 +464,19 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     quadratic Hensel lifting past the Mignotte bound, then subset
     recombination in increasing size and lexicographic order.
 
-    A subset is multiplied out and trial-divided only after two necessary
-    tests modulo p^l on its lifted factors (Abbott, Shoup & Zimmermann,
-    ISSAC 2000).  If cur = g*h and the subset lifts g, then lc(cur) times
-    the product of its monic lifts is lc(h)*g in the symmetric residue
-    system, so its next-to-leading coefficient lies within the Mignotte
-    bound, and its constant term lc(h)*g(0) divides lc(cur)*cur(0) when
-    cur(0) != 0.
+    A subset is multiplied out and trial-divided only after four necessary
+    tests modulo p^l (Abbott, Shoup & Zimmermann, ISSAC 2000) on a table of
+    each lifted factor's next-to-leading coefficient and values at 0, 1, -1.
+    If cur = g*h over Z and the subset lifts g, then lc(cur) times the
+    product of its monic lifts is lc(h)*g modulo p^l.  So the symmetric
+    residue of its next-to-leading coefficient lies within the bound, and
+    for x in 0, 1, -1 with cur(x) != 0 that of lc(h)*g(x) is nonzero and
+    divides lc(cur)*cur(x) = lc(h)*g(x) * lc(g)*h(x).  The residues are the
+    true values: with M the Mahler measure, |lc(h)*g(x)| and the coefficients
+    of lc(h)*g are at most 2^(deg g)*|lc(h)|*M(g) <= 2^n*M(cur) <= 2^n*M(f)
+    <= 2^n*sqrt(n+1)*|f|_inf <= bound < p^l/2, as cur divides f.  A subset
+    that fails a test lifts no factor, so the factors found are those of
+    trial division alone.
 
     An f with ``deg f * bit_length(bound) > MAX_LIFT_SIZE`` raises
     :class:`ResourceLimitError` before a prime is chosen.
@@ -486,6 +501,8 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
         pl *= p
         l += 1
     lifted = zz_hensel_lift(p, f, modular, l)
+    trace = [g[-2] for g in lifted]
+    values = [[zz_eval(g, x) % pl for g in lifted] for x in (0, 1, -1)]
 
     result = []
     remaining = list(range(len(lifted)))
@@ -493,30 +510,33 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     size = 1
     while 2 * size <= len(remaining):
         lc = cur[-1]
+        targets = [lc * zz_eval(cur, x) for x in (0, 1, -1)]
+        tests = [(vals, t) for vals, t in zip(values, targets) if t]
         for subset in combinations(remaining, size):
-            c1 = lc * sum(lifted[i][-2] for i in subset) % pl
-            if min(c1, pl - c1) > bound:
+            c = lc * sum(trace[i] for i in subset) % pl
+            if min(c, pl - c) > bound:
                 continue
-            if cur[0]:
-                c0 = lc
+            for vals, target in tests:
+                c = lc
                 for i in subset:
-                    c0 = c0 * lifted[i][0] % pl
-                if c0 > pl // 2:
-                    c0 -= pl
-                if c0 == 0 or lc * cur[0] % c0:
-                    continue
-            cand = [lc]
-            for i in subset:
-                cand = zz_mul(cand, lifted[i])
-            cand = zz_trunc_sym(cand, pl)
-            _, cand = zz_primitive(cand)
-            q = zz_trial_div(cur, cand)
-            if q is not None:
-                result.append(cand)
-                cur = q
-                chosen = set(subset)
-                remaining = [i for i in remaining if i not in chosen]
-                break
+                    c = c * vals[i] % pl
+                if c > pl // 2:
+                    c -= pl
+                if c == 0 or target % c:
+                    break
+            else:
+                cand = [lc]
+                for i in subset:
+                    cand = zz_mul(cand, lifted[i])
+                cand = zz_trunc_sym(cand, pl)
+                _, cand = zz_primitive(cand)
+                q = zz_trial_div(cur, cand)
+                if q is not None:
+                    result.append(cand)
+                    cur = q
+                    chosen = set(subset)
+                    remaining = [i for i in remaining if i not in chosen]
+                    break
         else:
             size += 1
     if zz_deg(cur) >= 1:

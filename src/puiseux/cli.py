@@ -28,7 +28,15 @@ from .engine import (
     is_atom_in_algebra,
 )
 from .errors import DomainError, ParseError, ResourceLimitError
-from .textform import format_monoid, format_poly, format_rat, parse_monoid, parse_poly, parse_rat
+from .textform import (
+    _digit_limit_error,
+    format_monoid,
+    format_poly,
+    format_rat,
+    parse_monoid,
+    parse_poly,
+    parse_rat,
+)
 
 _EXIT_CODES = {
     "ok": 0,
@@ -60,12 +68,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(text: str) -> int:
-    """An optional '-' and ASCII digits, as the wire format writes integers."""
-    try:
-        if text.isascii() and text.removeprefix("-").isdigit():
+    """An optional '-' and ASCII digits, as the wire format writes integers.
+
+    A number past the interpreter's int/str digit limit is a resource limit,
+    as in the grammar; argparse lets a ``ResourceLimitError`` through.
+    """
+    if text.isascii() and text.removeprefix("-").isdigit():
+        try:
             return int(text)
-    except ValueError:  # past the interpreter's digit limit
-        pass
+        except ValueError:
+            raise _digit_limit_error() from None
     raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
 
 

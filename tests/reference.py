@@ -11,9 +11,10 @@ The exceptions are the references at the end, from Berlekamp on.  The
 Berlekamp and Zassenhaus references reuse the kernel's arithmetic, null
 space, prime choice and Berlekamp, and keep in textbook form the steps that
 the kernel shortcuts:
-Berlekamp's splitting loop takes gcd(w, v - c) for every piece w of degree
-at least 2 and every c in F_p, Hensel steps divide by pseudo-division over
-Z, and recombination trial-divides every subset.  Factorization over Q
+Berlekamp's matrix comes from X^p mod f by repeated squaring, its splitting
+loop takes gcd(w, v - c) for every piece w of degree at least 2 and every c
+in F_p, Hensel steps divide by pseudo-division over Z, and recombination
+trial-divides every subset.  Factorization over Q
 without the cyclotomic split runs the kernel's Yun split and Zassenhaus on
 every squarefree part, cyclotomic factors included.  The cyclotomic
 recognizer compares a monic irreducible factor with the library's
@@ -435,6 +436,18 @@ def brute_divisor_set(terms, generators):
 
 # -- Berlekamp with an exhaustive splitting scan -----------------------------
 
+def gf_pow_mod(f, n, mod, p):
+    """f^n modulo mod over F_p, by repeated squaring."""
+    result = [1]
+    base = zz.gf_rem(f, mod, p)
+    while n:
+        if n & 1:
+            result = zz.gf_rem(zz.gf_mul(result, base, p), mod, p)
+        base = zz.gf_rem(zz.gf_mul(base, base, p), mod, p)
+        n >>= 1
+    return result
+
+
 def berlekamp_scan(f, p):
     """Irreducible monic factors of a monic squarefree f over F_p, sorted:
     every basis vector v of the Berlekamp subalgebra is tried on every piece
@@ -443,7 +456,7 @@ def berlekamp_scan(f, p):
     if n <= 1:
         return [f]
     rows = []
-    xp = zz.gf_pow_mod([0, 1], p, f, p)
+    xp = gf_pow_mod([0, 1], p, f, p)
     cur = [1]
     for _ in range(n):
         rows.append(cur + [0] * (n - len(cur)))

@@ -104,6 +104,9 @@ def test_exit_codes():
         (["lemma21", "X+1", "--field", "F\u0663"], 2),
         (["lemma21", "X+1", "--field", "F1_1"], 2),
         (["lemma21", "X+1", "--field", "F+7"], 2),
+        # integer arguments past the digit limit, as in the grammar
+        (["cyclotomic", "1" * 5000], 3),
+        (["lemma21", "X+1", "--field", "F" + "1" * 5000], 3),
     ],
 )
 def test_digits_end_in_an_exit_code(argv, code):

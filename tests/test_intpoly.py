@@ -276,6 +276,11 @@ def count_berlekamp_gcds(monkeypatch, f: list[int]) -> tuple[int, list[list[int]
     return p, factors, calls
 
 
+def sd16_times_x2_minus_3() -> list[int]:
+    """SD16(2, 3, 5, 7) * (X^2 - 3), the median op of the factor benchmark."""
+    return zz_mul(swinnerton_dyer([2, 3, 5, 7]), [-3, 0, 1])
+
+
 def sd16_of_x_squared() -> list[int]:
     sd16 = swinnerton_dyer([2, 3, 5, 7])
     f = [0] * (2 * len(sd16) - 1)
@@ -292,28 +297,49 @@ def test_sd32_recombination_trial_divisions(monkeypatch):
     sd32 = swinnerton_dyer([2, 3, 5, 7, 11])
     factors, calls = count_trial_divisions(monkeypatch, sd32)
     assert factors == [sd32]
-    assert calls <= 300  # 39,202 without the pre-tests
+    assert calls == 0  # 232 with the constant-term pre-test alone, 39,202 with none
 
 
 def test_sd16_of_x_squared_trial_divisions(monkeypatch):
     f = sd16_of_x_squared()
     factors, calls = count_trial_divisions(monkeypatch, f)
     assert factors == [f]
-    assert calls <= 200  # 2,509 without the pre-tests
+    assert calls == 0  # 24 with the constant-term pre-test alone, 2,509 with none
+
+
+def test_sd16_times_x2_minus_3_trial_divisions(monkeypatch):
+    f = sd16_times_x2_minus_3()
+    factors, calls = count_trial_divisions(monkeypatch, f)
+    assert factors == [[-3, 0, 1], swinnerton_dyer([2, 3, 5, 7])]
+    assert calls <= 1  # 11 with the constant-term pre-test alone
+
+
+def test_three_sd8_trial_divisions(monkeypatch):
+    # the next-to-leading coefficient rejects two subsets that pass all value tests
+    sd8s = [swinnerton_dyer(ps) for ps in ([2, 5, 11], [2, 7, 11], [3, 5, 7])]
+    factors, calls = count_trial_divisions(monkeypatch, zz_mul(zz_mul(sd8s[0], sd8s[1]), sd8s[2]))
+    assert sorted(factors) == sorted(sd8s)
+    assert calls <= 2  # 4 with the value tests alone, 6 with the constant-term pre-test alone
 
 
 def test_sd32_berlekamp_gcds(monkeypatch):
     sd32 = swinnerton_dyer([2, 3, 5, 7, 11])
     p, factors, calls = count_berlekamp_gcds(monkeypatch, sd32)
     assert p == 19 and len(factors) == 16
-    assert calls <= 100  # 551 when irreducible pieces are rescanned
+    assert calls <= 28  # 76 when every c is tried, 551 when whole pieces are rescanned
 
 
 def test_sd16_of_x_squared_berlekamp_gcds(monkeypatch):
     f = sd16_of_x_squared()
     p, factors, calls = count_berlekamp_gcds(monkeypatch, f)
     assert p == 11 and len(factors) == 12
-    assert calls <= 80  # 363 when irreducible pieces are rescanned
+    assert calls <= 23  # 55 when every c is tried, 363 when whole pieces are rescanned
+
+
+def test_sd16_times_x2_minus_3_berlekamp_gcds(monkeypatch):
+    p, factors, calls = count_berlekamp_gcds(monkeypatch, sd16_times_x2_minus_3())
+    assert p == 11 and len(factors) == 10
+    assert calls <= 23  # 33 when every c is tried
 
 
 def test_sparse_trinomial_factors_in_bounded_time():
@@ -407,10 +433,13 @@ def test_recombination_pretests_match_all_subsets():
     cases = [
         zz_mul([0, 1], swinnerton_dyer([2, 3, 5])),  # f(0) = 0, even cofactor
         zz_mul([-2, 0, 1], [-3, 0, 1]),  # next-to-leading coefficient 0
-        zz_mul([1, 3], zz_mul([-5, 2], [7, 0, 2])),  # non-monic lifts
+        zz_mul([1, 3], zz_mul([-5, 2], [7, 0, 2])),  # non-monic lifts, lc = 12
+        zz_mul([-1, 1], swinnerton_dyer([2, 3, 5])),  # f(1) = 0: no value test at 1
+        zz_mul([1, 1], [-2, 0, 1]),  # f(-1) = 0: no value test at -1
+        zz_mul(zz_mul([-1, 1], [1, 1]), zz_mul([0, 1], [-3, 0, 2])),  # zero at 0, 1 and -1
     ]
     checked = 0
-    while checked < 40:
+    while checked < 43:
         f = cases.pop() if cases else random_squarefree_product(rng)
         if len(f) < 3 or zz_squarefree(f) != [(f, 1)]:
             continue
@@ -465,3 +494,26 @@ def test_berlekamp_matches_exhaustive_scan():
         fp = gf_monic(gf_normal(f, p), p)
         assert gf_berlekamp(fp, p) == berlekamp_scan(fp, p), (f, p)
         checked += 1
+
+
+def random_gf_product(rng: random.Random, p: int, degree: int) -> list[int]:
+    """A monic squarefree f over F_p of degree at most ``degree``: a product of
+    random monic factors of degree 1 to 4, skipping any that would repeat a
+    factor of the product so far."""
+    f = [1]
+    for _ in range(4 * degree):
+        k = rng.randint(1, 4)
+        if len(f) + k <= degree + 1:
+            g = gf_mul(f, [rng.randrange(p) for _ in range(k)] + [1], p)
+            if gf_is_squarefree(g, p):
+                f = g
+    return f
+
+
+@pytest.mark.parametrize("p, degree", [(29, 10), (53, 10), (97, 10), (3, 40), (5, 40)])
+def test_berlekamp_matrix_walk_matches_squaring(p, degree):
+    # p > 2 deg f walks further than squaring needs; p in {3, 5} walks a large matrix
+    rng = random.Random(p * degree)
+    for _ in range(12):
+        f = random_gf_product(rng, p, degree)
+        assert gf_berlekamp(f, p) == berlekamp_scan(f, p), (f, p)
