@@ -20,6 +20,8 @@ from .exact import is_prime
 # X^400 + X + 1 (size 162000) still factors, in about 6 s; X^500 + X + 1,
 # whose rest has size 251000, took 13 s.
 MAX_LIFT_SIZE = 170_000
+# It also refuses once its recombination would pre-test more subsets than this.
+MAX_SUBSETS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +481,8 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     trial division alone.
 
     An f with ``deg f * bit_length(bound) > MAX_LIFT_SIZE`` raises
-    :class:`ResourceLimitError` before a prime is chosen.
+    :class:`ResourceLimitError` before a prime is chosen, and so does one
+    whose recombination would pre-test more than ``MAX_SUBSETS`` subsets.
     """
     n = zz_deg(f)
     if n == 1:
@@ -508,7 +511,13 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     remaining = list(range(len(lifted)))
     cur = f
     size = 1
+    subsets = 0
     while 2 * size <= len(remaining):
+        subsets += math.comb(len(remaining), size)
+        if subsets > MAX_SUBSETS:
+            raise ResourceLimitError(
+                f"{subsets} recombination subsets exceed the cap of {MAX_SUBSETS}"
+            )
         lc = cur[-1]
         targets = [lc * zz_eval(cur, x) for x in (0, 1, -1)]
         tests = [(vals, t) for vals, t in zip(values, targets) if t]

@@ -90,10 +90,11 @@ def _parse_field(spec: str) -> int:
     raise _UsageError(f"field must look like F2, F3, ... (got {spec!r})")
 
 
-def _limit(args) -> int:
-    if args.limit < 0:
-        raise _UsageError(f"--limit must not be negative (got {args.limit})")
-    return args.limit
+def _limit(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise _UsageError(f"--limit must not be negative (got {value})")
+    return value
 
 
 # -- command handlers: each returns (payload, human-readable text) ----------
@@ -142,16 +143,10 @@ def _cmd_symsupp(args):
     return payload, text
 
 
-def _require_monoid(args):
-    if args.monoid is None:
-        raise _UsageError("this command requires --monoid \"<g1, g2, ...>\"")
-    return parse_monoid(args.monoid)
-
-
 def _cmd_divisors(args):
     f = parse_poly(args.poly)
-    monoid = _require_monoid(args)
-    result = divisors_in_algebra(f, monoid, limit=_limit(args))
+    monoid = parse_monoid(args.monoid)
+    result = divisors_in_algebra(f, monoid, limit=args.limit)
     listed = [format_poly(g) for g in result.divisors]
     payload = {
         "element": format_poly(f),
@@ -168,8 +163,8 @@ def _cmd_divisors(args):
 
 def _cmd_atom(args):
     f = parse_poly(args.poly)
-    monoid = _require_monoid(args)
-    verdict = is_atom_in_algebra(f, monoid, limit=_limit(args))
+    monoid = parse_monoid(args.monoid)
+    verdict = is_atom_in_algebra(f, monoid, limit=args.limit)
     payload = {
         "element": format_poly(f),
         "monoid": format_monoid(monoid),
@@ -180,8 +175,8 @@ def _cmd_atom(args):
 
 def _cmd_count(args):
     f = parse_poly(args.poly)
-    monoid = _require_monoid(args)
-    count = ff_divisor_count(f, monoid, limit=_limit(args))
+    monoid = parse_monoid(args.monoid)
+    count = ff_divisor_count(f, monoid, limit=args.limit)
     payload = {
         "element": format_poly(f),
         "monoid": format_monoid(monoid),
@@ -283,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = add(name, handler, summary)
         p.add_argument("poly")
-        p.add_argument("--monoid", help='monoid literal, e.g. "<2, 3>"')
+        p.add_argument("--monoid", required=True, help='monoid literal, e.g. "<2, 3>"')
         p.add_argument(
-            "--limit", type=_integer, default=DEFAULT_DIVISOR_LIMIT,
+            "--limit", type=_limit, default=DEFAULT_DIVISOR_LIMIT,
             help="candidate-combination cap",
         )
     p = add("cyclotomic", _cmd_cyclotomic, "print the n-th cyclotomic polynomial")

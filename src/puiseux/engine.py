@@ -132,14 +132,15 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
     """A generator of the kept (t, choice) keys of f's divisors in Q[S], and
     the function that builds the monic divisor of a key.
 
-    f is scaled into a numerical monoid N as X^k times a primitive core,
-    factored over Z.  A key pairs a split t (t and k - t in N) with one
-    exponent per factor, naming the divisor X^t * g with cofactor
-    X^(k-t) * h.  The factors are pairwise non-associate, so distinct keys
-    name distinct classes.  Every exponent at or above the conductor c of N
-    is a member, so only the coefficients of g and h below degree c decide
-    a key, and the walk multiplies factor powers truncated there.  By
-    Gauss's lemma the integer associates have the supports of the factors.
+    f is scaled into a numerical monoid N, where canonical_factorization
+    gives it as X^k times factors, taken primitive over Z.  A key pairs a
+    split t (t and k - t in N) with one exponent per factor, naming the
+    divisor X^t * g with cofactor X^(k-t) * h.  The factors are pairwise
+    non-associate, so distinct keys name distinct classes.  Every exponent
+    at or above the conductor c of N is a member, so only the coefficients
+    of g and h below degree c decide a key, and the walk multiplies factor
+    powers truncated there.  By Gauss's lemma the integer associates have
+    the supports of the factors.
     """
     if f.is_zero:
         raise DomainError("divisors of the zero element are undefined")
@@ -147,17 +148,18 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
         if not monoid.contains(s):
             raise DomainError(f"support exponent {s} lies outside the monoid")
     scale, numerical = monoid.normalization()
-    cleared = f.to_qpoly(scale)
-    k, core = cleared.split_monomial()
-    cyclotomic, other = factor_primitive(list(core.prim))
-    factors = [(cyclotomic_poly(n).prim, e) for n, e in cyclotomic] + other
-
+    cf = canonical_factorization(f.substitute(scale))
+    k = int(cf.monomial_exponent)
     splits = numerical.divisors(k)
-    combinations = len(splits) * math.prod(m + 1 for _, m in factors)
+    parts = cf.cyclotomic_part + cf.prime_part
+    combinations = len(splits) * math.prod(e + 1 for _, e in parts)
     if combinations > limit:
         raise ResourceLimitError(
             f"{combinations} candidate divisors exceed the cap of {limit}"
         )
+    # Past the cap, so a binomial with many indices builds no Phi_n.
+    factors = [(cyclotomic_poly(n).prim, e) for n, e in cf.cyclotomic_part]
+    factors += [(q.prim, l) for q, l in cf.prime_part]
 
     powers = []
     for g, mult in factors:

@@ -177,6 +177,15 @@ def test_sparse_binomial_factors_in_bounded_memory():
     assert elapsed < 2.0
 
 
+def test_binomial_with_many_modular_factors_hits_the_subset_cap():
+    # 39 factors mod 7: about 2^38 subsets, which ran for minutes uncapped
+    start = time.perf_counter()
+    result = run_command(["factor", "X^120+566292", "--json"])
+    assert result.exit_code == 3
+    assert json.loads(result.text)["status"] == "resource-limit"
+    assert time.perf_counter() - start < 5.0
+
+
 def test_sparse_trinomial_hits_the_dense_degree_cap():
     proc, elapsed = _run_capped(["factor", "X^3000000+X+1", "--json"])
     assert proc.returncode == 3, proc.stderr

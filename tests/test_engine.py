@@ -413,6 +413,26 @@ def test_cyclotomic_rich_dense_factorization_is_fast():
         assert recompose(cf) == f
 
 
+def test_binomials_past_the_dense_cap_reach_the_divisor_walk():
+    # X^65537 - 1 = Phi_1 * Phi_65537 is read off its two terms, never made dense
+    f, S = parse_poly("X^65537 - 1"), PuiseuxMonoid([1])
+    phi = PuiseuxPoly.from_qpoly(cyclotomic_poly(65537))
+    assert divisors_in_algebra(f, S).divisors == (PuiseuxPoly.one(), parse_poly("X - 1"), phi, f)
+    assert ff_divisor_count(f, S) == 4
+    assert not is_atom_in_algebra(f, S)
+    assert ff_divisor_count(f, PuiseuxMonoid([2, 3])) == 2
+
+
+def test_divisor_cap_refuses_before_building_any_phi(monkeypatch):
+    # X^3000000 - 1 has 98 cyclotomic indices, so 2^98 combinations
+    built = []
+    build = engine.cyclotomic_poly
+    monkeypatch.setattr(engine, "cyclotomic_poly", lambda n: built.append(n) or build(n))
+    with pytest.raises(ResourceLimitError, match="candidate divisors"):
+        ff_divisor_count(parse_poly("X^3000000 - 1"), PuiseuxMonoid([1]))
+    assert built == []
+
+
 def test_resource_limit_guard():
     S = PuiseuxMonoid([1])
     f = parse_poly("X^6 - 1")

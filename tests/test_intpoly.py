@@ -13,6 +13,7 @@ from puiseux import _intpoly
 from puiseux.cyclotomic import factor_primitive, split_cyclotomic
 from puiseux._intpoly import (
     MAX_LIFT_SIZE,
+    MAX_SUBSETS,
     _choose_prime,
     _mignotte_bound,
     gf_berlekamp,
@@ -364,6 +365,26 @@ def test_lifting_cap_admits_x400_and_refuses_larger_trinomials():
     with pytest.raises(ResourceLimitError, match="cap"):
         zz_factor_squarefree(x1000)
     assert time.perf_counter() - start < 0.1
+
+
+def test_recombination_cap_refuses_sd64_quickly():
+    sd64 = swinnerton_dyer([2, 3, 5, 7, 11, 13])
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="subsets"):
+        zz_factor_squarefree(sd64)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_recombination_cap_counts_every_planned_subset(monkeypatch):
+    # SD32 splits into 16 factors mod 19, and its passes plan
+    # C(16, 1) + ... + C(16, 8) = 39,202 subsets
+    sd32 = swinnerton_dyer([2, 3, 5, 7, 11])
+    assert MAX_SUBSETS >= 39_202
+    monkeypatch.setattr(_intpoly, "MAX_SUBSETS", 39_202)
+    assert zz_factor_squarefree(sd32) == [sd32]
+    monkeypatch.setattr(_intpoly, "MAX_SUBSETS", 39_201)
+    with pytest.raises(ResourceLimitError, match="39202 recombination subsets"):
+        zz_factor_squarefree(sd32)
 
 
 def seven_phi_product() -> QPoly:
