@@ -34,6 +34,9 @@ from .ppoly import PuiseuxPoly
 from .qpoly import QPoly
 
 DEFAULT_DIVISOR_LIMIT = 1 << 20
+# Coefficient products that building the divisors of one element may take,
+# about ten seconds; a stored divisor term counts as 64 of them.
+MAX_BUILD_WORK = 1 << 28
 
 
 class CanonicalFactorization(NamedTuple):
@@ -140,7 +143,9 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
     at or above the conductor c of N is a member, so only the coefficients
     of g and h below degree c decide a key, and the walk multiplies factor
     powers truncated there.  By Gauss's lemma the integer associates have
-    the supports of the factors.
+    the supports of the factors.  Only build multiplies out to full degree,
+    so it refuses when its work could pass :data:`MAX_BUILD_WORK`, and the
+    walk alone serves counts and atom tests of larger elements.
     """
     if f.is_zero:
         raise DomainError("divisors of the zero element are undefined")
@@ -167,6 +172,15 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
         for _ in range(mult):
             row.append(zz_mul(row[-1], g))
         powers.append(row)
+    # build multiplies each prefix of a choice out at most once: the nodes
+    # prefixes before a factor, of mean degree degree / 2, each times every
+    # nonzero power of it.  Each divisor it stores has mean degree degree / 2.
+    work, nodes, degree = 0, 1, 0
+    for row in powers:
+        work += nodes * (degree + 2) // 2 * sum(map(len, row[1:]))
+        nodes *= len(row)
+        degree += len(row[-1]) - 1
+    work += 64 * combinations * (degree + 2) // 2
     c = numerical.conductor
     low = [[p[:c] for p in row] for row in powers]
     member = numerical.contains
@@ -195,6 +209,11 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
     coefficient = lru_cache(maxsize=None)(Fraction)
 
     def build(key: tuple[int, tuple[int, ...]]) -> PuiseuxPoly:
+        if work > MAX_BUILD_WORK:
+            raise ResourceLimitError(
+                f"building the divisors takes up to {work} coefficient products,"
+                f" past the cap of {MAX_BUILD_WORK}"
+            )
         t, choice = key
         i = 0
         while i < len(last) and last[i] == choice[i]:
@@ -222,8 +241,10 @@ def divisors_in_algebra(
     combination is walked on products truncated below the conductor of N,
     the only degrees whose exponents can fall outside N; a combination whose
     divisor and cofactor pass is kept and only then multiplied out.  The
-    number of combinations is capped by ``limit``; exceeding it raises
-    :class:`ResourceLimitError` rather than truncating.
+    number of combinations is capped by ``limit``, and the coefficient
+    products that building them may take by :data:`MAX_BUILD_WORK`;
+    exceeding either raises :class:`ResourceLimitError` rather than
+    truncating.
     """
     keys, build = _divisor_walk(f, monoid, limit)
     ordered = tuple(sorted(map(build, keys), key=lambda g: (g.degree, g.terms)))

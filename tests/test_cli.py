@@ -186,6 +186,14 @@ def test_binomial_with_many_modular_factors_hits_the_subset_cap():
     assert time.perf_counter() - start < 5.0
 
 
+def test_divisors_of_a_binomial_too_large_to_build_hit_the_build_cap():
+    # 2^18 classes of mean degree 2^16; count still walks them without building
+    proc, elapsed = _run_capped(["divisors", "X^131072-1", "--monoid", "<1>", "--json"])
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "resource-limit"
+    assert elapsed < 5.0
+
+
 def test_sparse_trinomial_hits_the_dense_degree_cap():
     proc, elapsed = _run_capped(["factor", "X^3000000+X+1", "--json"])
     assert proc.returncode == 3, proc.stderr

@@ -433,6 +433,24 @@ def test_divisor_cap_refuses_before_building_any_phi(monkeypatch):
     assert built == []
 
 
+def test_build_cap_refuses_binomials_whose_divisors_are_too_large_to_build():
+    # X^131072 - 1 has 2^18 classes of mean degree 2^16; X^131074 - 1 has 16,
+    # but building them multiplies Phi_65537 by Phi_131074 in schoolbook
+    S = PuiseuxMonoid([1])
+    for f, T in (
+        (parse_poly("X^131072 - 1"), S),
+        (parse_poly("X - 1"), PuiseuxMonoid([Rat(1, 131072)])),
+        (parse_poly("X^131074 - 1"), S),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="coefficient products"):
+            divisors_in_algebra(f, T)
+        assert time.perf_counter() - start < 2.0
+    # the walk builds nothing, so counts and atom tests are still answered
+    assert ff_divisor_count(parse_poly("X^131074 - 1"), S) == 16
+    assert not is_atom_in_algebra(parse_poly("X^131072 - 1"), S)
+
+
 def test_resource_limit_guard():
     S = PuiseuxMonoid([1])
     f = parse_poly("X^6 - 1")
