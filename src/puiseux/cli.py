@@ -62,9 +62,17 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}error: {message}")
+
+    def print_help(self, file=None):
+        # -h hands the text back to run_command instead of printing and exiting.
+        raise _Help(self.format_help().rstrip("\n"))
 
 
 def _integer(text: str) -> int:
@@ -316,6 +324,8 @@ def run_command(argv: list[str]) -> CommandResult:
         args = build_parser().parse_args(argv)
         as_json = args.json
         payload, text = args.handler(args)
+    except _Help as exc:
+        return finish("ok", {"help": str(exc)}, str(exc))
     except ParseError as exc:
         return finish("parse-error", {"error": str(exc)}, f"parse error: {exc}")
     except _UsageError as exc:

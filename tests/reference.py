@@ -13,8 +13,12 @@ space, prime choice and Berlekamp, and keep in textbook form the steps that
 the kernel shortcuts:
 Berlekamp's matrix comes from X^p mod f by repeated squaring, its splitting
 loop takes gcd(w, v - c) for every piece w of degree at least 2 and every c
-in F_p, Hensel steps divide by pseudo-division over Z, and recombination
-trial-divides every subset.  Factorization over Q
+in F_p, Hensel lifting follows the binary factor tree with one extended gcd
+per inner node and steps that divide by pseudo-division over Z, where the
+kernel lifts every factor in one Newton iteration, and recombination
+trial-divides every subset.  Division modulo m reduces every working
+coefficient at every step, where the kernel reduces only the quotient
+digits it reads and the remainder it returns.  Factorization over Q
 without the cyclotomic split runs the kernel's Yun split and Zassenhaus on
 every squarefree part, cyclotomic factors included.  The cyclotomic
 recognizer compares a monic irreducible factor with the library's
@@ -60,6 +64,19 @@ def strip(f):
     while f and f[-1] == 0:
         f.pop()
     return f
+
+
+def add(f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] += c
+    return strip(out)
+
+
+def scale(f, a):
+    return strip([c * a for c in f])
 
 
 def mul(f, g):
@@ -434,6 +451,23 @@ def brute_divisor_set(terms, generators):
     return results
 
 
+# -- schoolbook division modulo m -------------------------------------------
+
+def gf_divmod_eager(f, g, m):
+    """(q, r) with f = q*g + r modulo m and deg r < deg g, for lc(g) a unit
+    mod m: every working coefficient is reduced mod m at every step."""
+    n = len(g) - 1
+    inv = pow(g[-1], -1, m)
+    r = [c % m for c in f]
+    q = [0] * max(len(r) - n, 0)
+    for i in reversed(range(len(q))):
+        c = r[i + n] * inv % m
+        q[i] = c
+        for j, gc in enumerate(g):
+            r[i + j] = (r[i + j] - c * gc) % m
+    return strip(q), strip(r[:n])
+
+
 # -- Berlekamp with an exhaustive splitting scan -----------------------------
 
 def gf_pow_mod(f, n, mod, p):
@@ -536,14 +570,14 @@ def hensel_step_pseudo(m, f, g, h, s, t):
     _, q, r = pseudo_divmod(zz.zz_mul(s, e), h)
     q = zz.zz_trunc_sym(q, big)
     r = zz.zz_trunc_sym(r, big)
-    g1 = zz.zz_trunc_sym(zz.zz_add(g, zz.zz_add(zz.zz_mul(t, e), zz.zz_mul(q, g))), big)
-    h1 = zz.zz_trunc_sym(zz.zz_add(h, r), big)
-    b = zz.zz_trunc_sym(zz.zz_sub(zz.zz_add(zz.zz_mul(s, g1), zz.zz_mul(t, h1)), [1]), big)
+    g1 = zz.zz_trunc_sym(add(g, add(zz.zz_mul(t, e), zz.zz_mul(q, g))), big)
+    h1 = zz.zz_trunc_sym(add(h, r), big)
+    b = zz.zz_trunc_sym(zz.zz_sub(add(zz.zz_mul(s, g1), zz.zz_mul(t, h1)), [1]), big)
     _, c, d = pseudo_divmod(zz.zz_mul(s, b), h1)
     c = zz.zz_trunc_sym(c, big)
     d = zz.zz_trunc_sym(d, big)
     s1 = zz.zz_trunc_sym(zz.zz_sub(s, d), big)
-    t1 = zz.zz_trunc_sym(zz.zz_sub(t, zz.zz_add(zz.zz_mul(t, b), zz.zz_mul(c, g1))), big)
+    t1 = zz.zz_trunc_sym(zz.zz_sub(t, add(zz.zz_mul(t, b), zz.zz_mul(c, g1))), big)
     return g1, h1, s1, t1
 
 
@@ -552,7 +586,7 @@ def hensel_lift_pseudo(p, f, factors, l):
     lc = f[-1]
     if len(factors) == 1:
         pl = p**l
-        return [zz.zz_trunc_sym(zz.zz_mul_scalar(f, pow(lc, -1, pl)), pl)]
+        return [zz.zz_trunc_sym(scale(f, pow(lc, -1, pl)), pl)]
     k = len(factors) // 2
     g = [lc % p]
     for fi in factors[:k]:

@@ -135,6 +135,15 @@ def test_json_usage_errors_are_json_documents(argv):
     assert plain.exit_code == 2 and plain.text.startswith("usage:")
 
 
+@pytest.mark.parametrize("argv", [["factor", "-h"], ["--help"], ["count", "--help", "X"]])
+def test_help_is_a_result_not_an_exit(argv):
+    result = run_command(argv)
+    assert result.status == "ok" and result.exit_code == 0
+    assert result.text.startswith("usage: puiseux") and not result.text.endswith("\n")
+    document = json.loads(run_command(argv + ["--json"]).text)
+    assert document == {"status": "ok", "help": result.text}
+
+
 def test_limit_env_variable(monkeypatch):
     # the environment sets no cap: only --limit does
     monkeypatch.setenv("PUISEUX_LIMIT", "2")

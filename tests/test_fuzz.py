@@ -26,6 +26,7 @@ SEED_CORPUS = [
     ["totient-inv", "963761198400", "--json"],
     ["monoid-atoms", "<100000007,100000037>"],
     ["cyclotomic", "1" * 5000, "--json"],
+    ["factor", "-h"],  # argparse's help action exits unless the parser hands it back
 ]
 
 EXTREME = [

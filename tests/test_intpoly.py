@@ -17,16 +17,15 @@ from puiseux._intpoly import (
     _choose_prime,
     _mignotte_bound,
     gf_berlekamp,
+    gf_divmod,
     gf_is_squarefree,
     gf_monic,
     gf_mul,
     gf_normal,
-    zz_add,
     zz_factor_squarefree,
     zz_gcd,
     zz_hensel_lift,
     zz_mul,
-    zz_mul_scalar,
     zz_primitive,
     zz_squarefree,
     zz_sub,
@@ -34,13 +33,16 @@ from puiseux._intpoly import (
 )
 
 from reference import (
+    add,
     berlekamp_scan,
+    gf_divmod_eager,
     hensel_lift_pseudo,
     prs_gcd,
     pseudo_divmod,
     q_divmod,
     q_gcd,
     q_squarefree,
+    scale,
     yun_squarefree,
     zassenhaus_all_subsets,
 )
@@ -115,7 +117,7 @@ def test_pseudo_divmod_identity():
         monic = rng.random() < 0.3
         g = random_zz(rng, rng.randint(0, 5), 1 if monic else None)
         a, q, r = pseudo_divmod(f, g)
-        assert zz_mul_scalar(f, a) == zz_sub(zz_mul(q, g), zz_mul_scalar(r, -1))
+        assert scale(f, a) == zz_sub(zz_mul(q, g), scale(r, -1))
         assert len(r) < len(g)
         if monic:
             assert a == 1
@@ -246,9 +248,9 @@ def swinnerton_dyer(primes: list[int]) -> list[int]:
         parts = [[], []]
         for j in range(len(poly)):
             cj = [poly[i] * math.comb(i, j) * p ** (j // 2) for i in range(j, len(poly))]
-            parts[j % 2] = zz_add(parts[j % 2], cj)
+            parts[j % 2] = add(parts[j % 2], cj)
         even, odd = parts
-        poly = zz_sub(zz_mul(even, even), zz_mul_scalar(zz_mul(odd, odd), p))
+        poly = zz_sub(zz_mul(even, even), scale(zz_mul(odd, odd), p))
     return poly
 
 
@@ -470,18 +472,58 @@ def test_recombination_pretests_match_all_subsets():
 
 def test_hensel_lift_matches_pseudo_division_steps():
     rng = random.Random(71)
+    cases = [
+        (sd16_times_x2_minus_3(), 10),  # the factor benchmark's median op
+        (zz_mul([1, 3], zz_mul([-5, 2], [7, 0, 2])), 3),  # non-monic, lc = 12
+        (zz_mul([2, -2, 0, 1], zz_mul([-3, 0, 1], [1, 1])), 3),  # Eisenstein X^3 - 2X + 2
+        (zz_mul([3, 6, 0, 3, 0, 2], zz_mul([-3, 0, 1], [-5, 0, 1])), 5),  # Eisenstein, lc = 2
+    ]
     lifted = 0
-    while lifted < 25:
-        f = random_squarefree_product(rng)
+    while lifted < 29:
+        f, r = cases.pop() if cases else (random_squarefree_product(rng), None)
         if len(f) < 3 or zz_squarefree(f) != [(f, 1)]:
             continue
         p = _choose_prime(f)
         modular = gf_berlekamp(gf_monic(gf_normal(f, p), p), p)
+        assert r is None or len(modular) == r
         if len(modular) < 2:
             continue
-        l = rng.randint(2, 12)
+        l = 40 if r else rng.randint(2, 40)
         assert zz_hensel_lift(p, f, modular, l) == hensel_lift_pseudo(p, f, modular, l)
         lifted += 1
+
+
+def test_hensel_lift_runs_one_small_gcdex_per_modular_factor(monkeypatch):
+    # The factor tree runs r - 1 gcds, the top one at the degree of f.
+    f = sd16_times_x2_minus_3()
+    p = _choose_prime(f)
+    modular = gf_berlekamp(gf_monic(gf_normal(f, p), p), p)
+    degrees = []
+    inner = _intpoly.gf_gcdex
+
+    def recording(a, b, q):
+        degrees.append(max(len(a), len(b)) - 1)
+        return inner(a, b, q)
+
+    monkeypatch.setattr(_intpoly, "gf_gcdex", recording)
+    assert zz_factor_squarefree(f)[0] == [-3, 0, 1]
+    assert len(degrees) == len(modular) == 10
+    assert max(degrees) <= max(len(g) - 1 for g in modular) == 2
+
+
+def test_gf_divmod_matches_eager_division():
+    rng = random.Random(79)
+    # (modulus, its prime): primes, and prime powers as the Hensel lift uses them
+    for m, q in ((3, 3), (11, 11), (2**61 - 1, 2**61 - 1), (3**5, 3), (11**14, 11), (7**40, 7)):
+        for _ in range(40):
+            f = [rng.randint(-2 * m, 2 * m) for _ in range(rng.randint(0, 24))]
+            lead = 1 if rng.random() < 0.4 else rng.randrange(1, m)
+            while lead % q == 0:
+                lead = rng.randrange(1, m)
+            g = [rng.randint(-m, m) for _ in range(rng.randint(0, 8))] + [lead]
+            assert gf_divmod(f, g, m) == gf_divmod_eager(f, g, m), (f, g, m)
+            if len(f) < len(g):
+                assert gf_divmod(f, g, m) == ([], gf_normal(f, m))
 
 
 def random_gf_squarefree(rng: random.Random, p: int) -> list[int]:
