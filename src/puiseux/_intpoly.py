@@ -380,9 +380,17 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> li
 
     One Newton iteration lifts all the factors at once.  Let F = f/lc(f),
     equal to prod f_i mod m, and s_i the inverse of the cofactor
-    prod_{j != i} f_j modulo (f_i, m).  Every other cofactor is divisible by
-    f_i, so f_i + (F rem f_i) * s_i rem f_i is the lift mod m^2.  The same
-    division by f_i gives (F quo f_i) rem f_i, the cofactor c_i modulo
+    c_i = prod_{j != i} f_j modulo (f_i, m).  Every other cofactor is
+    divisible by f_i, so f_i + (F rem f_i) * s_i rem f_i is the lift mod m^2.
+
+    A factor of degree 1 or 2 is lifted through its root t in Z/m[t]/(f_i),
+    where F rem f_i is F(t).  One Horner pass gives F(t) mod m^2 and F'(t)
+    mod m.  F = f_i * c_i mod m gives F' = f_i' * c_i mod (f_i, m), so
+    s_i = f_i'(t) / F'(t); F'(t) is a unit because F is squarefree mod p.
+    For f_i = X^2 + b1*X + b0, the inverse of w0 + w1*t is its conjugate
+    (w0 - b1*w1) - w1*t over its norm w0^2 - b1*w0*w1 + b0*w1^2.
+
+    A larger factor divides F by f_i, whose quotient gives c_i modulo
     (f_i, m): s_i comes from one small gcd at m = p and is lifted by
     s_i * (2 - s_i * c_i) rem f_i at every later step.  Hensel lifts are
     unique, so the result is that of the factor tree of von zur Gathen &
@@ -399,17 +407,33 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> li
         big = min(m * m, pl)
         Fm = gf_normal(F, big)
         for i, fi in enumerate(lifted):
-            q, e = gf_divmod(Fm, fi, big)
-            c = gf_rem(q, fi, m)
-            if m == p:
-                s, _, one = gf_gcdex(c, fi, p)
-                assert one == [1], "modular factors are not coprime"
+            if len(fi) == 2:
+                t, v, w = -fi[0], 0, 0
+                for c in reversed(Fm):
+                    w, v = (w * t + v) % m, (v * t + c) % big
+                fi[0] = (fi[0] + v * pow(w, -1, m)) % big
+            elif len(fi) == 3:
+                b0, b1, _ = fi
+                v0 = v1 = w0 = w1 = 0  # v0 and w0 feed no later step of their own
+                for c in reversed(Fm):
+                    w0, w1 = v0 - b0 * w1, (v1 + w0 - b1 * w1) % m
+                    v0, v1 = c - b0 * v1, (v0 - b1 * v1) % big
+                n = pow(w0 * w0 - b1 * w0 * w1 + b0 * w1 * w1, -1, m)
+                s0, s1 = (b1 * (w0 - b1 * w1) + 2 * b0 * w1) * n % m, (2 * w0 - b1 * w1) * n % m
+                fi[0] = (b0 + v0 * s0 - b0 * v1 * s1) % big
+                fi[1] = (b1 + v0 * s1 + v1 * s0 - b1 * v1 * s1) % big
             else:
-                s = inverses[i]
-                s = gf_rem(zz_mul(s, zz_sub([2], gf_rem(zz_mul(s, c), fi, m))), fi, m)
-            inverses[i] = s
-            for j, d in enumerate(gf_rem(zz_mul(e, s), fi, big)):
-                fi[j] = (fi[j] + d) % big
+                q, e = gf_divmod(Fm, fi, big)
+                c = gf_rem(q, fi, m)
+                if m == p:
+                    s, _, one = gf_gcdex(c, fi, p)
+                    assert one == [1], "modular factors are not coprime"
+                else:
+                    s = inverses[i]
+                    s = gf_rem(zz_mul(s, zz_sub([2], gf_rem(zz_mul(s, c), fi, m))), fi, m)
+                inverses[i] = s
+                for j, d in enumerate(gf_rem(zz_mul(e, s), fi, big)):
+                    fi[j] = (fi[j] + d) % big
         m = big
     return [zz_trunc_sym(fi, pl) for fi in lifted]
 
@@ -495,9 +519,9 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
         lc = cur[-1]
         targets = [lc * zz_eval(cur, x) for x in (0, 1, -1)]
         tests = [(vals, t) for vals, t in zip(values, targets) if t]
-        for subset in combinations(remaining, size):
-            c = lc * sum(trace[i] for i in subset) % pl
-            if min(c, pl - c) > bound:
+        sums = map(sum, combinations([trace[i] for i in remaining], size))
+        for subset, t in zip(combinations(remaining, size), sums):
+            if bound < lc * t % pl < pl - bound:
                 continue
             for vals, target in tests:
                 c = lc

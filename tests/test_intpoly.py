@@ -472,43 +472,76 @@ def test_recombination_pretests_match_all_subsets():
 
 def test_hensel_lift_matches_pseudo_division_steps():
     rng = random.Random(71)
+    primes = (3, 5, 7, 11, 13, 17, 19, 23)
+    # (f, its number of modular factors at the chosen prime, l)
     cases = [
-        (sd16_times_x2_minus_3(), 10),  # the factor benchmark's median op
-        (zz_mul([1, 3], zz_mul([-5, 2], [7, 0, 2])), 3),  # non-monic, lc = 12
-        (zz_mul([2, -2, 0, 1], zz_mul([-3, 0, 1], [1, 1])), 3),  # Eisenstein X^3 - 2X + 2
-        (zz_mul([3, 6, 0, 3, 0, 2], zz_mul([-3, 0, 1], [-5, 0, 1])), 5),  # Eisenstein, lc = 2
+        (sd16_times_x2_minus_3(), 10, 40),  # the factor benchmark's median op
+        (zz_mul([1, 3], zz_mul([-5, 2], [7, 0, 2])), 3, 40),  # non-monic, lc = 12
+        (zz_mul([1, 3], zz_mul([-5, 2], [7, 0, 2])), 3, 2),
+        (zz_mul([2, -2, 0, 1], zz_mul([-3, 0, 1], [1, 1])), 3, 40),  # Eisenstein X^3 - 2X + 2
+        (zz_mul([2, -2, 0, 1], zz_mul([-3, 0, 1], [1, 1])), 3, 2),
+        (zz_mul([3, 6, 0, 3, 0, 2], zz_mul([-3, 0, 1], [-5, 0, 1])), 5, 40),  # Eisenstein, lc = 2
     ]
-    lifted = 0
-    while lifted < 29:
-        f, r = cases.pop() if cases else (random_squarefree_product(rng), None)
-        if len(f) < 3 or zz_squarefree(f) != [(f, 1)]:
+    used, mixed, lifted = set(), 0, 0
+    while lifted < 60:
+        if cases:
+            f, r, l = cases.pop()
+            p = _choose_prime(f)
+        else:
+            f, r, l = random_squarefree_product(rng), None, rng.randint(2, 40)
+            p = rng.choice(primes)
+        if len(f) < 3 or f[-1] % p == 0 or zz_squarefree(f) != [(f, 1)]:
             continue
-        p = _choose_prime(f)
+        if not gf_is_squarefree(gf_normal(f, p), p):
+            continue
         modular = gf_berlekamp(gf_monic(gf_normal(f, p), p), p)
         assert r is None or len(modular) == r
         if len(modular) < 2:
             continue
-        l = 40 if r else rng.randint(2, 40)
-        assert zz_hensel_lift(p, f, modular, l) == hensel_lift_pseudo(p, f, modular, l)
+        lifts = zz_hensel_lift(p, f, modular, l)
+        assert lifts == hensel_lift_pseudo(p, f, modular, l), (p, f, l)
+        pl = p**l
+        product = [1]
+        for g in lifts:
+            product = gf_mul(product, g, pl)
+        assert product == gf_monic(gf_normal(f, pl), pl)
+        used.add(p)
+        mixed += {min(len(g) - 1, 3) for g in modular} == {1, 2, 3}
         lifted += 1
+    assert used == set(primes) and mixed >= 5, (used, mixed)
 
 
-def test_hensel_lift_runs_one_small_gcdex_per_modular_factor(monkeypatch):
-    # The factor tree runs r - 1 gcds, the top one at the degree of f.
-    f = sd16_times_x2_minus_3()
+def hensel_lift_calls(monkeypatch, f: list[int]) -> tuple[list[list[int]], dict[str, list[int]]]:
+    """The modular factors of f and the degrees of the divisors that
+    zz_hensel_lift passes to gf_gcdex and gf_divmod while it lifts them."""
     p = _choose_prime(f)
     modular = gf_berlekamp(gf_monic(gf_normal(f, p), p), p)
-    degrees = []
-    inner = _intpoly.gf_gcdex
+    calls = {"gf_gcdex": [], "gf_divmod": []}
+    for name, degrees in calls.items():
+        inner = getattr(_intpoly, name)
 
-    def recording(a, b, q):
-        degrees.append(max(len(a), len(b)) - 1)
-        return inner(a, b, q)
+        def recording(a, b, q, inner=inner, degrees=degrees):
+            degrees.append(len(b) - 1)
+            return inner(a, b, q)
 
-    monkeypatch.setattr(_intpoly, "gf_gcdex", recording)
-    assert zz_factor_squarefree(f)[0] == [-3, 0, 1]
-    assert len(degrees) == len(modular) == 10
-    assert max(degrees) <= max(len(g) - 1 for g in modular) == 2
+        monkeypatch.setattr(_intpoly, name, recording)
+    zz_hensel_lift(p, f, modular, 10)
+    return modular, calls
+
+
+def test_hensel_lift_takes_quadratic_and_linear_factors_through_their_roots(monkeypatch):
+    # A division step would call gf_gcdex once and gf_divmod at least three times per factor.
+    modular, calls = hensel_lift_calls(monkeypatch, sd16_times_x2_minus_3())
+    assert sorted(len(g) - 1 for g in modular) == [1, 1] + [2] * 8
+    assert calls == {"gf_gcdex": [], "gf_divmod": []}
+
+
+def test_hensel_lift_runs_one_gcdex_per_factor_of_degree_three_or_more(monkeypatch):
+    # Eisenstein X^3 - 2X + 2 stays irreducible mod 5, next to X^2 - 3 and X + 1.
+    f = zz_mul([2, -2, 0, 1], zz_mul([-3, 0, 1], [1, 1]))
+    modular, calls = hensel_lift_calls(monkeypatch, f)
+    assert sorted(len(g) - 1 for g in modular) == [1, 2, 3]
+    assert calls["gf_gcdex"] == [3]
 
 
 def test_gf_divmod_matches_eager_division():
