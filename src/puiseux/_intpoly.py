@@ -116,13 +116,6 @@ def zz_trial_div(f: list[int], g: list[int]) -> list[int] | None:
     return zz_strip(q)
 
 
-def zz_eval(f: list[int], x: int) -> int:
-    v = 0
-    for c in reversed(f):
-        v = v * x + c
-    return v
-
-
 def zz_eval_pow2(f: list[int], k: int) -> int:
     """f(2^k), by halves: lo + X^m * hi gives lo(2^k) + (hi(2^k) << k*m).
     Horner's rule shifts an ever longer integer once per coefficient, which
@@ -207,25 +200,11 @@ def gf_normal(f: list[int], p: int) -> list[int]:
     return zz_strip([c % p for c in f])
 
 
-def gf_sub(f: list[int], g: list[int], p: int) -> list[int]:
-    return gf_normal(zz_sub(f, g), p)
-
-
-def gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
-    return gf_normal(zz_mul(f, g), p)
-
-
-def gf_mul_scalar(f: list[int], a: int, p: int) -> list[int]:
-    a %= p
-    if a == 0:
-        return []
-    return [(c * a) % p for c in f]
-
-
 def gf_monic(f: list[int], p: int) -> list[int]:
     if not f:
         return []
-    return gf_mul_scalar(f, pow(f[-1], -1, p), p)
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
 
 
 def gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -262,24 +241,20 @@ def gf_gcd(f: list[int], g: list[int], p: int) -> list[int]:
     return gf_monic(a, p)
 
 
-def gf_gcdex(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
-    """Extended Euclid: (s, t, h) with s*f + t*g = h, h the monic gcd."""
-    a, b = gf_normal(f, p), gf_normal(g, p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while b:
-        q, r = gf_divmod(a, b, p)
-        a, b = b, r
-        s0, s1 = s1, gf_sub(s0, gf_mul(q, s1, p), p)
-        t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, p), p)
-    if not a:
-        return [], [], []
-    inv = pow(a[-1], -1, p)
-    return (
-        gf_mul_scalar(s0, inv, p),
-        gf_mul_scalar(t0, inv, p),
-        gf_mul_scalar(a, inv, p),
-    )
+def gf_inverse(a: list[int], f: list[int], p: int) -> list[int]:
+    """The s with deg s < deg f and s*a = 1 modulo (f, p): Euclid on (f, a rem f)
+    carries only the cofactor of a (von zur Gathen & Gerhard, Modern Computer
+    Algebra, 3.2 and 4.2).  Raises ValueError when a and f are not coprime."""
+    r0, r1 = f, gf_rem(a, f, p)
+    s0, s1 = [], [1]
+    while r1:
+        q, r = gf_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, gf_normal(zz_sub(s0, zz_mul(q, s1)), p)
+    if len(r0) != 1:
+        raise ValueError("polynomial is not invertible modulo f")
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0]
 
 
 def gf_is_squarefree(f: list[int], p: int) -> bool:
@@ -361,7 +336,7 @@ def gf_berlekamp(f: list[int], p: int) -> list[list[int]]:
             u = gf_rem(v, w, p)
             c = 0
             while zz_deg(u) > 0:
-                g = gf_gcd(w, gf_sub(u, [c], p), p)
+                g = gf_gcd(w, [(u[0] - c) % p, *u[1:]], p)
                 if zz_deg(g) >= 1:
                     refined.append(g)
                     w = gf_divmod(w, g, p)[0]
@@ -391,7 +366,7 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> li
     (w0 - b1*w1) - w1*t over its norm w0^2 - b1*w0*w1 + b0*w1^2.
 
     A larger factor divides F by f_i, whose quotient gives c_i modulo
-    (f_i, m): s_i comes from one small gcd at m = p and is lifted by
+    (f_i, m): s_i comes from one gf_inverse at m = p and is lifted by
     s_i * (2 - s_i * c_i) rem f_i at every later step.  Hensel lifts are
     unique, so the result is that of the factor tree of von zur Gathen &
     Gerhard, Modern Computer Algebra 15.5, which runs a gcd of up to the
@@ -399,7 +374,7 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> li
     Bezout pair.
     """
     pl = p**l
-    F = gf_mul_scalar(f, pow(f[-1], -1, pl), pl)
+    F = gf_monic(f, pl)
     lifted = [list(fi) for fi in factors]
     inverses = [[] for _ in factors]
     m = p
@@ -426,8 +401,7 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> li
                 q, e = gf_divmod(Fm, fi, big)
                 c = gf_rem(q, fi, m)
                 if m == p:
-                    s, _, one = gf_gcdex(c, fi, p)
-                    assert one == [1], "modular factors are not coprime"
+                    s = gf_inverse(c, fi, p)
                 else:
                     s = inverses[i]
                     s = gf_rem(zz_mul(s, zz_sub([2], gf_rem(zz_mul(s, c), fi, m))), fi, m)
@@ -503,7 +477,11 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
         l += 1
     lifted = zz_hensel_lift(p, f, modular, l)
     trace = [g[-2] for g in lifted]
-    values = [[zz_eval(g, x) % pl for g in lifted] for x in (0, 1, -1)]
+    values = [
+        [g[0] % pl for g in lifted],
+        [sum(g) % pl for g in lifted],
+        [(sum(g[::2]) - sum(g[1::2])) % pl for g in lifted],
+    ]
 
     result = []
     remaining = list(range(len(lifted)))
@@ -517,7 +495,7 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
                 f"{subsets} recombination subsets exceed the cap of {MAX_SUBSETS}"
             )
         lc = cur[-1]
-        targets = [lc * zz_eval(cur, x) for x in (0, 1, -1)]
+        targets = [lc * cur[0], lc * sum(cur), lc * (sum(cur[::2]) - sum(cur[1::2]))]
         tests = [(vals, t) for vals, t in zip(values, targets) if t]
         sums = map(sum, combinations([trace[i] for i in remaining], size))
         for subset, t in zip(combinations(remaining, size), sums):

@@ -16,11 +16,14 @@ loop takes gcd(w, v - c) for every piece w of degree at least 2 and every c
 in F_p, Hensel lifting follows the binary factor tree with one extended gcd
 per inner node and steps that divide by pseudo-division over Z, where the
 kernel lifts every factor in one Newton iteration, and recombination
-trial-divides every subset.  Division modulo m reduces every working
-coefficient at every step, where the kernel reduces only the quotient
-digits it reads and the remainder it returns.  Factorization over Q
-without the cyclotomic split runs the kernel's Yun split and Zassenhaus on
-every squarefree part, cyclotomic factors included.  The cyclotomic
+trial-divides every subset.  The extended Euclidean algorithm over F_p,
+with the products and differences it needs, lives here, not in the
+kernel, which inverts modulo a factor by carrying only one cofactor.
+Division modulo m reduces every working coefficient at every step, where
+the kernel reduces only the quotient digits it reads and the remainder it
+returns.  Factorization over Q without the cyclotomic split runs the
+kernel's Yun split and Zassenhaus on every squarefree part, cyclotomic
+factors included.  The cyclotomic
 recognizer compares a monic irreducible factor with the library's
 ``cyclotomic_poly(n)`` for every n in the library's inverse-totient fiber
 of its degree, and the canonical form built on it classifies that way every
@@ -468,6 +471,32 @@ def gf_divmod_eager(f, g, m):
     return strip(q), strip(r[:n])
 
 
+# -- the extended Euclidean algorithm over F_p -------------------------------
+
+def gf_sub(f, g, p):
+    return strip([c % p for c in add(f, scale(g, -1))])
+
+
+def gf_mul(f, g, p):
+    return strip([c % p for c in mul(f, g)])
+
+
+def gf_gcdex(f, g, p):
+    """Extended Euclid: (s, t, h) with s*f + t*g = h, h the monic gcd."""
+    a, b = strip([c % p for c in f]), strip([c % p for c in g])
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while b:
+        q, r = gf_divmod_eager(a, b, p)
+        a, b = b, r
+        s0, s1 = s1, gf_sub(s0, gf_mul(q, s1, p), p)
+        t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, p), p)
+    if not a:
+        return [], [], []
+    inv = pow(a[-1], -1, p)
+    return tuple(strip([c * inv % p for c in h]) for h in (s0, t0, a))
+
+
 # -- Berlekamp with an exhaustive splitting scan -----------------------------
 
 def gf_pow_mod(f, n, mod, p):
@@ -476,8 +505,8 @@ def gf_pow_mod(f, n, mod, p):
     base = zz.gf_rem(f, mod, p)
     while n:
         if n & 1:
-            result = zz.gf_rem(zz.gf_mul(result, base, p), mod, p)
-        base = zz.gf_rem(zz.gf_mul(base, base, p), mod, p)
+            result = zz.gf_rem(gf_mul(result, base, p), mod, p)
+        base = zz.gf_rem(gf_mul(base, base, p), mod, p)
         n >>= 1
     return result
 
@@ -494,7 +523,7 @@ def berlekamp_scan(f, p):
     cur = [1]
     for _ in range(n):
         rows.append(cur + [0] * (n - len(cur)))
-        cur = zz.gf_rem(zz.gf_mul(cur, xp, p), f, p)
+        cur = zz.gf_rem(gf_mul(cur, xp, p), f, p)
     a = [[rows[j][i] for j in range(n)] for i in range(n)]
     for i in range(n):
         a[i][i] = (a[i][i] - 1) % p
@@ -516,7 +545,7 @@ def berlekamp_scan(f, p):
                 continue
             pieces = []
             for c in range(p):
-                g = zz.gf_gcd(w, zz.gf_sub(vpoly, [c], p), p)
+                g = zz.gf_gcd(w, gf_sub(vpoly, [c], p), p)
                 if len(g) > 1:
                     pieces.append(g)
             refined.extend(pieces if pieces else [w])
@@ -590,11 +619,11 @@ def hensel_lift_pseudo(p, f, factors, l):
     k = len(factors) // 2
     g = [lc % p]
     for fi in factors[:k]:
-        g = zz.gf_mul(g, fi, p)
+        g = gf_mul(g, fi, p)
     h = [1]
     for fi in factors[k:]:
-        h = zz.gf_mul(h, fi, p)
-    s, t, _ = zz.gf_gcdex(g, h, p)
+        h = gf_mul(h, fi, p)
+    s, t, _ = gf_gcdex(g, h, p)
     g, h, s, t = (zz.zz_trunc_sym(a, p) for a in (g, h, s, t))
     m = p
     for _ in range(max(1, math.ceil(math.log2(l))) if l > 1 else 0):

@@ -18,10 +18,12 @@ from puiseux._intpoly import (
     _mignotte_bound,
     gf_berlekamp,
     gf_divmod,
+    gf_gcd,
+    gf_inverse,
     gf_is_squarefree,
     gf_monic,
-    gf_mul,
     gf_normal,
+    gf_rem,
     zz_factor_squarefree,
     zz_gcd,
     zz_hensel_lift,
@@ -36,6 +38,8 @@ from reference import (
     add,
     berlekamp_scan,
     gf_divmod_eager,
+    gf_gcdex,
+    gf_mul,
     hensel_lift_pseudo,
     prs_gcd,
     pseudo_divmod,
@@ -513,10 +517,10 @@ def test_hensel_lift_matches_pseudo_division_steps():
 
 def hensel_lift_calls(monkeypatch, f: list[int]) -> tuple[list[list[int]], dict[str, list[int]]]:
     """The modular factors of f and the degrees of the divisors that
-    zz_hensel_lift passes to gf_gcdex and gf_divmod while it lifts them."""
+    zz_hensel_lift passes to gf_inverse and gf_divmod while it lifts them."""
     p = _choose_prime(f)
     modular = gf_berlekamp(gf_monic(gf_normal(f, p), p), p)
-    calls = {"gf_gcdex": [], "gf_divmod": []}
+    calls = {"gf_inverse": [], "gf_divmod": []}
     for name, degrees in calls.items():
         inner = getattr(_intpoly, name)
 
@@ -530,18 +534,18 @@ def hensel_lift_calls(monkeypatch, f: list[int]) -> tuple[list[list[int]], dict[
 
 
 def test_hensel_lift_takes_quadratic_and_linear_factors_through_their_roots(monkeypatch):
-    # A division step would call gf_gcdex once and gf_divmod at least three times per factor.
+    # A division step would call gf_inverse once and gf_divmod at least three times per factor.
     modular, calls = hensel_lift_calls(monkeypatch, sd16_times_x2_minus_3())
     assert sorted(len(g) - 1 for g in modular) == [1, 1] + [2] * 8
-    assert calls == {"gf_gcdex": [], "gf_divmod": []}
+    assert calls == {"gf_inverse": [], "gf_divmod": []}
 
 
-def test_hensel_lift_runs_one_gcdex_per_factor_of_degree_three_or_more(monkeypatch):
+def test_hensel_lift_runs_one_inverse_per_factor_of_degree_three_or_more(monkeypatch):
     # Eisenstein X^3 - 2X + 2 stays irreducible mod 5, next to X^2 - 3 and X + 1.
     f = zz_mul([2, -2, 0, 1], zz_mul([-3, 0, 1], [1, 1]))
     modular, calls = hensel_lift_calls(monkeypatch, f)
     assert sorted(len(g) - 1 for g in modular) == [1, 2, 3]
-    assert calls["gf_gcdex"] == [3]
+    assert calls["gf_inverse"] == [3]
 
 
 def test_gf_divmod_matches_eager_division():
@@ -557,6 +561,38 @@ def test_gf_divmod_matches_eager_division():
             assert gf_divmod(f, g, m) == gf_divmod_eager(f, g, m), (f, g, m)
             if len(f) < len(g):
                 assert gf_divmod(f, g, m) == ([], gf_normal(f, m))
+
+
+def test_gf_inverse_and_gcd_match_extended_euclid():
+    rng = random.Random(83)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        kinds = {"constant a": 0, "deg a >= deg f": 0, "not coprime": 0}
+        inverted = 0
+        while inverted < 40:
+            n = rng.randint(1, 30)
+            d = rng.randint(1, n) if rng.random() < 0.2 else 0  # a and f share a factor of degree d
+            common = [rng.randrange(p) for _ in range(d)] + [1]
+            f = gf_mul(common, [rng.randrange(p) for _ in range(n - d)] + [rng.randrange(1, p)], p)
+            k = rng.randint(0, 2 * n) if rng.random() < 0.8 else 0
+            a = gf_mul(common, [rng.randrange(p) for _ in range(k)] + [rng.randrange(1, p)], p)
+            s, _, h = gf_gcdex(a, f, p)
+            if h != [1]:
+                with pytest.raises(ValueError):
+                    gf_inverse(a, f, p)
+                kinds["not coprime"] += 1
+                continue
+            assert gf_inverse(a, f, p) == s, (a, f, p)
+            assert gf_rem(gf_normal(zz_mul(s, a), p), f, p) == [1], (a, f, p)
+            kinds["constant a"] += len(a) == 1
+            kinds["deg a >= deg f"] += len(a) >= len(f)
+            inverted += 1
+        assert min(kinds.values()) > 0, (p, kinds)
+        for _ in range(40):
+            h = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1]
+            f, g = (gf_mul(h, [rng.randint(-p, p) for _ in range(rng.randint(0, 12))], p) for _ in "fg")
+            assert gf_gcd(f, g, p) == gf_gcdex(f, g, p)[2], (f, g, p)
+        for f, g in (([], []), ([], h), (h, []), ([], [p + 2])):
+            assert gf_gcd(f, g, p) == gf_gcdex(f, g, p)[2], (f, g, p)
 
 
 def random_gf_squarefree(rng: random.Random, p: int) -> list[int]:
