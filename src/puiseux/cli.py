@@ -151,46 +151,23 @@ def _cmd_symsupp(args):
     return payload, text
 
 
-def _cmd_divisors(args):
+def _cmd_in_algebra(args):
+    """divisors, count and atom: parse f, then S, and run the command's query."""
     f = parse_poly(args.poly)
     monoid = parse_monoid(args.monoid)
-    result = divisors_in_algebra(f, monoid, limit=args.limit)
-    listed = [format_poly(g) for g in result.divisors]
-    payload = {
-        "element": format_poly(f),
-        "monoid": format_monoid(monoid),
-        "count": len(listed),
-        "divisors": listed,
-    }
-    head = (
-        f"{len(listed)} non-associate divisors of {format_poly(f)} "
-        f"in Q[{format_monoid(monoid)}]:"
-    )
-    return payload, "\n".join([head, *("  " + s for s in listed)])
-
-
-def _cmd_atom(args):
-    f = parse_poly(args.poly)
-    monoid = parse_monoid(args.monoid)
-    verdict = is_atom_in_algebra(f, monoid, limit=args.limit)
-    payload = {
-        "element": format_poly(f),
-        "monoid": format_monoid(monoid),
-        "atom": verdict,
-    }
-    return payload, f"atom in Q[{format_monoid(monoid)}]: {str(verdict).lower()}"
-
-
-def _cmd_count(args):
-    f = parse_poly(args.poly)
-    monoid = parse_monoid(args.monoid)
-    count = ff_divisor_count(f, monoid, limit=args.limit)
-    payload = {
-        "element": format_poly(f),
-        "monoid": format_monoid(monoid),
-        "count": count,
-    }
-    return payload, str(count)
+    answer = args.query(f, monoid, limit=args.limit)
+    element, algebra = format_poly(f), format_monoid(monoid)
+    payload = {"element": element, "monoid": algebra}
+    if args.command == "divisors":
+        listed = [format_poly(g) for g in answer.divisors]
+        payload.update(count=len(listed), divisors=listed)
+        head = f"{len(listed)} non-associate divisors of {element} in Q[{algebra}]:"
+        return payload, "\n".join([head, *("  " + s for s in listed)])
+    if args.command == "atom":
+        payload["atom"] = answer
+        return payload, f"atom in Q[{algebra}]: {str(answer).lower()}"
+    payload["count"] = answer
+    return payload, str(answer)
 
 
 def _cmd_cyclotomic(args):
@@ -279,12 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("poly")
     p = add("symsupp", _cmd_symsupp, "decide symmetric support")
     p.add_argument("poly")
-    for name, handler, summary in (
-        ("divisors", _cmd_divisors, "list all non-associate divisors in Q[S]"),
-        ("atom", _cmd_atom, "decide atomicity in Q[S]"),
-        ("count", _cmd_count, "count non-associate divisors in Q[S]"),
+    for name, query, summary in (
+        ("divisors", divisors_in_algebra, "list all non-associate divisors in Q[S]"),
+        ("atom", is_atom_in_algebra, "decide atomicity in Q[S]"),
+        ("count", ff_divisor_count, "count non-associate divisors in Q[S]"),
     ):
-        p = add(name, handler, summary)
+        p = add(name, _cmd_in_algebra, summary)
+        p.set_defaults(query=query)
         p.add_argument("poly")
         p.add_argument("--monoid", required=True, help='monoid literal, e.g. "<2, 3>"')
         p.add_argument(

@@ -185,12 +185,13 @@ _totient_table: tuple[int, tuple[tuple[int, int], ...]] = (0, ())
 
 
 def _totients_up_to(d: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (phi(n), n) with phi(n) <= d, increasing."""
+    """The pairs (phi(n), n) with phi(n) <= d, increasing; filled by the
+    uncached search, so that it flushes no caller's ``inverse_totient`` entry."""
     global _totient_table
     limit, pairs = _totient_table
     if d > limit:
         ks = [k for k in [1, *range(2, d + 1, 2)] if k > limit]
-        pairs += tuple(sorted((k, n) for k in ks for n in inverse_totient(k)))
+        pairs += tuple(sorted((k, n) for k in ks for n in inverse_totient.__wrapped__(k)))
         _totient_table = (d, pairs)
     return pairs[: bisect.bisect(pairs, (d, math.inf))]
 

@@ -5,10 +5,13 @@ The canonical form of a nonzero element f is
     constant * X^r * prod(Phi_n(X^(1/m))^e) * prod(q(X^(1/m))^l)
 
 relative to the single clearing denominator m = lcm of the denominators of
-the support of f: the cyclotomic components keep splitting under further
-exponent refinement, while the q-components (monic irreducibles over Q that
-divide no X^d - 1) stay prime in Q[Q_+].  Components are never refined
-beyond the clearing denominator of the input.
+the support of f.  The constant is f's leading coefficient and r its order;
+the components factor the core f / (constant * X^r) at X^m, read off the
+two terms of a binomial and off the cleared polynomial otherwise.  The
+cyclotomic components keep splitting under further exponent refinement,
+while the q-components (monic irreducibles over Q that divide no X^d - 1)
+stay prime in Q[Q_+].  Components are never refined beyond the clearing
+denominator of the input.
 
 Divisor enumeration reduces Q[S] for a finitely generated monoid S to a
 polynomial ring by scaling, factors there, and keeps exactly the
@@ -54,57 +57,34 @@ class CanonicalFactorization(NamedTuple):
     prime_part: tuple[tuple[QPoly, int], ...]
 
 
-def _binomial_factorization(f: PuiseuxPoly) -> CanonicalFactorization | None:
-    """The canonical form of c*X^r*(X^s +- 1), read off its two terms.
-
-    With m the lcm of the two exponents' denominators and n = s*m, the
-    cleared core X^n +- 1 is the product of the Phi_d listed by
-    :func:`binomial_indices`, each once.  None for any other element.
-    """
-    if len(f.terms) != 2:
-        return None
-    (low, a), (high, c) = f.terms
-    if abs(a) != abs(c):
-        return None
-    m = math.lcm(low.denominator, high.denominator)
-    n = int((high - low) * m)
-    return CanonicalFactorization(
-        constant=c,
-        clearing_denominator=m,
-        monomial_exponent=low,
-        cyclotomic_part=tuple((d, 1) for d in binomial_indices(n, 1 if a == c else -1)),
-        prime_part=(),
-    )
-
-
-def _dense_factorization(f: PuiseuxPoly) -> CanonicalFactorization:
-    """The canonical form of a nonzero f through its cleared dense polynomial.
-
-    Clears denominators, splits off X^k and factors the primitive core with
-    :func:`.cyclotomic.factor_primitive`; the non-cyclotomic factors are made monic.
-    """
-    m, cleared = f.clear_denominators()
-    k, core = cleared.split_monomial()
-    cyclotomic, other = factor_primitive(list(core.prim))
-    primes = [(QPoly.from_ints(Fraction(1, g[-1]), g), e) for g, e in other]
-    return CanonicalFactorization(
-        constant=core.leading_coefficient,
-        clearing_denominator=m,
-        monomial_exponent=Rat(k, m),
-        cyclotomic_part=tuple(cyclotomic),
-        prime_part=tuple(sorted(primes, key=lambda item: (item[0].degree, item[0].coeffs))),
-    )
-
-
 def canonical_factorization(f: PuiseuxPoly) -> CanonicalFactorization:
     """Decompose a nonzero f into the canonical form above.
 
-    A binomial c*X^r*(X^s +- 1) is read off its two terms and never made
-    dense; every other element goes through its cleared polynomial.
+    The constant is f's leading coefficient, the monomial exponent its
+    order r, and m clears the denominators of its support.  Only the core
+    f / (constant * X^r), taken at X^m, is factored.  For a binomial
+    c*X^r*(X^s +- 1) the core X^(s*m) +- 1 is the product of the Phi_d
+    listed by :func:`binomial_indices`, each once, and is never made
+    dense.  Any other core is read off the cleared polynomial f(X^m) and
+    factored by :func:`.cyclotomic.factor_primitive`; its non-cyclotomic
+    factors are made monic.
     """
     if f.is_zero:
         raise DomainError("cannot factor the zero element")
-    return _binomial_factorization(f) or _dense_factorization(f)
+    constant, r = f.leading_coefficient, f.order
+    if len(f.terms) == 2 and abs(f.terms[0][1]) == abs(constant):
+        top = f.degree
+        m = math.lcm(r.denominator, top.denominator)
+        sign = 1 if f.terms[0][1] == constant else -1
+        cyclotomic, primes = [(d, 1) for d in binomial_indices(int((top - r) * m), sign)], []
+    else:
+        m, cleared = f.clear_denominators()
+        cyclotomic, other = factor_primitive(list(cleared.prim[int(r * m) :]))
+        primes = sorted(
+            ((QPoly.from_ints(Fraction(1, g[-1]), g), e) for g, e in other),
+            key=lambda item: (item[0].degree, item[0].coeffs),
+        )
+    return CanonicalFactorization(constant, m, r, tuple(cyclotomic), tuple(primes))
 
 
 def recompose(cf: CanonicalFactorization) -> PuiseuxPoly:

@@ -105,13 +105,6 @@ class QPoly:
 
         return format_poly(PuiseuxPoly.from_qpoly(self))
 
-    def split_monomial(self) -> tuple[int, "QPoly"]:
-        """Write self = X^k * core with core(0) != 0; returns (k, core)."""
-        if self.is_zero:
-            raise DomainError("the zero polynomial has no monomial split")
-        k = next(i for i, c in enumerate(self.prim) if c)
-        return k, QPoly.from_ints(self.content, self.prim[k:])
-
 
 def squarefree_decompose(f: QPoly) -> list[tuple[QPoly, int]]:
     """Yun's monic squarefree parts of f: a ``bench/tracer.py`` hook, not a library path.

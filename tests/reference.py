@@ -27,7 +27,10 @@ factors included.  The cyclotomic
 recognizer compares a monic irreducible factor with the library's
 ``cyclotomic_poly(n)`` for every n in the library's inverse-totient fiber
 of its degree, and the canonical form built on it classifies that way every
-factor of the factorization without the split.
+factor of the factorization without the split.  The dense canonical form
+factors every cleared polynomial, binomials included, with the library's
+cyclotomic split, where the engine reads a binomial's indices off its two
+terms.
 Pseudo-division and the primitive remainder sequence over Z live here,
 not in the kernel, and Yun's split runs on that gcd with trial division,
 where the kernel's heuristic gcd returns the cofactors.  The divisor walk
@@ -701,9 +704,9 @@ def canonical_by_fiber(f):
     denominators, factor the core over Q without the cyclotomic split, then
     classify every factor."""
     m, cleared = f.clear_denominators()
-    k, core = cleared.split_monomial()
+    k = next(i for i, c in enumerate(cleared.prim) if c)
     cyclo, primes = [], []
-    for coeffs, mult in factor_without_split(core.prim):
+    for coeffs, mult in factor_without_split(cleared.prim[k:]):
         poly = QPoly(coeffs)
         n = classify_by_fiber(poly)
         if n is None:
@@ -711,7 +714,28 @@ def canonical_by_fiber(f):
         else:
             cyclo.append((n, mult))
     return CanonicalFactorization(
-        core.leading_coefficient, m, Rat(k, m), tuple(sorted(cyclo)), tuple(primes)
+        cleared.leading_coefficient, m, Rat(k, m), tuple(sorted(cyclo)), tuple(primes)
+    )
+
+
+# -- the canonical form through the cleared polynomial -----------------------
+
+def dense_factorization(f):
+    """The canonical factorization of a nonzero PuiseuxPoly f through its
+    cleared polynomial, binomials included: clear denominators, split off
+    X^k, factor the core with the library's cyclotomic split, and make the
+    non-cyclotomic factors monic."""
+    m, cleared = f.clear_denominators()
+    k = next(i for i, c in enumerate(cleared.prim) if c)
+    core = QPoly.from_ints(cleared.content, cleared.prim[k:])
+    cyclotomic, other = factor_primitive(list(core.prim))
+    primes = [(QPoly.from_ints(Fraction(1, g[-1]), g), e) for g, e in other]
+    return CanonicalFactorization(
+        constant=core.leading_coefficient,
+        clearing_denominator=m,
+        monomial_exponent=Rat(k, m),
+        cyclotomic_part=tuple(cyclotomic),
+        prime_part=tuple(sorted(primes, key=lambda item: (item[0].degree, item[0].coeffs))),
     )
 
 
@@ -742,8 +766,9 @@ def untruncated_divisors(f, monoid):
     sub-multiset) pair whose full g and cofactor supports lie in the scaled
     monoid; the same pair may be met twice and is kept once."""
     scale, numerical = monoid.normalization()
-    k, core = f.substitute(scale).to_qpoly().split_monomial()
-    cyclotomic, other = factor_primitive(list(core.prim))
+    scaled = f.substitute(scale).to_qpoly().prim
+    k = next(i for i, c in enumerate(scaled) if c)
+    cyclotomic, other = factor_primitive(list(scaled[k:]))
     factors = [(cyclotomic_poly(n).prim, e) for n, e in cyclotomic] + other
     splits = numerical.divisors(k)
     powers = []

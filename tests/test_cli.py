@@ -342,10 +342,10 @@ def test_memory_and_recursion_errors_are_resource_limits(monkeypatch):
 
     for error in (MemoryError(), RecursionError("maximum recursion depth exceeded")):
 
-        def handler(args, error=error):
+        def query(f, monoid, limit, error=error):
             raise error
 
-        monkeypatch.setattr(cli, "_cmd_count", handler)
+        monkeypatch.setattr(cli, "ff_divisor_count", query)
         plain = run_command(["count", "X^6-1", "--monoid", "<2,3>"])
         assert plain.status == "resource-limit" and plain.exit_code == 3
         doc = run_command(["count", "X^6-1", "--monoid", "<2,3>", "--json"])

@@ -126,6 +126,18 @@ def test_totients_up_to_lists_every_index():
         )
 
 
+def test_totient_table_leaves_the_inverse_totient_cache_alone(monkeypatch):
+    # A fresh table up to 60 searches 31 totient values; none of them may
+    # enter, or at the split cap flush, the caller's inverse_totient cache.
+    monkeypatch.setattr(cyclotomic, "_totient_table", (0, ()))
+    inverse_totient.cache_clear()
+    inverse_totient(5040)
+    _totients_up_to(60)
+    assert inverse_totient.cache_info().currsize == 1
+    inverse_totient(5040)
+    assert inverse_totient.cache_info().hits == 1
+
+
 def test_split_cyclotomic_examples():
     x105 = [-1] + [0] * 104 + [1]
     assert split_cyclotomic(x105) == ([1, 3, 5, 7, 15, 21, 35, 105], [1])

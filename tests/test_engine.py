@@ -25,7 +25,14 @@ from puiseux import (
 from puiseux import engine
 from puiseux._intpoly import zz_gcd, zz_trial_div
 
-from reference import brute_divisor_set, canonical_by_fiber, classify_by_fiber, untruncated_divisors
+import reference
+from reference import (
+    brute_divisor_set,
+    canonical_by_fiber,
+    classify_by_fiber,
+    dense_factorization,
+    untruncated_divisors,
+)
 from randgen import (
     NONCYCLOTOMIC_IRREDUCIBLES,
     power,
@@ -107,18 +114,18 @@ def test_canonical_factorization_matches_fiber_classification():
 
 def test_binomial_shortcut_matches_dense_path(monkeypatch):
     # c*X^(j/m)*(X^(n/m) +- 1) read off its terms against the dense route
-    # (clear, factor over Q with the cyclotomic split).  The primitive
-    # cleared cores are X^k +- 1 with k <= 60, so their factorizations are
-    # memoized.
+    # of the reference (clear, factor over Q with the cyclotomic split).
+    # The primitive cleared cores are X^k +- 1 with k <= 60, so their
+    # factorizations are memoized.
     factored: dict[tuple[int, ...], tuple] = {}
-    factor_primitive = engine.factor_primitive
+    factor_primitive = reference.factor_primitive
 
     def factor(core):
         if tuple(core) not in factored:
             factored[tuple(core)] = factor_primitive(core)
         return factored[tuple(core)]
 
-    monkeypatch.setattr(engine, "factor_primitive", factor)
+    monkeypatch.setattr(reference, "factor_primitive", factor)
     rng = random.Random(211)
     for n in range(1, 61):
         for m in range(1, 7):
@@ -126,8 +133,8 @@ def test_binomial_shortcut_matches_dense_path(monkeypatch):
                 c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
                 j = rng.randint(0, 2 * m)
                 f = PuiseuxPoly([(Fraction(j, m), sign * c), (Fraction(j + n, m), c)])
-                shortcut = engine._binomial_factorization(f)
-                assert shortcut == engine._dense_factorization(f), (n, m, sign, j, c)
+                shortcut = canonical_factorization(f)
+                assert shortcut == dense_factorization(f), (n, m, sign, j, c)
                 if n % 15 == 0:
                     assert recompose(shortcut) == f
 

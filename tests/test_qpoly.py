@@ -142,8 +142,6 @@ def test_factor_zero_rejected():
         canonical_factorization(PuiseuxPoly.from_qpoly(QPoly()))
     with pytest.raises(DomainError, match="leading coefficient"):
         QPoly().leading_coefficient
-    with pytest.raises(DomainError, match="monomial split"):
-        QPoly().split_monomial()
 
 
 def _rational_root_free(p: QPoly) -> bool:
@@ -267,7 +265,8 @@ def test_operations_match_fraction_references_random():
         if not g:
             continue
         assert _divmod_over_q(a, b) == q_divmod(a, b)
-        k, core = pg.split_monomial()
+        k = next(i for i, c in enumerate(pg.prim) if c)
+        core = QPoly.from_ints(pg.content, pg.prim[k:])
         assert g[:k] == [0] * k and g[k] != 0 and core.coeffs == tuple(g[k:])
 
 
