@@ -3,7 +3,9 @@
 A polynomial is a ``list[int]`` (or, as an argument, a tuple such as
 ``QPoly.prim``) in ascending order of exponent with no trailing zeros; the
 zero polynomial is empty.  ``zz_*`` functions work over Z, ``gf_*``
-functions over F_p for a prime p.
+functions over F_p for a prime p.  Only inside the modular step of
+factoring (the prime test and Berlekamp) is a polynomial over F_p packed
+into one int, ``PackedGF``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from .exact import is_prime
 # zz_factor_squarefree refuses an input whose degree times the bit length of
 # its Mignotte bound exceeds this: Hensel lifting works at that degree
 # modulo p^l > 2 * bound, and Berlekamp's matrix is cubic in the degree.
-# X^400 + X + 1 (size 162000) still factors, in about 0.9 s with Python 3.11
-# on a 2-vCPU virtual machine; X^500 + X + 1, whose rest has size 251000,
-# took 1.8 s.
+# X^400 + X + 1 (size 162000) still factors, in 0.9-1.1 s with Python 3.11 on
+# a 2-vCPU virtual machine (1.4-1.5 s with Berlekamp on coefficient lists);
+# X^500 + X + 1, whose rest has size 251000, took 1.1-1.5 s.
 MAX_LIFT_SIZE = 170_000
 # It also refuses once its recombination would pre-test more subsets than this.
 MAX_SUBSETS = 1 << 20
@@ -234,13 +236,6 @@ def gf_rem(f: list[int], g: list[int], p: int) -> list[int]:
     return gf_divmod(f, g, p)[1]
 
 
-def gf_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    a, b = gf_normal(f, p), gf_normal(g, p)
-    while b:
-        a, b = b, gf_rem(a, b, p)
-    return gf_monic(a, p)
-
-
 def gf_inverse(a: list[int], f: list[int], p: int) -> list[int]:
     """The s with deg s < deg f and s*a = 1 modulo (f, p): Euclid on (f, a rem f)
     carries only the cofactor of a (von zur Gathen & Gerhard, Modern Computer
@@ -257,48 +252,75 @@ def gf_inverse(a: list[int], f: list[int], p: int) -> list[int]:
     return [c * inv % p for c in s0]
 
 
-def gf_is_squarefree(f: list[int], p: int) -> bool:
-    d = zz_strip([(i * c) % p for i, c in enumerate(f)][1:])
-    return bool(d) and zz_deg(gf_gcd(f, d, p)) == 0
+class PackedGF:
+    """Polynomials of degree <= n over F_p, each packed into one int as
+    sum a_i * 2^(W*i) with slots a_i >= 0 (Kronecker substitution; Harvey,
+    J. Symb. Comp. 44, 2009).  Between reductions a slot takes at most
+    k = max(n + 1, p) additions of at most (p - 1)^2 (the steps of a division
+    or a row of Berlekamp's walk), so it stays below 2^b, b the bit length of
+    (p - 1) + k*(p - 1)^2.  ``reduce`` takes every slot mod p at once
+    (Granlund & Montgomery, PLDI 1994): for s = b + bit_length(p) and
+    M = ceil(2^s / p) = (2^s + e)/p, 0 <= e < p, a*M/2^s - a/p < 2^(b-s) < 1/p
+    for a < 2^b, so floor(a*M / 2^s) = floor(a/p).  For W = s + b + 1 each
+    a_i*M < 2^(s+b) stays in its slot; shifted by s, the quotient of slot i
+    fills its low b bits, below the low part of slot i + 1's product, which
+    the mask clears.  Subtracting the quotients times p leaves a_i mod p."""
 
+    def __init__(self, p: int, n: int):
+        self.p, self.b = p, ((p - 1) + max(n + 1, p) * (p - 1) ** 2).bit_length()
+        self.s = self.b + p.bit_length()
+        self.W = self.s + self.b + 1
+        self.M, self.slot = -(-(1 << self.s) // p), (1 << self.W) - 1
+        self.mask = ((1 << self.b) - 1) * ((1 << self.W * (n + 1)) - 1) // self.slot
 
-def gf_nullspace(a: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right null space of a square matrix over F_p."""
-    n = len(a)
-    m = [row[:] for row in a]
-    pivots: dict[int, int] = {}
-    row = 0
-    for col in range(n):
-        pr = next((r for r in range(row, n) if m[r][col] % p), None)
-        if pr is None:
-            continue
-        m[row], m[pr] = m[pr], m[row]
-        inv = pow(m[row][col], -1, p)
-        m[row] = [(v * inv) % p for v in m[row]]
-        for r in range(n):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [(v - factor * w) % p for v, w in zip(m[r], m[row])]
-        pivots[col] = row
-        row += 1
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [0] * n
-        v[fc] = 1
-        for c, r in pivots.items():
-            v[c] = (-m[r][fc]) % p
-        basis.append(v)
-    return basis
+    def pack(self, f: list[int]) -> int:
+        W, p, v = self.W, self.p, 0
+        for c in reversed(f):
+            v = (v << W) | c % p
+        return v
+
+    def unpack(self, v: int, n: int | None = None) -> list[int]:
+        """The coefficient list of v, or its first n slots."""
+        n = self.degree(v) + 1 if n is None else n
+        return [(v >> self.W * i) & self.slot for i in range(n)]
+
+    def reduce(self, v: int) -> int:
+        return v - ((v * self.M >> self.s) & self.mask) * self.p
+
+    def degree(self, v: int) -> int:
+        return (v.bit_length() - 1) // self.W
+
+    def divmod(self, a: int, g: int) -> tuple[int, int]:
+        """(a quo g, a rem g) for reduced a and g != 0, reducing only the remainder."""
+        W, p, slot = self.W, self.p, self.slot
+        top = (g.bit_length() - 1) // W * W
+        inv = pow(g >> top, -1, p)
+        q = 0
+        for shift in range((a.bit_length() - 1) // W * W - top, -1, -W):
+            c = ((a >> (shift + top)) & slot) * inv % p
+            if c:
+                q |= c << shift
+                a += (p - c) * g << shift
+        return q, self.reduce(a & ((1 << top) - 1))
+
+    def gcd(self, a: int, b: int) -> int:
+        """The monic gcd of reduced a and b; gcd(0, 0) = 0."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.reduce(a * pow(a >> self.W * self.degree(a), -1, self.p)) if a else 0
+
+    def is_squarefree(self, f: list[int]) -> bool:
+        """Whether f, with lc(f) a unit mod p, is squarefree mod p."""
+        d = self.pack(zz_derivative(f))
+        return d != 0 and self.degree(self.gcd(self.pack(f), d)) == 0
 
 
 def gf_berlekamp(f: list[int], p: int) -> list[list[int]]:
     """Irreducible monic factors of a monic squarefree f over F_p (Berlekamp).
 
     The matrix rows X^(p*i) mod f, i < n = deg f, are every p-th step of one
-    walk through the powers of X modulo f: a shift, then top * f subtracted,
-    n operations a step.  The p*n^2 operations are no more than repeated
-    squaring and n products modulo f cost while p <= 2n, and a larger p
-    already costs p gcds in every split below.
+    packed walk through the powers of X mod f, a shift and top * (-f mod p) a
+    step: p*n steps, no more than squaring and n products mod f take if p <= 2n.
 
     Every v in the Berlekamp subalgebra {v : v^p = v mod f} is congruent to
     a constant modulo each irreducible factor of f.  For each basis vector
@@ -311,40 +333,49 @@ def gf_berlekamp(f: list[int], p: int) -> list[list[int]]:
     from Gaussian elimination, and the factors are returned sorted.
     """
     n = zz_deg(f)
-    f0, rest = f[0], f[1:n]
-    cur = [1] + [0] * (n - 1)
-    rows = [cur]
+    P = PackedGF(p, n)
+    W, slot, top = P.W, P.slot, P.W * n
+    neg, low, cur, rows = P.pack([-c for c in f[:n]]), (1 << top) - 1, 1, [1]
     for _ in range(n - 1):
         for _ in range(p):
-            top = cur[-1]
-            if top:
-                cur = [-top * f0 % p] + [(c - top * g) % p for c, g in zip(cur, rest)]
-            else:
-                cur = [0] + cur[:-1]
-        rows.append(cur)
-    # v is in the Berlekamp subalgebra iff v(X^p) = v(X) mod f, i.e. R^T v = v.
-    a = [list(col) for col in zip(*rows)]
-    for i in range(n):
-        a[i][i] = (a[i][i] - 1) % p
-    basis = gf_nullspace(a, p)
-    factors = [f]
+            cur = ((cur << W) & low) + (cur >> (top - W)) % p * neg
+        rows.append(cur := P.reduce(cur))
+    # v is in the Berlekamp subalgebra iff (R^T - I) v = 0.  Gauss-Jordan on its
+    # packed rows: a row takes one addition per pivot, so only pivots are reduced.
+    columns = zip(*(P.unpack(r, n) for r in rows))
+    m = [P.reduce(P.pack(c) + ((p - 1) << W * i)) for i, c in enumerate(columns)]
+    pivots = {}
+    for col in range(n):
+        shift, row = W * col, len(pivots)
+        pr = next((r for r in range(row, n) if ((m[r] >> shift) & slot) % p), None)
+        if pr is not None:
+            pivot, m[pr] = P.reduce(m[pr]), m[row]
+            pivot = m[row] = P.reduce(pivot * pow((pivot >> shift) & slot, -1, p))
+            for r in range(n):
+                c = ((m[r] >> shift) & slot) % p
+                if c and r != row:
+                    m[r] += (p - c) * pivot
+            pivots[col] = row
+    # For each column fc without a pivot: 1 at fc, minus column fc at the pivots.
+    basis = [sum(-((m[r] >> W * fc) & slot) % p << W * c for c, r in pivots.items()) + (1 << W * fc)
+             for fc in range(n) if fc not in pivots]
+    factors = [P.pack(f)]
     for v in basis:
         if len(factors) == len(basis):
             break
         refined = []
         for w in factors:
-            u = gf_rem(v, w, p)
-            c = 0
-            while zz_deg(u) > 0:
-                g = gf_gcd(w, [(u[0] - c) % p, *u[1:]], p)
-                if zz_deg(g) >= 1:
+            u, c = P.divmod(v, w)[1], 0
+            while P.degree(u) > 0:
+                g = P.gcd(w, u - (u & slot) + ((u & slot) - c) % p)
+                if P.degree(g) >= 1:
                     refined.append(g)
-                    w = gf_divmod(w, g, p)[0]
-                    u = gf_rem(u, w, p)
+                    w = P.divmod(w, g)[0]
+                    u = P.divmod(u, w)[1]
                 c += 1
             refined.append(w)
         factors = refined
-    return sorted(factors, key=lambda g: (len(g), g))
+    return sorted(map(P.unpack, factors), key=lambda g: (len(g), g))
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +449,9 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> li
 def _choose_prime(f: list[int]) -> int:
     """Smallest prime p >= 3 with p not dividing lc(f) and f squarefree mod p."""
     p = 3
-    while True:
-        if is_prime(p) and f[-1] % p != 0:
-            fp = gf_normal(f, p)
-            if gf_is_squarefree(fp, p):
-                return p
+    while not (is_prime(p) and f[-1] % p != 0 and PackedGF(p, len(f) - 1).is_squarefree(f)):
         p += 2
+    return p
 
 
 def _mignotte_bound(f: list[int]) -> int:

@@ -8,9 +8,11 @@ purpose; intended for degree <= 8 (the rational routines stay usable to
 degree 30 or so).  None of these import the production algorithms.
 
 The exceptions are the references at the end, from Berlekamp on.  The
-Berlekamp and Zassenhaus references reuse the kernel's arithmetic, null
-space, prime choice and Berlekamp, and keep in textbook form the steps that
-the kernel shortcuts:
+Berlekamp and Zassenhaus references reuse the kernel's list division over
+F_p, prime choice and Berlekamp, and keep in textbook form the steps that
+the kernel shortcuts.  The gcd, squarefree test and null space over F_p
+work on coefficient lists here, where the kernel packs each polynomial
+into one int.
 Berlekamp's matrix comes from X^p mod f by repeated squaring, its splitting
 loop takes gcd(w, v - c) for every piece w of degree at least 2 and every c
 in F_p, Hensel lifting follows the binary factor tree with one extended gcd
@@ -500,6 +502,51 @@ def gf_gcdex(f, g, p):
     return tuple(strip([c * inv % p for c in h]) for h in (s0, t0, a))
 
 
+# -- gcd, squarefree test and null space over F_p, on lists ------------------
+
+def gf_gcd(f, g, p):
+    """The monic gcd of f and g over F_p by Euclid on the kernel's list
+    remainder; gcd(0, 0) = 0."""
+    a, b = zz.gf_normal(f, p), zz.gf_normal(g, p)
+    while b:
+        a, b = b, zz.gf_rem(a, b, p)
+    return zz.gf_monic(a, p)
+
+
+def gf_is_squarefree(f, p):
+    d = strip([(i * c) % p for i, c in enumerate(f)][1:])
+    return bool(d) and len(gf_gcd(f, d, p)) == 1
+
+
+def gf_nullspace(a, p):
+    """Basis of the right null space of a square matrix over F_p."""
+    n = len(a)
+    m = [row[:] for row in a]
+    pivots = {}
+    row = 0
+    for col in range(n):
+        pr = next((r for r in range(row, n) if m[r][col] % p), None)
+        if pr is None:
+            continue
+        m[row], m[pr] = m[pr], m[row]
+        inv = pow(m[row][col], -1, p)
+        m[row] = [(v * inv) % p for v in m[row]]
+        for r in range(n):
+            if r != row and m[r][col]:
+                factor = m[r][col]
+                m[r] = [(v - factor * w) % p for v, w in zip(m[r], m[row])]
+        pivots[col] = row
+        row += 1
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fc] = 1
+        for c, r in pivots.items():
+            v[c] = (-m[r][fc]) % p
+        basis.append(v)
+    return basis
+
+
 # -- Berlekamp with an exhaustive splitting scan -----------------------------
 
 def gf_pow_mod(f, n, mod, p):
@@ -530,7 +577,7 @@ def berlekamp_scan(f, p):
     a = [[rows[j][i] for j in range(n)] for i in range(n)]
     for i in range(n):
         a[i][i] = (a[i][i] - 1) % p
-    basis = zz.gf_nullspace(a, p)
+    basis = gf_nullspace(a, p)
     r = len(basis)
     if r == 1:
         return [f]
@@ -548,7 +595,7 @@ def berlekamp_scan(f, p):
                 continue
             pieces = []
             for c in range(p):
-                g = zz.gf_gcd(w, gf_sub(vpoly, [c], p), p)
+                g = gf_gcd(w, gf_sub(vpoly, [c], p), p)
                 if len(g) > 1:
                     pieces.append(g)
             refined.extend(pieces if pieces else [w])

@@ -14,13 +14,12 @@ from puiseux.cyclotomic import factor_primitive, split_cyclotomic
 from puiseux._intpoly import (
     MAX_LIFT_SIZE,
     MAX_SUBSETS,
+    PackedGF,
     _choose_prime,
     _mignotte_bound,
     gf_berlekamp,
     gf_divmod,
-    gf_gcd,
     gf_inverse,
-    gf_is_squarefree,
     gf_monic,
     gf_normal,
     gf_rem,
@@ -38,8 +37,11 @@ from reference import (
     add,
     berlekamp_scan,
     gf_divmod_eager,
+    gf_gcd,
     gf_gcdex,
+    gf_is_squarefree,
     gf_mul,
+    gf_pow_mod,
     hensel_lift_pseudo,
     prs_gcd,
     pseudo_divmod,
@@ -258,17 +260,18 @@ def swinnerton_dyer(primes: list[int]) -> list[int]:
     return poly
 
 
-def count_calls(monkeypatch, name: str, run):
-    """run() and the number of calls it made to the kernel function ``name``."""
+def count_calls(monkeypatch, name: str, run, owner=_intpoly):
+    """run() and the number of calls it made to the kernel function or the
+    PackedGF method ``name`` of ``owner``."""
     calls = 0
-    inner = getattr(_intpoly, name)
+    inner = getattr(owner, name)
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return inner(*args)
 
-    monkeypatch.setattr(_intpoly, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return run(), calls
 
 
@@ -279,7 +282,7 @@ def count_trial_divisions(monkeypatch, f: list[int]) -> tuple[list[list[int]], i
 def count_berlekamp_gcds(monkeypatch, f: list[int]) -> tuple[int, list[list[int]], int]:
     p = _choose_prime(f)
     fp = gf_monic(gf_normal(f, p), p)
-    factors, calls = count_calls(monkeypatch, "gf_gcd", lambda: gf_berlekamp(fp, p))
+    factors, calls = count_calls(monkeypatch, "gcd", lambda: gf_berlekamp(fp, p), PackedGF)
     return p, factors, calls
 
 
@@ -334,6 +337,7 @@ def test_sd32_berlekamp_gcds(monkeypatch):
     p, factors, calls = count_berlekamp_gcds(monkeypatch, sd32)
     assert p == 19 and len(factors) == 16
     assert calls <= 28  # 76 when every c is tried, 551 when whole pieces are rescanned
+    assert calls == 28  # the packed split tries the pieces and values of the list split
 
 
 def test_sd16_of_x_squared_berlekamp_gcds(monkeypatch):
@@ -341,12 +345,24 @@ def test_sd16_of_x_squared_berlekamp_gcds(monkeypatch):
     p, factors, calls = count_berlekamp_gcds(monkeypatch, f)
     assert p == 11 and len(factors) == 12
     assert calls <= 23  # 55 when every c is tried, 363 when whole pieces are rescanned
+    assert calls == 23
 
 
 def test_sd16_times_x2_minus_3_berlekamp_gcds(monkeypatch):
     p, factors, calls = count_berlekamp_gcds(monkeypatch, sd16_times_x2_minus_3())
     assert p == 11 and len(factors) == 10
     assert calls <= 23  # 33 when every c is tried
+    assert calls == 23
+
+
+@pytest.mark.parametrize("f, p, tests", [
+    (swinnerton_dyer([2, 3, 5, 7, 11]), 19, 7),
+    (sd16_times_x2_minus_3(), 11, 4),
+])
+def test_choose_prime_runs_one_squarefree_test_per_odd_prime(monkeypatch, f, p, tests):
+    # no odd prime below p divides lc(f), so each is tested and rejected
+    chosen, calls = count_calls(monkeypatch, "is_squarefree", lambda: _choose_prime(f), PackedGF)
+    assert (chosen, calls) == (p, tests)
 
 
 def test_sparse_trinomial_factors_in_bounded_time():
@@ -649,3 +665,73 @@ def test_berlekamp_matrix_walk_matches_squaring(p, degree):
     for _ in range(12):
         f = random_gf_product(rng, p, degree)
         assert gf_berlekamp(f, p) == berlekamp_scan(f, p), (f, p)
+
+
+# Every prime from 3 to 23, and 65521, whose slots are wider than 64 bits.
+PACKED_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 65521)
+
+
+def random_gf_irreducible(rng: random.Random, p: int, degree: int) -> list[int]:
+    """A random monic irreducible of degree 1 to 4 over F_p: it has no factor
+    of degree i <= degree/2, so gcd(g, X^(p^i) - X) = 1 for each such i."""
+    while True:
+        g = [rng.randrange(p) for _ in range(degree)] + [1]
+        xq, irreducible = [0, 1], True
+        for _ in range(degree // 2):
+            xq = gf_pow_mod(xq, p, g, p)
+            irreducible = irreducible and gf_gcd(g, zz_sub(xq, [0, 1]), p) == [1]
+        if irreducible:
+            return g
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_gcd_and_squarefree_test_match_the_list_kernels(p):
+    rng = random.Random(p)
+    P = PackedGF(p, 40)
+    assert P.W > 64 if p == 65521 else P.W < 64
+    kinds = {"nontrivial gcd": 0, "squarefree": 0, "not squarefree": 0}
+    for n in range(41):
+        for _ in range(4):
+            # f and g share a factor h of degree up to n; coefficients are raw integers
+            h = [rng.randrange(p) for _ in range(rng.randint(0, min(n, 6)))] + [1]
+            f = zz_mul(h, [rng.randint(-3 * p, 3 * p) for _ in range(n + 1 - len(h))] + [rng.randrange(1, p)])
+            g = zz_mul(h, [rng.randint(-3 * p, 3 * p) for _ in range(rng.randint(0, n + 1 - len(h)))])
+            for a, b in ((f, g), (g, f), (f, []), ([], f), ([], [])):
+                assert P.unpack(P.gcd(P.pack(a), P.pack(b))) == gf_gcd(a, b, p), (a, b, p)
+            kinds["nontrivial gcd"] += len(gf_gcd(f, g, p)) > 1
+            # h^2 * f, or once n >= p X^p + c, whose derivative vanishes, is not squarefree
+            for a in (f, zz_mul(h, f), [rng.randrange(1, p)] + [0] * (p - 1) + [1] if p <= n else f):
+                squarefree = gf_is_squarefree(gf_normal(a, p), p)
+                assert PackedGF(p, len(a) - 1).is_squarefree(a) == squarefree, (a, p)
+                kinds["squarefree" if squarefree else "not squarefree"] += 1
+    assert min(kinds.values()) > 0, kinds
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_berlekamp_matches_known_factors(p):
+    # The walk costs p*n steps, so 65521 stops at degree 4.
+    rng = random.Random(p + 1)
+    for n in range(5 if p == 65521 else 41):
+        factors = []
+        while (rest := n - sum(len(g) - 1 for g in factors)) > 0:
+            g = random_gf_irreducible(rng, p, rng.randint(1, min(4, rest)))
+            if g in factors:  # drop a repeat, so that at p = 3 the last degrees can be filled
+                factors.remove(g)
+            else:
+                factors.append(g)
+        f = [1]
+        for g in factors:
+            f = gf_mul(f, g, p)
+        assert gf_berlekamp(f, p) == sorted(factors or [[1]], key=lambda g: (len(g), g)), (f, p)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_reduction_is_exact_at_the_slot_bound(p):
+    # Every slot at 2^b - 1, the largest value it may reach, and the p values
+    # below it, one of each residue, reduce exactly at every degree bound.
+    for n in range(41):
+        P = PackedGF(p, n)
+        top = (1 << P.b) - 1
+        for a in range(top - min(p, 64), top + 1):
+            ones = sum(1 << P.W * i for i in range(n + 1))
+            assert P.reduce(a * ones) == a % p * ones, (p, n, a)
