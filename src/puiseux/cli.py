@@ -112,13 +112,6 @@ def _cmd_factor(args):
     f = parse_poly(args.poly)
     cf = canonical_factorization(f)
     m = cf.clearing_denominator
-    inner = f"(X^(1/{m}))" if m > 1 else ""
-    cyclo_list = ", ".join(
-        f"Phi_{n}{inner}" + (f"^{e}" if e > 1 else "") for n, e in cf.cyclotomic_part
-    )
-    prime_list = ", ".join(
-        f"[{q}]{inner}" + (f"^{l}" if l > 1 else "") for q, l in cf.prime_part
-    )
     payload = {
         "input": format_poly(f),
         "constant": format_rat(cf.constant),
@@ -127,11 +120,19 @@ def _cmd_factor(args):
         "cyclotomic": [{"index": n, "exponent": e} for n, e in cf.cyclotomic_part],
         "primes": [{"poly": str(q), "exponent": l} for q, l in cf.prime_part],
     }
+    inner = f"(X^(1/{m}))" if m > 1 else ""
+    cyclo_list = ", ".join(
+        f"Phi_{n}{inner}" + (f"^{e}" if e > 1 else "") for n, e in cf.cyclotomic_part
+    )
+    prime_list = ", ".join(
+        f"[{q['poly']}]{inner}" + (f"^{q['exponent']}" if q["exponent"] > 1 else "")
+        for q in payload["primes"]
+    )
     lines = [
-        f"input: {format_poly(f)}",
-        f"constant: {format_rat(cf.constant)}",
+        f"input: {payload['input']}",
+        f"constant: {payload['constant']}",
         f"clearing denominator m: {m}",
-        f"monomial exponent: {format_rat(cf.monomial_exponent)}",
+        f"monomial exponent: {payload['monomial_exponent']}",
         f"cyclotomic components: {cyclo_list or '(none)'}",
         f"prime components: {prime_list or '(none)'}",
     ]
@@ -141,13 +142,12 @@ def _cmd_factor(args):
 def _cmd_symsupp(args):
     f = parse_poly(args.poly)
     verdict = f.is_symmetric_support()
-    supp = ", ".join(format_rat(s) for s in sorted(f.support))
     payload = {
         "input": format_poly(f),
         "support": [format_rat(s) for s in sorted(f.support)],
         "symmetric": verdict,
     }
-    text = f"support: {{{supp}}}\nsymmetric support: {str(verdict).lower()}"
+    text = f"support: {{{', '.join(payload['support'])}}}\nsymmetric support: {str(verdict).lower()}"
     return payload, text
 
 
@@ -214,7 +214,7 @@ def _cmd_monoid_atoms(args):
         "monoid": format_monoid(monoid),
         "atoms": [format_rat(a) for a in atoms],
     }
-    return payload, " ".join(format_rat(a) for a in atoms)
+    return payload, " ".join(payload["atoms"])
 
 
 def _cmd_monoid_divisors(args):
@@ -226,7 +226,7 @@ def _cmd_monoid_divisors(args):
         "element": format_rat(element),
         "divisors": [format_rat(d) for d in divisors],
     }
-    return payload, " ".join(format_rat(d) for d in divisors)
+    return payload, " ".join(payload["divisors"])
 
 
 def _cmd_substitute(args):
@@ -238,7 +238,7 @@ def _cmd_substitute(args):
         "by": format_rat(ratio),
         "result": format_poly(result),
     }
-    return payload, format_poly(result)
+    return payload, payload["result"]
 
 
 def build_parser() -> argparse.ArgumentParser:

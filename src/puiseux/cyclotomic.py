@@ -4,11 +4,10 @@ vanishing-pattern check for polynomials whose roots are roots of unity."""
 
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import NamedTuple
 
 from . import _intpoly as zz
@@ -22,20 +21,20 @@ from .qpoly import QPoly
 # or index read from input never runs for O(sqrt n) steps.
 TRIAL_DIVISION_LIMIT = 1 << 20
 
-# split_cyclotomic compares values at these powers of two, each moved to the
+# classify_cyclotomic compares values at these powers of two, each moved to the
 # next power of two while it is a root.  At 2 the values Phi_n(2) are the
 # smallest, so this test is the cheapest and rejects nearly every index; but
 # Phi_1(2) = 1 divides every value and Phi_2(2) = Phi_6(2) = 3 every third
 # one.  Phi_n(2^8) >= 255 for every n, so few of those pass the second test.
 SPLIT_POINTS = (2, 1 << 8)
 
-# Largest degree of a squarefree part that split_cyclotomic scans: its
+# Largest degree of a squarefree part that classify_cyclotomic scans: its
 # candidate indices and their values grow with the degree, so the scan of a
 # part of degree 8000 takes seconds.
 MAX_SPLIT_DEGREE = 1 << 12
 
 # Candidate primes one inverse_totient search may test: 2305843009213693950
-# needs 4.3e5, the split's table at most 2e3 per value, 6983776800 1.3e7.
+# needs 4.3e5, 6983776800 1.3e7; the split builds its candidates without it.
 MAX_TOTIENT_STEPS = 1 << 21
 
 
@@ -178,22 +177,26 @@ def inverse_totient(d: int) -> frozenset[int]:
     return frozenset(found)
 
 
-# (limit, pairs): every pair (phi(n), n) with phi(n) <= limit, increasing.
-# One table for every degree, extended only by the totients above its limit
-# and replaced whole, so a racing extension leaves a correct table.
-_totient_table: tuple[int, tuple[tuple[int, int], ...]] = (0, ())
-
-
-def _totients_up_to(d: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (phi(n), n) with phi(n) <= d, increasing; filled by the
-    uncached search, so that it flushes no caller's ``inverse_totient`` entry."""
-    global _totient_table
-    limit, pairs = _totient_table
-    if d > limit:
-        ks = [k for k in [1, *range(2, d + 1, 2)] if k > limit]
-        pairs += tuple(sorted((k, n) for k in ks for n in inverse_totient.__wrapped__(k)))
-        _totient_table = (d, pairs)
-    return pairs[: bisect.bisect(pairs, (d, math.inf))]
+@lru_cache(maxsize=CACHE_SIZE)
+def _split_candidates(limit: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (phi(n), n), increasing, with phi(n) <= limit, a part's degree rounded up
+    to a power of two: n = prod p^k over increasing primes p, phi(n) = prod p^(k-1) (p - 1)."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * limit
+    for p in range(2, math.isqrt(limit + 1) + 1):
+        sieve[p * p :: p] = bytes(len(range(p * p, limit + 2, p)))
+    primes = list(compress(range(limit + 2), sieve))
+    pairs, stack = [], [(0, 1, 1)]
+    while stack:
+        start, phi, n = stack.pop()
+        pairs.append((phi, n))
+        for j in range(start, len(primes)):
+            phi_p, power = phi * (primes[j] - 1), n * primes[j]
+            if phi_p > limit:
+                break
+            while phi_p <= limit:
+                stack.append((j + 1, phi_p, power))
+                phi_p, power = phi_p * primes[j], power * primes[j]
+    return tuple(sorted(pairs))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -212,7 +215,7 @@ def _cyclotomic_value(n: int, b: int) -> int:
     return num // den
 
 
-def split_cyclotomic(f: list[int]) -> tuple[list[int], list[int]]:
+def classify_cyclotomic(f: list[int]) -> tuple[list[int], list[int]]:
     """(indices, rest): the n, increasing, with Phi_n | f, and f divided by
     every such Phi_n, for a primitive squarefree f with lc(f) > 0.
 
@@ -233,7 +236,7 @@ def split_cyclotomic(f: list[int]) -> tuple[list[int], list[int]]:
         points.append(1 << k)
         values.append(v)
     indices = []
-    for phi, n in _totients_up_to(len(f) - 1):
+    for phi, n in _split_candidates(1 << (len(f) - 2).bit_length()):
         if phi >= len(f):
             break
         if any(v % _cyclotomic_value(n, b) for b, v in zip(points, values)):
@@ -246,23 +249,13 @@ def split_cyclotomic(f: list[int]) -> tuple[list[int], list[int]]:
     return sorted(indices), f
 
 
-def classify_cyclotomic(p: QPoly) -> int | None:
-    """n when the monic irreducible p is Phi_n, else None: a ``bench/tracer.py`` hook.
-
-    >>> classify_cyclotomic(QPoly([1, 1, 1]))
-    3
-    """
-    indices, _ = split_cyclotomic(list(p.prim))
-    return indices[0] if indices else None
-
-
 def factor_primitive(f: list[int]) -> tuple[list[tuple[int, int]], list[tuple[list[int], int]]]:
     """(cyclotomic, other) for a primitive f with lc(f) > 0 and f(0) != 0:
     the pairs (n, e), n increasing, with Phi_n^e exactly dividing f, and
     the pairs (g, e) for every other irreducible g, primitive.
 
     Yun's split gives pairwise coprime squarefree parts;
-    :func:`split_cyclotomic` names every Phi_n in each part, and only the
+    :func:`classify_cyclotomic` names every Phi_n in each part, and only the
     rest goes through Zassenhaus (:func:`._intpoly.zz_factor_squarefree`,
     which raises :class:`ResourceLimitError` past its lifting cap).
 
@@ -271,7 +264,7 @@ def factor_primitive(f: list[int]) -> tuple[list[tuple[int, int]], list[tuple[li
     """
     cyclotomic, other = [], []
     for part, e in zz.zz_squarefree(f):
-        indices, rest = split_cyclotomic(part)
+        indices, rest = classify_cyclotomic(part)
         cyclotomic += [(n, e) for n in indices]
         if len(rest) > 1:
             other += [(g, e) for g in zz.zz_factor_squarefree(rest)]

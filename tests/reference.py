@@ -29,7 +29,9 @@ factors included.  The cyclotomic
 recognizer compares a monic irreducible factor with the library's
 ``cyclotomic_poly(n)`` for every n in the library's inverse-totient fiber
 of its degree, and the canonical form built on it classifies that way every
-factor of the factorization without the split.  The dense canonical form
+factor of the factorization without the split.  The split's candidate
+pairs (phi(n), n) come from one inverse-totient search per totient value,
+where the split enumerates products of prime powers.  The dense canonical form
 factors every cleared polynomial, binomials included, with the library's
 cyclotomic split, where the engine reads a binomial's indices off its two
 terms.
@@ -744,6 +746,14 @@ def classify_by_fiber(p):
         if p == cyclotomic_poly(n):
             return n
     return None
+
+
+def totient_pairs(d):
+    """The pairs (phi(n), n) with phi(n) <= d, increasing, from one uncached
+    ``inverse_totient`` search per totient value k <= d: 1 and every even k.
+    The cyclotomic split enumerates its candidates instead."""
+    ks = [1, *range(2, d + 1, 2)]
+    return tuple(sorted((k, n) for k in ks for n in inverse_totient.__wrapped__(k)))
 
 
 def canonical_by_fiber(f):

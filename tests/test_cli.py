@@ -73,6 +73,14 @@ def test_substitute_command():
     assert run_command(["substitute", "X-1", "--by", "1/2"]).text == "X^(1/2) - 1"
 
 
+def test_a_leading_minus_sign_needs_a_space_or_a_double_dash():
+    # Without a space, argparse reads "-2*X^3+1" as an unknown option.
+    spaced = run_command(["factor", "--json", "-2*X^3 + 1"])
+    dashed = run_command(["factor", "--json", "--", "-2*X^3+1"])
+    assert spaced.exit_code == dashed.exit_code == 0
+    assert dashed.payload == spaced.payload
+
+
 def test_exit_codes():
     assert run_command(["symsupp", "0"]).exit_code == 1  # zero element
     assert run_command(["divisors", "X-1", "--monoid", "<2,3>"]).exit_code == 1

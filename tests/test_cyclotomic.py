@@ -1,5 +1,7 @@
 """Cyclotomic generation/recognition, symmetric values, vanishing pattern."""
 
+import bisect
+import math
 import random
 import time
 import tracemalloc
@@ -20,14 +22,14 @@ from puiseux import (
     totient,
 )
 
-from reference import classify_by_fiber, cyclotomic_coeffs, evaluate, factor_without_split
+from reference import classify_by_fiber, cyclotomic_coeffs, evaluate, factor_without_split, totient_pairs
 from puiseux import cyclotomic
 from puiseux.cyclotomic import (
     MAX_SPLIT_DEGREE,
     _cyclotomic_value,
     _prime_factors,
-    _totients_up_to,
-    split_cyclotomic,
+    _split_candidates,
+    classify_cyclotomic,
 )
 from puiseux.exact import is_prime
 from randgen import (
@@ -96,19 +98,28 @@ def test_factoring_past_the_trial_division_limit_is_refused():
         _prime_factors(1_000_000_000_039 * 1_000_000_000_061)
 
 
+def candidates(d: int) -> tuple[tuple[int, int], ...]:
+    """The split's candidates for a part of degree d: the pairs (phi(n), n)
+    with phi(n) <= d, increasing, sliced from the table the split reads."""
+    table = _split_candidates(1 << (d - 1).bit_length())
+    return table[: bisect.bisect(table, (d, math.inf))]
+
+
 def test_split_caches_are_bounded():
     assert _cyclotomic_value.cache_info().maxsize is not None
-    # One candidate table serves every degree: 200 distinct degrees near 2000
-    # keep one table of about 4300 pairs, not 200 tables of O(d) pairs each.
+    # One candidate table per power of two: 200 distinct degrees near 2000
+    # keep the tables to 2048 and 4096 (3991 and 7980 pairs), not 200 tables
+    # of O(d) pairs each.
+    _split_candidates.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for d in range(2000, 2200):
-            _totients_up_to(d)
+            candidates(d)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert _totients_up_to(2) == ((1, 1), (1, 2), (2, 3), (2, 4), (2, 6))
+    assert candidates(2) == ((1, 1), (1, 2), (2, 3), (2, 4), (2, 6))
     assert retained < 1 << 21
 
 
@@ -119,20 +130,26 @@ def test_cyclotomic_values_are_the_polynomials_at_the_point():
 
 
 def test_totients_up_to_lists_every_index():
-    assert _totients_up_to(4) == ((1, 1), (1, 2), (2, 3), (2, 4), (2, 6), (4, 5), (4, 8), (4, 10), (4, 12))
+    assert candidates(4) == ((1, 1), (1, 2), (2, 3), (2, 4), (2, 6), (4, 5), (4, 8), (4, 10), (4, 12))
     for d in (1, 7, 30):
-        assert sorted(n for _, n in _totients_up_to(d)) == sorted(
+        assert sorted(n for _, n in candidates(d)) == sorted(
             n for n in range(1, 2 * d * d + 3) if totient(n) <= d
         )
 
 
-def test_totient_table_leaves_the_inverse_totient_cache_alone(monkeypatch):
-    # A fresh table up to 60 searches 31 totient values; none of them may
-    # enter, or at the split cap flush, the caller's inverse_totient cache.
-    monkeypatch.setattr(cyclotomic, "_totient_table", (0, ()))
+def test_split_candidates_match_one_inverse_totient_search_per_value():
+    reference = totient_pairs(MAX_SPLIT_DEGREE)
+    for d in range(1, MAX_SPLIT_DEGREE + 1):
+        assert candidates(d) == reference[: bisect.bisect(reference, (d, math.inf))], d
+
+
+def test_totient_table_leaves_the_inverse_totient_cache_alone():
+    # A fresh table (to 64, for degree 60) is built without inverse_totient,
+    # so it can neither enter nor, at the split cap, flush the caller's cache.
+    _split_candidates.cache_clear()
     inverse_totient.cache_clear()
     inverse_totient(5040)
-    _totients_up_to(60)
+    candidates(60)
     assert inverse_totient.cache_info().currsize == 1
     inverse_totient(5040)
     assert inverse_totient.cache_info().hits == 1
@@ -140,12 +157,12 @@ def test_totient_table_leaves_the_inverse_totient_cache_alone(monkeypatch):
 
 def test_split_cyclotomic_examples():
     x105 = [-1] + [0] * 104 + [1]
-    assert split_cyclotomic(x105) == ([1, 3, 5, 7, 15, 21, 35, 105], [1])
+    assert classify_cyclotomic(x105) == ([1, 3, 5, 7, 15, 21, 35, 105], [1])
     f = list((QPoly([-1] + [0] * 11 + [1]) * QPoly([2, 1]) * QPoly([-2, 0, 1])).prim)
-    assert split_cyclotomic(f) == ([1, 2, 3, 4, 6, 12], [-4, -2, 2, 1])
+    assert classify_cyclotomic(f) == ([1, 2, 3, 4, 6, 12], [-4, -2, 2, 1])
     # X - 2 makes 2 a root, so the first point moves on to 3.
     f = list((cyclotomic_poly(6) * QPoly([-2, 1])).prim)
-    assert split_cyclotomic(f) == ([6], [-2, 1])
+    assert classify_cyclotomic(f) == ([6], [-2, 1])
 
 
 def random_split_case(rng: random.Random) -> QPoly:
@@ -166,7 +183,7 @@ def test_split_refuses_a_part_above_the_cap_before_evaluating(monkeypatch):
     monkeypatch.setattr(cyclotomic, "_cyclotomic_value", no_value)
     part = [1, 1] + [0] * (MAX_SPLIT_DEGREE - 1) + [1]  # X^4097 + X + 1
     with pytest.raises(ResourceLimitError, match="cap"):
-        split_cyclotomic(part)
+        classify_cyclotomic(part)
 
 
 def test_split_matches_factoring_without_it():

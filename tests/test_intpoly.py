@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from puiseux import PuiseuxPoly, QPoly, ResourceLimitError, canonical_factorization, cyclotomic_poly
-from puiseux import _intpoly
-from puiseux.cyclotomic import factor_primitive, split_cyclotomic
+from puiseux import _intpoly, cyclotomic
+from puiseux.cyclotomic import classify_cyclotomic, factor_primitive
 from puiseux._intpoly import (
     MAX_LIFT_SIZE,
     MAX_SUBSETS,
@@ -440,9 +440,17 @@ def test_canonical_factorization_looks_up_only_true_cyclotomic_factors():
 
 def test_sd32_split_makes_no_trial_division(monkeypatch):
     sd32 = swinnerton_dyer([2, 3, 5, 7, 11])
-    (indices, rest), calls = count_calls(monkeypatch, "zz_trial_div", lambda: split_cyclotomic(sd32))
+    (indices, rest), calls = count_calls(monkeypatch, "zz_trial_div", lambda: classify_cyclotomic(sd32))
     assert indices == [] and rest == sd32
     assert calls == 0  # the value tests reject all 64 indices with phi(n) <= 32
+
+
+def test_factor_primitive_classifies_each_yun_part_once(monkeypatch):
+    # (X^6 - 1)(X^2 - 2)^2: Yun's parts are X^6 - 1 and X^2 - 2, and the
+    # split runs under the name the benchmark tracer wraps.
+    f = [-4, 0, 4, 0, -1, 0, 4, 0, -4, 0, 1]
+    _, calls = count_calls(monkeypatch, "classify_cyclotomic", lambda: factor_primitive(f), owner=cyclotomic)
+    assert calls == 2
 
 
 def eisenstein_block(rng: random.Random) -> list[int]:
