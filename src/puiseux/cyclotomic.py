@@ -33,9 +33,9 @@ SPLIT_POINTS = (2, 1 << 8)
 # part of degree 8000 takes seconds.
 MAX_SPLIT_DEGREE = 1 << 12
 
-# Candidate primes one inverse_totient search may test: 2305843009213693950
-# needs 4.3e5, 6983776800 1.3e7; the split builds its candidates without it.
-MAX_TOTIENT_STEPS = 1 << 21
+# Products n one inverse_totient table may hold: 6983776800 holds 2.8e5,
+# 720720000 2.2e5; the split builds its candidates without it.
+MAX_TOTIENT_STEPS = 1 << 20
 
 
 def _prime_factors(n: int) -> list[tuple[int, int]]:
@@ -140,41 +140,30 @@ def inverse_totient(d: int) -> frozenset[int]:
 
     phi is multiplicative and phi(p^k) = p^(k-1) (p - 1), so every such n is
     a product of prime powers p^k of distinct primes with phi(p^k) | d, and
-    p - 1 | d restricts p to the primes among the d' + 1, d' | d.  The
-    search builds n from these powers in increasing order of p, with the
-    quotient of d still to cover; it is complete, and raises
-    :class:`ResourceLimitError` past :data:`MAX_TOTIENT_STEPS` candidate
-    primes.  phi(2) = 1, so the power 2^1 covers nothing and doubles an odd n.
+    p - 1 | d restricts p to the primes among the d' + 1, d' | d.  A table
+    maps each totient r | d to the n built so far with phi(n) = r, and each
+    prime in turn extends every n in it by each power p^k with r phi(p^k) | d
+    (Contini, Croot & Shparlinski, Math. Comp. 75, 2006).  More than
+    :data:`MAX_TOTIENT_STEPS` products held raise :class:`ResourceLimitError`.
+    phi(2) = 1, so the power 2^1 doubles an odd n.
     """
     if d < 1:
         raise DomainError("totient values are positive integers")
-    primes = [e + 1 for e in _divisors(d) if is_prime(e + 1)]
-    found = set()
-    steps = 0
-
-    def extend(start: int, rest: int, n: int) -> None:
-        nonlocal steps
-        if rest == 1:
-            found.add(n)
-        for j in range(start, len(primes)):
-            steps += 1
-            if steps > MAX_TOTIENT_STEPS:
-                raise ResourceLimitError(f"phi^-1({d}) tests more than {MAX_TOTIENT_STEPS} primes")
-            p = primes[j]
-            if p - 1 > rest:
-                break
-            if rest % (p - 1):
-                continue
-            rest_p, power = rest // (p - 1), p
-            while True:
-                extend(j + 1, rest_p, n * power)
-                if rest_p % p:
-                    break
-                rest_p //= p
-                power *= p
-
-    extend(0, d, 1)
-    return frozenset(found)
+    products, held = {1: [1]}, 1
+    for p in (e + 1 for e in _divisors(d) if is_prime(e + 1)):
+        grown: dict[int, list[int]] = {}
+        phi, power = p - 1, p
+        while d % phi == 0:
+            for r, ns in products.items():
+                if (d // phi) % r == 0:
+                    grown.setdefault(r * phi, []).extend(n * power for n in ns)
+                    held += len(ns)
+            if held > MAX_TOTIENT_STEPS:
+                raise ResourceLimitError(f"phi^-1({d}) holds more than {MAX_TOTIENT_STEPS} products")
+            phi, power = phi * p, power * p
+        for r, ns in grown.items():
+            products.setdefault(r, []).extend(ns)
+    return frozenset(products.get(d, ()))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

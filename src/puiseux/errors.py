@@ -14,7 +14,6 @@ class ParseError(PuiseuxError, ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
-        self.message = message
         self.offset = offset
 
 

@@ -15,9 +15,9 @@ from .errors import DomainError, ResourceLimitError
 
 MAX_PRIME = 2**31
 
-# Entries kept by each of the library's memo caches (cyclotomic_poly,
-# totient, inverse_totient, is_prime), so that a long-lived process stays
-# bounded; far above what one factorization or divisor walk looks up.
+# Entries kept by each memo cache (cyclotomic_poly, totient, inverse_totient,
+# _split_candidates, _cyclotomic_value, is_prime), so a long-lived process
+# stays bounded; far above what one factorization or divisor walk looks up.
 CACHE_SIZE = 1024
 
 

@@ -64,7 +64,6 @@ class _Parser:
     """Recursive descent with single-token lookahead; the grammar is LL(1)."""
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 

@@ -29,9 +29,11 @@ factors included.  The cyclotomic
 recognizer compares a monic irreducible factor with the library's
 ``cyclotomic_poly(n)`` for every n in the library's inverse-totient fiber
 of its degree, and the canonical form built on it classifies that way every
-factor of the factorization without the split.  The split's candidate
-pairs (phi(n), n) come from one inverse-totient search per totient value,
-where the split enumerates products of prime powers.  The dense canonical form
+factor of the factorization without the split.  The inverse totient is a
+depth-first search over the library's divisors and primality test, where
+the library tabulates every totient dividing d, and the split's candidate
+pairs (phi(n), n) come from one such search per totient value, where the
+split enumerates products of prime powers.  The dense canonical form
 factors every cleared polynomial, binomials included, with the library's
 cyclotomic split, where the engine reads a binomial's indices off its two
 terms.
@@ -64,7 +66,8 @@ from puiseux import (
     inverse_totient,
 )
 from puiseux import _intpoly as zz
-from puiseux.cyclotomic import factor_primitive
+from puiseux.cyclotomic import _divisors, factor_primitive
+from puiseux.exact import is_prime
 from puiseux.ppoly import MAX_DENSE_DEGREE
 
 
@@ -748,12 +751,41 @@ def classify_by_fiber(p):
     return None
 
 
+def totient_search(d):
+    """All n with phi(n) = d, by a depth-first search with no cap: n is built
+    from prime powers p^k, p - 1 | d, in increasing order of p, with the
+    quotient of d still to cover.  The library tabulates every totient r | d
+    instead; the divisors of d and the primality test are the library's."""
+    primes = [e + 1 for e in _divisors(d) if is_prime(e + 1)]
+    found = set()
+
+    def extend(start, rest, n):
+        if rest == 1:
+            found.add(n)
+        for j in range(start, len(primes)):
+            p = primes[j]
+            if p - 1 > rest:
+                break
+            if rest % (p - 1):
+                continue
+            rest_p, power = rest // (p - 1), p
+            while True:
+                extend(j + 1, rest_p, n * power)
+                if rest_p % p:
+                    break
+                rest_p //= p
+                power *= p
+
+    extend(0, d, 1)
+    return frozenset(found)
+
+
 def totient_pairs(d):
-    """The pairs (phi(n), n) with phi(n) <= d, increasing, from one uncached
-    ``inverse_totient`` search per totient value k <= d: 1 and every even k.
+    """The pairs (phi(n), n) with phi(n) <= d, increasing, from one
+    ``totient_search`` per totient value k <= d: 1 and every even k.
     The cyclotomic split enumerates its candidates instead."""
     ks = [1, *range(2, d + 1, 2)]
-    return tuple(sorted((k, n) for k in ks for n in inverse_totient.__wrapped__(k)))
+    return tuple(sorted((k, n) for k in ks for n in totient_search(k)))
 
 
 def canonical_by_fiber(f):

@@ -297,6 +297,13 @@ def test_inverse_totient_of_a_large_value_is_fast():
     assert elapsed < 2.0
 
 
+def test_inverse_totient_with_many_preimages_is_answered():
+    proc, elapsed = _run_capped(["totient-inv", "6983776800", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["indices"]) == 12181
+    assert elapsed < 2.0
+
+
 def test_inverse_totient_search_hits_its_cap_quickly():
     # 963761198400 has 6720 divisors, 1601 of them one less than a prime
     proc, elapsed = _run_capped(["totient-inv", "963761198400", "--json"])

@@ -22,7 +22,14 @@ from puiseux import (
     totient,
 )
 
-from reference import classify_by_fiber, cyclotomic_coeffs, evaluate, factor_without_split, totient_pairs
+from reference import (
+    classify_by_fiber,
+    cyclotomic_coeffs,
+    evaluate,
+    factor_without_split,
+    totient_pairs,
+    totient_search,
+)
 from puiseux import cyclotomic
 from puiseux.cyclotomic import (
     MAX_SPLIT_DEGREE,
@@ -228,6 +235,14 @@ def test_inverse_totient_complete_small():
     for d in range(1, top + 1):
         assert inverse_totient(d) == direct.get(d, set()), d
     assert all(totient(n) == phi[n] for n in range(1, 500))
+
+
+def test_inverse_totient_matches_the_recursive_search():
+    # the last two fill tables of 2.8e5 and 2.2e5 products, below the cap
+    rng = random.Random(25)
+    seeded = [2 * rng.randrange(1, 10**9) for _ in range(200)]
+    for d in [*range(1, 5001), *seeded, 6983776800, 720720000]:
+        assert inverse_totient.__wrapped__(d) == totient_search(d), d
 
 
 def classify(p: QPoly) -> int | None:
