@@ -3,9 +3,9 @@
 A polynomial is a ``list[int]`` (or, as an argument, a tuple such as
 ``QPoly.prim``) in ascending order of exponent with no trailing zeros; the
 zero polynomial is empty.  ``zz_*`` functions work over Z, ``gf_*``
-functions over F_p for a prime p.  Only inside the modular step of
-factoring (the prime test and Berlekamp) is a polynomial over F_p packed
-into one int, ``PackedGF``.
+functions modulo a prime p or, in Hensel lifting, a power of p.  The work
+modulo p itself (the prime test, Berlekamp and Hensel's first inverse)
+packs a polynomial over F_p into one int, ``PackedGF``.
 """
 
 from __future__ import annotations
@@ -236,35 +236,20 @@ def gf_rem(f: list[int], g: list[int], p: int) -> list[int]:
     return gf_divmod(f, g, p)[1]
 
 
-def gf_inverse(a: list[int], f: list[int], p: int) -> list[int]:
-    """The s with deg s < deg f and s*a = 1 modulo (f, p): Euclid on (f, a rem f)
-    carries only the cofactor of a (von zur Gathen & Gerhard, Modern Computer
-    Algebra, 3.2 and 4.2).  Raises ValueError when a and f are not coprime."""
-    r0, r1 = f, gf_rem(a, f, p)
-    s0, s1 = [], [1]
-    while r1:
-        q, r = gf_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, gf_normal(zz_sub(s0, zz_mul(q, s1)), p)
-    if len(r0) != 1:
-        raise ValueError("polynomial is not invertible modulo f")
-    inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0]
-
-
 class PackedGF:
     """Polynomials of degree <= n over F_p, each packed into one int as
     sum a_i * 2^(W*i) with slots a_i >= 0 (Kronecker substitution; Harvey,
     J. Symb. Comp. 44, 2009).  Between reductions a slot takes at most
-    k = max(n + 1, p) additions of at most (p - 1)^2 (the steps of a division
-    or a row of Berlekamp's walk), so it stays below 2^b, b the bit length of
-    (p - 1) + k*(p - 1)^2.  ``reduce`` takes every slot mod p at once
-    (Granlund & Montgomery, PLDI 1994): for s = b + bit_length(p) and
-    M = ceil(2^s / p) = (2^s + e)/p, 0 <= e < p, a*M/2^s - a/p < 2^(b-s) < 1/p
-    for a < 2^b, so floor(a*M / 2^s) = floor(a/p).  For W = s + b + 1 each
-    a_i*M < 2^(s+b) stays in its slot; shifted by s, the quotient of slot i
-    fills its low b bits, below the low part of slot i + 1's product, which
-    the mask clears.  Subtracting the quotients times p leaves a_i mod p."""
+    k = max(n + 1, p) additions of at most (p - 1)^2 (a division's steps, a
+    row of Berlekamp's walk or an update in ``inverse``), so it stays below
+    2^b, b the bit length of (p - 1) + k*(p - 1)^2.  ``reduce`` takes every
+    slot mod p at once (Granlund & Montgomery, PLDI 1994): for
+    s = b + bit_length(p) and M = ceil(2^s / p) = (2^s + e)/p, 0 <= e < p,
+    a*M/2^s - a/p < 2^(b-s) < 1/p for a < 2^b, so
+    floor(a*M / 2^s) = floor(a/p).  For W = s + b + 1 each a_i*M < 2^(s+b)
+    stays in its slot; shifted by s, the quotient of slot i fills its low b
+    bits, below the low part of slot i + 1's product, which the mask clears.
+    Subtracting the quotients times p leaves a_i mod p."""
 
     def __init__(self, p: int, n: int):
         self.p, self.b = p, ((p - 1) + max(n + 1, p) * (p - 1) ** 2).bit_length()
@@ -308,6 +293,23 @@ class PackedGF:
         while b:
             a, b = b, self.divmod(a, b)[1]
         return self.reduce(a * pow(a >> self.W * self.degree(a), -1, self.p)) if a else 0
+
+    def inverse(self, a: int, f: int) -> int:
+        """The s with deg s < deg f and s*a = 1 modulo f, for reduced a and f:
+        Euclid on (f, a rem f) carries only the cofactor of a (von zur Gathen &
+        Gerhard, Modern Computer Algebra, 3.2 and 4.2); s0 - q*s1 is s0 + (-q)*s1,
+        -q being q*(p - 1) reduced.  Each q*s1 has degree below deg f <= n, so a
+        slot of the update sums at most n + 1 products of at most (p - 1)^2 on
+        top of s0's p - 1: within the slot bound.  Raises ValueError when a and
+        f are not coprime."""
+        r0, r1, s0, s1 = f, self.divmod(a, f)[1], 0, 1
+        while r1:
+            q, r = self.divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, self.reduce(s0 + self.reduce(q * (self.p - 1)) * s1)
+        if self.degree(r0):
+            raise ValueError("polynomial is not invertible modulo f")
+        return self.reduce(s0 * pow(r0, -1, self.p))
 
     def is_squarefree(self, f: list[int]) -> bool:
         """Whether f, with lc(f) a unit mod p, is squarefree mod p."""
@@ -397,7 +399,7 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> li
     (w0 - b1*w1) - w1*t over its norm w0^2 - b1*w0*w1 + b0*w1^2.
 
     A larger factor divides F by f_i, whose quotient gives c_i modulo
-    (f_i, m): s_i comes from one gf_inverse at m = p and is lifted by
+    (f_i, m): s_i comes from one PackedGF.inverse at m = p and is lifted by
     s_i * (2 - s_i * c_i) rem f_i at every later step.  Hensel lifts are
     unique, so the result is that of the factor tree of von zur Gathen &
     Gerhard, Modern Computer Algebra 15.5, which runs a gcd of up to the
@@ -432,7 +434,8 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> li
                 q, e = gf_divmod(Fm, fi, big)
                 c = gf_rem(q, fi, m)
                 if m == p:
-                    s = gf_inverse(c, fi, p)
+                    P = PackedGF(p, len(fi) - 1)
+                    s = P.unpack(P.inverse(P.pack(c), P.pack(fi)))
                 else:
                     s = inverses[i]
                     s = gf_rem(zz_mul(s, zz_sub([2], gf_rem(zz_mul(s, c), fi, m))), fi, m)

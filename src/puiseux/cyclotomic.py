@@ -14,7 +14,7 @@ from . import _intpoly as zz
 from .errors import DomainError, ResourceLimitError
 from .exact import CACHE_SIZE, _require_modulus, is_prime
 from .ppoly import MAX_DENSE_DEGREE
-from .qpoly import QPoly
+from .qpoly import QPoly, squarefree_decompose
 
 # Trial division stops here: a number that is still unfactored past the
 # square of this bound raises ResourceLimitError, so factoring an exponent
@@ -33,8 +33,8 @@ SPLIT_POINTS = (2, 1 << 8)
 # part of degree 8000 takes seconds.
 MAX_SPLIT_DEGREE = 1 << 12
 
-# Products n one inverse_totient table may hold: 6983776800 holds 2.8e5,
-# 720720000 2.2e5; the split builds its candidates without it.
+# Products n one inverse_totient table may hold: 6983776800 holds 1.1e5,
+# 720720000 1.2e5; the split builds its candidates without it.
 MAX_TOTIENT_STEPS = 1 << 20
 
 
@@ -145,7 +145,8 @@ def inverse_totient(d: int) -> frozenset[int]:
     prime in turn extends every n in it by each power p^k with r phi(p^k) | d
     (Contini, Croot & Shparlinski, Math. Comp. 75, 2006).  More than
     :data:`MAX_TOTIENT_STEPS` products held raise :class:`ResourceLimitError`.
-    phi(2) = 1, so the power 2^1 doubles an odd n.
+    phi(2) = 1, so the power 2^1 doubles an odd n.  Every later phi(q^k) is
+    even, so no n is made with d / (r phi(p^k)) odd and above 1.
     """
     if d < 1:
         raise DomainError("totient values are positive integers")
@@ -155,7 +156,7 @@ def inverse_totient(d: int) -> frozenset[int]:
         phi, power = p - 1, p
         while d % phi == 0:
             for r, ns in products.items():
-                if (d // phi) % r == 0:
+                if (d // phi) % (2 * r) == 0 or d == r * phi:
                     grown.setdefault(r * phi, []).extend(n * power for n in ns)
                     held += len(ns)
             if held > MAX_TOTIENT_STEPS:
@@ -252,7 +253,7 @@ def factor_primitive(f: list[int]) -> tuple[list[tuple[int, int]], list[tuple[li
     ([(1, 1), (2, 1), (3, 1), (6, 1)], [([-2, 0, 1], 2)])
     """
     cyclotomic, other = [], []
-    for part, e in zz.zz_squarefree(f):
+    for part, e in squarefree_decompose(f):
         indices, rest = classify_cyclotomic(part)
         cyclotomic += [(n, e) for n in indices]
         if len(rest) > 1:

@@ -106,10 +106,5 @@ class QPoly:
         return format_poly(PuiseuxPoly.from_qpoly(self))
 
 
-def squarefree_decompose(f: QPoly) -> list[tuple[QPoly, int]]:
-    """Yun's monic squarefree parts of f: a ``bench/tracer.py`` hook, not a library path.
-
-    >>> squarefree_decompose(QPoly([0, 0, 1]))
-    [(QPoly('X'), 2)]
-    """
-    return [(QPoly.from_ints(Fraction(1, a[-1]), a), i) for a, i in zz.zz_squarefree(f.prim)]
+# Yun's split, under the name of its phase in factor_primitive.
+squarefree_decompose = zz.zz_squarefree

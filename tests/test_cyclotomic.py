@@ -238,11 +238,20 @@ def test_inverse_totient_complete_small():
 
 
 def test_inverse_totient_matches_the_recursive_search():
-    # the last two fill tables of 2.8e5 and 2.2e5 products, below the cap
+    # the last two fill tables of 1.1e5 and 1.2e5 products, below the cap
     rng = random.Random(25)
     seeded = [2 * rng.randrange(1, 10**9) for _ in range(200)]
     for d in [*range(1, 5001), *seeded, 6983776800, 720720000]:
         assert inverse_totient.__wrapped__(d) == totient_search(d), d
+
+
+def test_inverse_totient_makes_no_product_it_cannot_complete(monkeypatch):
+    # Unpruned, these tables pass 151,356 and 151,789 products held.
+    monkeypatch.setattr(cyclotomic, "MAX_TOTIENT_STEPS", 150_000)
+    inverse_totient.cache_clear()
+    assert len(inverse_totient(6983776800)) == 12181
+    assert len(inverse_totient(720720000)) == 13894
+    inverse_totient.cache_clear()
 
 
 def classify(p: QPoly) -> int | None:

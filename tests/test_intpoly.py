@@ -19,7 +19,6 @@ from puiseux._intpoly import (
     _mignotte_bound,
     gf_berlekamp,
     gf_divmod,
-    gf_inverse,
     gf_monic,
     gf_normal,
     gf_rem,
@@ -261,7 +260,7 @@ def swinnerton_dyer(primes: list[int]) -> list[int]:
 
 
 def count_calls(monkeypatch, name: str, run, owner=_intpoly):
-    """run() and the number of calls it made to the kernel function or the
+    """run() and the number of calls it made to the function or the
     PackedGF method ``name`` of ``owner``."""
     calls = 0
     inner = getattr(owner, name)
@@ -416,6 +415,15 @@ def seven_phi_product() -> QPoly:
     return f
 
 
+def test_factor_primitive_runs_yun_once_under_its_phase_name(monkeypatch):
+    f = zz_mul([-1, 0, 0, 0, 0, 0, 1], zz_mul([-2, 0, 1], [-2, 0, 1]))  # (X^6 - 1)(X^2 - 2)^2
+    (cyclo, other), calls = count_calls(
+        monkeypatch, "squarefree_decompose", lambda: factor_primitive(f), cyclotomic
+    )
+    assert calls == 1
+    assert cyclo == [(1, 1), (2, 1), (3, 1), (6, 1)] and other == [([-2, 0, 1], 2)]
+
+
 def test_pure_cyclotomic_products_skip_zassenhaus(monkeypatch):
     for f in (seven_phi_product(), QPoly([-1] + [0] * 59 + [1])):
         (cyclotomic, other), calls = count_calls(
@@ -540,28 +548,32 @@ def test_hensel_lift_matches_pseudo_division_steps():
 
 
 def hensel_lift_calls(monkeypatch, f: list[int]) -> tuple[list[list[int]], dict[str, list[int]]]:
-    """The modular factors of f and the degrees of the divisors that
-    zz_hensel_lift passes to gf_inverse and gf_divmod while it lifts them."""
+    """The modular factors of f and the degrees of the moduli that
+    zz_hensel_lift passes to PackedGF.inverse and gf_divmod while it lifts them."""
     p = _choose_prime(f)
     modular = gf_berlekamp(gf_monic(gf_normal(f, p), p), p)
-    calls = {"gf_inverse": [], "gf_divmod": []}
-    for name, degrees in calls.items():
-        inner = getattr(_intpoly, name)
+    calls = {"inverse": [], "gf_divmod": []}
+    inverse, divmod_ = PackedGF.inverse, _intpoly.gf_divmod
 
-        def recording(a, b, q, inner=inner, degrees=degrees):
-            degrees.append(len(b) - 1)
-            return inner(a, b, q)
+    def recording_inverse(P, a, g):
+        calls["inverse"].append(P.degree(g))
+        return inverse(P, a, g)
 
-        monkeypatch.setattr(_intpoly, name, recording)
+    def recording_divmod(a, g, q):
+        calls["gf_divmod"].append(len(g) - 1)
+        return divmod_(a, g, q)
+
+    monkeypatch.setattr(PackedGF, "inverse", recording_inverse)
+    monkeypatch.setattr(_intpoly, "gf_divmod", recording_divmod)
     zz_hensel_lift(p, f, modular, 10)
     return modular, calls
 
 
 def test_hensel_lift_takes_quadratic_and_linear_factors_through_their_roots(monkeypatch):
-    # A division step would call gf_inverse once and gf_divmod at least three times per factor.
+    # A division step would call inverse once and gf_divmod at least three times per factor.
     modular, calls = hensel_lift_calls(monkeypatch, sd16_times_x2_minus_3())
     assert sorted(len(g) - 1 for g in modular) == [1, 1] + [2] * 8
-    assert calls == {"gf_inverse": [], "gf_divmod": []}
+    assert calls == {"inverse": [], "gf_divmod": []}
 
 
 def test_hensel_lift_runs_one_inverse_per_factor_of_degree_three_or_more(monkeypatch):
@@ -569,7 +581,7 @@ def test_hensel_lift_runs_one_inverse_per_factor_of_degree_three_or_more(monkeyp
     f = zz_mul([2, -2, 0, 1], zz_mul([-3, 0, 1], [1, 1]))
     modular, calls = hensel_lift_calls(monkeypatch, f)
     assert sorted(len(g) - 1 for g in modular) == [1, 2, 3]
-    assert calls["gf_inverse"] == [3]
+    assert calls["inverse"] == [3]
 
 
 def test_gf_divmod_matches_eager_division():
@@ -587,9 +599,13 @@ def test_gf_divmod_matches_eager_division():
                 assert gf_divmod(f, g, m) == ([], gf_normal(f, m))
 
 
+# Every prime from 3 to 23, and 65521, whose slots are wider than 64 bits.
+PACKED_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 65521)
+
+
 def test_gf_inverse_and_gcd_match_extended_euclid():
     rng = random.Random(83)
-    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+    for p in PACKED_PRIMES:
         kinds = {"constant a": 0, "deg a >= deg f": 0, "not coprime": 0}
         inverted = 0
         while inverted < 40:
@@ -600,12 +616,13 @@ def test_gf_inverse_and_gcd_match_extended_euclid():
             k = rng.randint(0, 2 * n) if rng.random() < 0.8 else 0
             a = gf_mul(common, [rng.randrange(p) for _ in range(k)] + [rng.randrange(1, p)], p)
             s, _, h = gf_gcdex(a, f, p)
+            P = PackedGF(p, len(f) - 1)
             if h != [1]:
                 with pytest.raises(ValueError):
-                    gf_inverse(a, f, p)
+                    P.inverse(P.pack(a), P.pack(f))
                 kinds["not coprime"] += 1
                 continue
-            assert gf_inverse(a, f, p) == s, (a, f, p)
+            assert P.unpack(P.inverse(P.pack(a), P.pack(f))) == s, (a, f, p)
             assert gf_rem(gf_normal(zz_mul(s, a), p), f, p) == [1], (a, f, p)
             kinds["constant a"] += len(a) == 1
             kinds["deg a >= deg f"] += len(a) >= len(f)
@@ -675,10 +692,6 @@ def test_berlekamp_matrix_walk_matches_squaring(p, degree):
         assert gf_berlekamp(f, p) == berlekamp_scan(f, p), (f, p)
 
 
-# Every prime from 3 to 23, and 65521, whose slots are wider than 64 bits.
-PACKED_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 65521)
-
-
 def random_gf_irreducible(rng: random.Random, p: int, degree: int) -> list[int]:
     """A random monic irreducible of degree 1 to 4 over F_p: it has no factor
     of degree i <= degree/2, so gcd(g, X^(p^i) - X) = 1 for each such i."""
@@ -743,3 +756,9 @@ def test_packed_reduction_is_exact_at_the_slot_bound(p):
         for a in range(top - min(p, 64), top + 1):
             ones = sum(1 << P.W * i for i in range(n + 1))
             assert P.reduce(a * ones) == a % p * ones, (p, n, a)
+        # The largest cofactor update of inverse modulo f of degree n: s0 + (-q)*s1
+        # with every residue p - 1 and deg q + deg s1 = n - 1.
+        for k in range(n):
+            s0, nq, s1 = [p - 1] * n, [p - 1] * (n - k), [p - 1] * (k + 1)
+            expected = gf_normal(add(s0, zz_mul(nq, s1)), p)
+            assert P.unpack(P.reduce(P.pack(s0) + P.pack(nq) * P.pack(s1))) == expected, (p, n, k)
