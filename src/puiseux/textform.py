@@ -1,6 +1,6 @@
 """Bidirectional text format for polynomials, rationals, and monoid literals.
 
-Grammar (whitespace-insensitive between tokens)::
+Grammar, read one character at a time with one character of lookahead::
 
     poly   :=  term (('+' | '-') term)*
     term   :=  coeff | coeff '*'? mono | mono
@@ -10,6 +10,9 @@ Grammar (whitespace-insensitive between tokens)::
     monoid :=  '<' rat (',' rat)* '>'
     rat    :=  uint ('/' uint)?
 
+A ``uint`` is a run of the ASCII digits 0-9.  Whitespace may stand
+anywhere except inside a ``uint``.  A character that is not an ASCII digit,
+whitespace or one of ``+-*/^()<>,X`` is reported before any syntax error.
 Fractional exponents require parentheses ("X^(1/2)"), keeping '^' and '/'
 unambiguous.  Output renders terms in descending exponent order and
 round-trips through the parser bit-exactly.
@@ -25,172 +28,145 @@ from .exact import Rat
 from .monoid import PuiseuxMonoid
 from .ppoly import PuiseuxPoly
 
-class _Token:
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind: str, text: str, offset: int):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()<>,X":
-            # a one-character token's kind is the character itself
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(_Token("INT", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("END", "", n))
-    return tokens
-
 
 class _Parser:
-    """Recursive descent with single-token lookahead; the grammar is LL(1)."""
+    """Recursive descent over the characters; the grammar is LL(1).  The
+    lookahead ``ch`` is the next non-whitespace character (``''`` at the
+    end) and ``pos`` its offset."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        for i, ch in enumerate(text):
+            if ch not in "+-*/^()<>,X" and not "0" <= ch <= "9" and not ch.isspace():
+                raise ParseError(f"unexpected character {ch!r}", i)
+        self.text = text
         self.pos = 0
+        self.skip()
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def skip(self) -> None:
+        text, i = self.text, self.pos
+        while i < len(text) and text[i].isspace():
+            i += 1
+        self.pos = i
+        self.ch = text[i] if i < len(text) else ""
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> str:
+        ch = self.ch
         self.pos += 1
-        return tok
+        self.skip()
+        return ch
 
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.current.kind != kind:
-            raise ParseError(f"expected {what}", self.current.offset)
-        return self.advance()
+    def expect(self, ch: str, what: str) -> None:
+        if self.ch != ch:
+            raise ParseError(f"expected {what}", self.pos)
+        self.advance()
 
-    def at_end(self) -> bool:
-        return self.current.kind == "END"
+    def end(self) -> None:
+        if self.ch:
+            raise ParseError("unexpected trailing input", self.pos)
 
     # -- shared pieces ----------------------------------------------------
 
     def uint(self, what: str) -> int:
-        tok = self.expect("INT", what)
+        text, start = self.text, self.pos
+        i = start
+        while i < len(text) and "0" <= text[i] <= "9":
+            i += 1
+        if i == start:
+            raise ParseError(f"expected {what}", start)
+        self.pos = i
+        self.skip()
         try:
-            return int(tok.text)
+            return int(text[start:i])
         except ValueError:
             # an ASCII digit run fails only past the interpreter's digit limit
             raise _digit_limit_error() from None
 
-    def unsigned_rational(self, what: str) -> Fraction:
-        start = self.current.offset
+    def rational(self, what: str, slash: str = "", denominator: str = "denominator") -> Fraction:
+        """Read ``uint ('/' uint)?``; naming the ``slash`` makes it required."""
+        start = self.pos
         num = self.uint(what)
-        if self.current.kind == "/":
+        if self.ch == "/":
             self.advance()
-            if self.current.kind == "-":
-                raise ParseError("denominator must be positive", self.current.offset)
-            den = self.uint("denominator")
-            if den == 0:
-                raise ParseError("zero denominator", start)
-            return Fraction(num, den)
-        return Fraction(num)
+        elif slash:
+            raise ParseError(f"expected {slash}", self.pos)
+        else:
+            return Fraction(num)
+        if self.ch == "-":
+            raise ParseError("denominator must be positive", self.pos)
+        den = self.uint(denominator)
+        if den == 0:
+            raise ParseError("zero denominator", start)
+        return Fraction(num, den)
 
     def coefficient(self) -> Fraction:
         sign = 1
-        if self.current.kind == "-":
+        if self.ch == "-":
             self.advance()
             sign = -1
-        return sign * self.unsigned_rational("a number")
+        return sign * self.rational("a number")
 
     def exponent(self) -> Rat:
-        tok = self.current
-        if tok.kind == "-":
-            raise ParseError("negative exponent is not allowed", tok.offset)
-        if tok.kind == "INT":
-            return Rat(self.uint("an exponent"))
-        if tok.kind == "(":
+        fractional = self.ch == "("
+        if fractional:
             self.advance()
-            if self.current.kind == "-":
-                raise ParseError(
-                    "negative exponent is not allowed", self.current.offset
-                )
-            start = self.current.offset
-            num = self.uint("an exponent numerator")
-            self.expect("/", "'/' in fractional exponent")
-            if self.current.kind == "-":
-                raise ParseError("denominator must be positive", self.current.offset)
-            den = self.uint("an exponent denominator")
-            if den == 0:
-                raise ParseError("zero denominator", start)
-            self.expect(")", "')'")
-            return Rat(num, den)
-        raise ParseError("expected an exponent", tok.offset)
+        if self.ch == "-":
+            raise ParseError("negative exponent is not allowed", self.pos)
+        if not fractional:
+            return Rat(self.uint("an exponent"))
+        value = self.rational(
+            "an exponent numerator", "'/' in fractional exponent", "an exponent denominator"
+        )
+        self.expect(")", "')'")
+        return Rat(value)
 
     # -- polynomials --------------------------------------------------------
 
     def mono_exponent(self) -> Rat:
         self.expect("X", "'X'")
-        if self.current.kind == "^":
+        if self.ch == "^":
             self.advance()
             return self.exponent()
         return Rat(1)
 
     def term(self) -> tuple[Rat, Fraction]:
-        tok = self.current
-        if tok.kind == "X":
+        if self.ch == "X":
             return self.mono_exponent(), Fraction(1)
-        if tok.kind in ("INT", "-"):
-            coeff = self.coefficient()
-            if self.current.kind == "*":
-                self.advance()
-                return self.mono_exponent(), coeff
-            if self.current.kind == "X":
-                return self.mono_exponent(), coeff
+        if self.ch != "-" and not "0" <= self.ch <= "9":
+            raise ParseError("expected a term", self.pos)
+        coeff = self.coefficient()
+        if self.ch == "*":
+            self.advance()
+        elif self.ch != "X":
             return Rat(0), coeff
-        raise ParseError("expected a term", tok.offset)
+        return self.mono_exponent(), coeff
 
     def poly(self) -> PuiseuxPoly:
         terms = [self.term()]
-        while self.current.kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
+        while self.ch in ("+", "-"):
+            sign = 1 if self.advance() == "+" else -1
             exponent, coeff = self.term()
             terms.append((exponent, sign * coeff))
-        if not self.at_end():
-            raise ParseError("unexpected trailing input", self.current.offset)
+        self.end()
         return PuiseuxPoly(terms)
 
     # -- monoid literals -----------------------------------------------------
 
     def generator(self) -> Rat:
-        tok = self.current
-        if tok.kind == "-":
-            raise ParseError("generator must be positive", tok.offset)
-        value = self.unsigned_rational("a generator")
-        if value == 0:
-            raise ParseError("generator must be positive", tok.offset)
-        return Rat(value)
+        start = self.pos
+        if self.ch != "-":
+            value = self.rational("a generator")
+            if value:
+                return Rat(value)
+        raise ParseError("generator must be positive", start)
 
     def monoid(self) -> PuiseuxMonoid:
         self.expect("<", "'<'")
         gens = [self.generator()]
-        while self.current.kind == ",":
+        while self.ch == ",":
             self.advance()
             gens.append(self.generator())
         self.expect(">", "'>'")
-        if not self.at_end():
-            raise ParseError("unexpected trailing input", self.current.offset)
+        self.end()
         return PuiseuxMonoid(gens)
 
 
@@ -211,9 +187,8 @@ def parse_monoid(text: str) -> PuiseuxMonoid:
 def parse_rat(text: str) -> Rat:
     """Parse a bare non-negative rational ``"a/b"`` or ``"a"``."""
     parser = _Parser(text)
-    value = parser.unsigned_rational("a rational number")
-    if not parser.at_end():
-        raise ParseError("unexpected trailing input", parser.current.offset)
+    value = parser.rational("a rational number")
+    parser.end()
     return Rat(value)
 
 

@@ -46,6 +46,8 @@ the conductor, and collects the divisors, built by ``PuiseuxPoly``'s
 checking constructor, in a set.  Making an element dense rebuilds the
 scaled element through that constructor and gives every dense coefficient
 its own ``Fraction``, where ``PuiseuxPoly.to_qpoly`` scales in integers.
+The wire-format parser splits the text into a token list before it parses,
+where the library reads the characters directly.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ from functools import lru_cache
 from puiseux import (
     CanonicalFactorization,
     DomainError,
+    ParseError,
+    PuiseuxMonoid,
     PuiseuxPoly,
     QPoly,
     Rat,
@@ -69,6 +73,7 @@ from puiseux import _intpoly as zz
 from puiseux.cyclotomic import _divisors, factor_primitive
 from puiseux.exact import is_prime
 from puiseux.ppoly import MAX_DENSE_DEGREE
+from puiseux.textform import _digit_limit_error
 
 
 # -- integer polynomial helpers (ascending coefficient lists) ---------------
@@ -910,3 +915,195 @@ def dense_by_substitution(f, scale):
     for e, c in scaled.terms:
         out[int(e)] = c
     return QPoly(out)
+
+
+# -- the wire-format parser over a token list ---------------------------------
+#
+# The library reads the characters directly; this reader first splits the
+# text into tokens (single characters and runs of ASCII digits, each with
+# its offset, then an END token at the text's length) and walks that list.
+
+
+class _Token:
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int):
+        self.kind = kind
+        self.text = text
+        self.offset = offset
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*/^()<>,X":
+            # a one-character token's kind is the character itself
+            tokens.append(_Token(ch, ch, i))
+            i += 1
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            tokens.append(_Token("INT", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(_Token("END", "", n))
+    return tokens
+
+
+class _Parser:
+    """Recursive descent with single-token lookahead; the grammar is LL(1)."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    @property
+    def current(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> _Token:
+        if self.current.kind != kind:
+            raise ParseError(f"expected {what}", self.current.offset)
+        return self.advance()
+
+    def at_end(self) -> bool:
+        return self.current.kind == "END"
+
+    # -- shared pieces ----------------------------------------------------
+
+    def uint(self, what: str) -> int:
+        tok = self.expect("INT", what)
+        try:
+            return int(tok.text)
+        except ValueError:
+            # an ASCII digit run fails only past the interpreter's digit limit
+            raise _digit_limit_error() from None
+
+    def unsigned_rational(self, what: str) -> Fraction:
+        start = self.current.offset
+        num = self.uint(what)
+        if self.current.kind == "/":
+            self.advance()
+            if self.current.kind == "-":
+                raise ParseError("denominator must be positive", self.current.offset)
+            den = self.uint("denominator")
+            if den == 0:
+                raise ParseError("zero denominator", start)
+            return Fraction(num, den)
+        return Fraction(num)
+
+    def coefficient(self) -> Fraction:
+        sign = 1
+        if self.current.kind == "-":
+            self.advance()
+            sign = -1
+        return sign * self.unsigned_rational("a number")
+
+    def exponent(self) -> Rat:
+        tok = self.current
+        if tok.kind == "-":
+            raise ParseError("negative exponent is not allowed", tok.offset)
+        if tok.kind == "INT":
+            return Rat(self.uint("an exponent"))
+        if tok.kind == "(":
+            self.advance()
+            if self.current.kind == "-":
+                raise ParseError(
+                    "negative exponent is not allowed", self.current.offset
+                )
+            start = self.current.offset
+            num = self.uint("an exponent numerator")
+            self.expect("/", "'/' in fractional exponent")
+            if self.current.kind == "-":
+                raise ParseError("denominator must be positive", self.current.offset)
+            den = self.uint("an exponent denominator")
+            if den == 0:
+                raise ParseError("zero denominator", start)
+            self.expect(")", "')'")
+            return Rat(num, den)
+        raise ParseError("expected an exponent", tok.offset)
+
+    # -- polynomials --------------------------------------------------------
+
+    def mono_exponent(self) -> Rat:
+        self.expect("X", "'X'")
+        if self.current.kind == "^":
+            self.advance()
+            return self.exponent()
+        return Rat(1)
+
+    def term(self) -> tuple[Rat, Fraction]:
+        tok = self.current
+        if tok.kind == "X":
+            return self.mono_exponent(), Fraction(1)
+        if tok.kind in ("INT", "-"):
+            coeff = self.coefficient()
+            if self.current.kind == "*":
+                self.advance()
+                return self.mono_exponent(), coeff
+            if self.current.kind == "X":
+                return self.mono_exponent(), coeff
+            return Rat(0), coeff
+        raise ParseError("expected a term", tok.offset)
+
+    def poly(self) -> PuiseuxPoly:
+        terms = [self.term()]
+        while self.current.kind in ("+", "-"):
+            sign = 1 if self.advance().kind == "+" else -1
+            exponent, coeff = self.term()
+            terms.append((exponent, sign * coeff))
+        if not self.at_end():
+            raise ParseError("unexpected trailing input", self.current.offset)
+        return PuiseuxPoly(terms)
+
+    # -- monoid literals -----------------------------------------------------
+
+    def generator(self) -> Rat:
+        tok = self.current
+        if tok.kind == "-":
+            raise ParseError("generator must be positive", tok.offset)
+        value = self.unsigned_rational("a generator")
+        if value == 0:
+            raise ParseError("generator must be positive", tok.offset)
+        return Rat(value)
+
+    def monoid(self) -> PuiseuxMonoid:
+        self.expect("<", "'<'")
+        gens = [self.generator()]
+        while self.current.kind == ",":
+            self.advance()
+            gens.append(self.generator())
+        self.expect(">", "'>'")
+        if not self.at_end():
+            raise ParseError("unexpected trailing input", self.current.offset)
+        return PuiseuxMonoid(gens)
+
+
+def parse_poly_by_tokens(text: str) -> PuiseuxPoly:
+    return _Parser(text).poly()
+
+
+def parse_monoid_by_tokens(text: str) -> PuiseuxMonoid:
+    return _Parser(text).monoid()
+
+
+def parse_rat_by_tokens(text: str) -> Rat:
+    parser = _Parser(text)
+    value = parser.unsigned_rational("a rational number")
+    if not parser.at_end():
+        raise ParseError("unexpected trailing input", parser.current.offset)
+    return Rat(value)

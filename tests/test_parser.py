@@ -21,6 +21,7 @@ from puiseux import (
 )
 
 from randgen import random_puiseux_poly
+from reference import parse_monoid_by_tokens, parse_poly_by_tokens, parse_rat_by_tokens
 
 
 def test_parse_poly_examples():
@@ -65,6 +66,16 @@ def test_parse_errors_carry_offsets():
     for text, offset in (("X^\u00b2", 2), ("\u0663*X", 0)):
         with pytest.raises(ParseError, match="unexpected character") as err:
             parse_poly(text)
+        assert err.value.offset == offset
+    # the end offset counts trailing whitespace, and a digit run stops at a space
+    for parse, text, message, offset in (
+        (parse_poly, "X + ", "expected a term", 4),
+        (parse_poly, "1 2*X", "unexpected trailing input", 2),
+        (parse_monoid, "< 2, -3 >", "generator must be positive", 5),
+        (parse_poly, "X^(1/0) + 1", "zero denominator", 3),
+    ):
+        with pytest.raises(ParseError, match=message) as err:
+            parse(text)
         assert err.value.offset == offset
 
 
@@ -154,3 +165,72 @@ def test_numbers_past_the_digit_limit_are_resource_limits():
         format_poly(PuiseuxPoly([(huge, 1)]))
     with pytest.raises(ResourceLimitError, match="digits"):
         format_rat(Fraction(1, 10**4000) ** 2)
+
+
+# Whole grammar fragments make the strings reach every rule; the four
+# characters outside the grammar stand for Unicode digits, letters and 'x'.
+_DIFF_ALPHABET = "+-*/^()<>,X0123456789 \t\n\u00b2\u0663\u00e9x"
+_DIFF_PIECES = tuple(_DIFF_ALPHABET) + (
+    "X", "X^", "X^(", "(1/2)", "1/2", "3/4", "0", "12", "*X", " + ", " - ",
+    "<", "<2, 3>", ", ", ">", "(-1)", "1/0", "/-",
+)
+
+_PARSE_MESSAGES = {
+    "unexpected character",
+    "unexpected trailing input",
+    "expected a term",
+    "expected a number",
+    "expected a generator",
+    "expected a rational number",
+    "expected denominator",
+    "expected an exponent",
+    "expected an exponent numerator",
+    "expected '/' in fractional exponent",
+    "expected an exponent denominator",
+    "expected 'X'",
+    "expected ')'",
+    "expected '<'",
+    "expected '>'",
+    "denominator must be positive",
+    "zero denominator",
+    "negative exponent is not allowed",
+    "generator must be positive",
+}
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except (ParseError, ResourceLimitError) as err:
+        return type(err), str(err), getattr(err, "offset", None)
+
+
+def test_parser_matches_the_token_parser():
+    rng = random.Random(139)
+    pairs = (
+        (parse_poly, parse_poly_by_tokens),
+        (parse_monoid, parse_monoid_by_tokens),
+        (parse_rat, parse_rat_by_tokens),
+    )
+    parsed = [0, 0, 0]
+    messages = set()
+    for _ in range(50_000):
+        n = rng.randint(0, 14)
+        text = ""
+        while len(text) < n:
+            text += rng.choice(_DIFF_PIECES)
+        text = text[:n]
+        for k, (parse, oracle) in enumerate(pairs):
+            got = _outcome(parse, text)
+            assert got == _outcome(oracle, text), (parse.__name__, text)
+            if got[0] == "ok":
+                parsed[k] += 1
+            else:
+                message = got[1].rsplit(" (at offset", 1)[0]
+                if message.startswith("unexpected character"):
+                    message = "unexpected character"
+                messages.add(message)
+    # the strings are not vacuous: each entry point accepts some, and every
+    # error message of the grammar is reached
+    assert min(parsed) >= 50, parsed
+    assert messages == _PARSE_MESSAGES, sorted(messages ^ _PARSE_MESSAGES)
