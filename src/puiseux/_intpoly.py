@@ -36,10 +36,6 @@ def zz_strip(f: list[int]) -> list[int]:
     return f
 
 
-def zz_deg(f: list[int]) -> int:
-    return len(f) - 1
-
-
 def zz_sub(f: list[int], g: list[int]) -> list[int]:
     out = list(f) + [0] * (len(g) - len(f))
     for i, c in enumerate(g):
@@ -186,10 +182,10 @@ def zz_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
         return [(f, 1)]
     d = zz_sub(w, zz_derivative(c))
     parts, i = [], 1
-    while zz_deg(c) > 0:
+    while len(c) > 1:
         a, c, w = zz_gcd(c, d)
         d = zz_sub(w, zz_derivative(c))
-        if zz_deg(a) > 0:
+        if len(a) > 1:
             parts.append((a, i))
         i += 1
     return parts
@@ -334,7 +330,7 @@ def gf_berlekamp(f: list[int], p: int) -> list[list[int]]:
     the remaining values of c are not tried.  Deterministic: the basis comes
     from Gaussian elimination, and the factors are returned sorted.
     """
-    n = zz_deg(f)
+    n = len(f) - 1
     P = PackedGF(p, n)
     W, slot, top = P.W, P.slot, P.W * n
     neg, low, cur, rows = P.pack([-c for c in f[:n]]), (1 << top) - 1, 1, [1]
@@ -458,7 +454,7 @@ def _choose_prime(f: list[int]) -> int:
 
 
 def _mignotte_bound(f: list[int]) -> int:
-    n = zz_deg(f)
+    n = len(f) - 1
     return (math.isqrt(n + 1) + 1) * (1 << n) * zz_max_norm(f) * abs(f[-1])
 
 
@@ -487,7 +483,7 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     :class:`ResourceLimitError` before a prime is chosen, and so does one
     whose recombination would pre-test more than ``MAX_SUBSETS`` subsets.
     """
-    n = zz_deg(f)
+    n = len(f) - 1
     if n == 1:
         return [f]
     bound = _mignotte_bound(f)
@@ -555,6 +551,6 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
                     break
         else:
             size += 1
-    if zz_deg(cur) >= 1:
+    if len(cur) > 1:
         result.append(cur)
     return result

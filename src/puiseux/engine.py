@@ -120,12 +120,15 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
     split t (t and k - t in N) with one exponent per factor, naming the
     divisor X^t * g with cofactor X^(k-t) * h.  The factors are pairwise
     non-associate, so distinct keys name distinct classes.  Every exponent
-    at or above the conductor c of N is a member, so only the coefficients
-    of g and h below degree c decide a key, and the walk multiplies factor
-    powers truncated there.  By Gauss's lemma the integer associates have
-    the supports of the factors.  Only build multiplies out to full degree,
-    so it refuses when its work could pass :data:`MAX_BUILD_WORK`, and the
-    walk alone serves counts and atom tests of larger elements.
+    at or above the conductor of N is a member, so only the coefficients of
+    g and h below degree c, the conductor or one past the core degree if
+    that is less, decide a key, and the walk multiplies factor powers
+    truncated there.  By Gauss's lemma the integer associates have the
+    supports of the factors.  One bitmask of the gaps of N below k + c
+    decides every split of a leaf.  Only build multiplies out to full
+    degree, each prefix of a choice once in any key order, so it refuses
+    when its work could pass :data:`MAX_BUILD_WORK`, and the walk alone
+    serves counts and atom tests of larger elements.
     """
     if f.is_zero:
         raise DomainError("divisors of the zero element are undefined")
@@ -161,18 +164,16 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
         nodes *= len(row)
         degree += len(row[-1]) - 1
     work += 64 * combinations * (degree + 2) // 2
-    c = numerical.conductor
+    c = min(numerical.conductor, degree + 1)
+    gaps = sum(1 << x for x in range(k + c) if not numerical.contains(x))
     low = [[p[:c] for p in row] for row in powers]
-    member = numerical.contains
 
     def walk(index: int, g: list[int], h: list[int], choice: tuple[int, ...]):
         if index == len(low):
-            g_low = [i for i, x in enumerate(g) if x]
-            h_low = [i for i, x in enumerate(h) if x]
+            g_bits = sum(1 << i for i, x in enumerate(g) if x)
+            h_bits = sum(1 << i for i, x in enumerate(h) if x)
             for t in splits:
-                if all(member(t + i) for i in g_low) and all(
-                    member(k - t + i) for i in h_low
-                ):
+                if not (g_bits & gaps >> t or h_bits & gaps >> (k - t)):
                     yield t, choice
             return
         row = low[index]
@@ -181,10 +182,15 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
                 index + 1, zz_mul(g, power)[:c], zz_mul(h, row[-1 - j])[:c], choice + (j,)
             )
 
-    # build keeps the prefix products of the last choice, since keys come in
-    # the walk's order, and shares equal exponents and coefficients.
-    last: list[int] = []
-    prefix = [[1]]
+    # build multiplies each prefix of a choice out once, and shares equal
+    # exponents and coefficients.
+    @lru_cache(maxsize=None)
+    def product(choice: tuple[int, ...]) -> list[int]:
+        if not choice:
+            return [1]
+        g, j = product(choice[:-1]), choice[-1]
+        return zz_mul(g, powers[len(choice) - 1][j]) if j else g
+
     exponent = lru_cache(maxsize=None)(lambda i: Rat(i * scale.denominator, scale.numerator))
     coefficient = lru_cache(maxsize=None)(Fraction)
 
@@ -195,14 +201,7 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
                 f" past the cap of {MAX_BUILD_WORK}"
             )
         t, choice = key
-        i = 0
-        while i < len(last) and last[i] == choice[i]:
-            i += 1
-        del last[i:], prefix[i + 1 :]
-        for row, j in zip(powers[i:], choice[i:]):
-            prefix.append(zz_mul(prefix[-1], row[j]) if j else prefix[-1])
-            last.append(j)
-        g = prefix[-1]
+        g = product(choice)
         lc = g[-1]
         return PuiseuxPoly._from_canonical(
             tuple((exponent(i), coefficient(x, lc)) for i, x in enumerate(g, t) if x)
@@ -249,7 +248,7 @@ def is_atom_in_algebra(
 
     The walk stops at the third kept key.
     """
-    if f.is_zero or f.is_constant:
+    if f.is_zero or f.degree == 0:
         raise DomainError("atoms are nonzero nonunits; constants are units or zero")
     keys, _ = _divisor_walk(f, monoid, limit)
     return sum(1 for _ in islice(keys, 3)) == 2

@@ -67,10 +67,6 @@ class PuiseuxPoly:
         return cls(((Rat(0), Fraction(1)),))
 
     @classmethod
-    def constant(cls, c) -> "PuiseuxPoly":
-        return cls(((Rat(0), Fraction(c)),))
-
-    @classmethod
     def monomial(cls, coeff, exponent) -> "PuiseuxPoly":
         return cls(((Rat(exponent), Fraction(coeff)),))
 
@@ -113,10 +109,6 @@ class PuiseuxPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
-
     def _require_nonzero(self):
         if not self.terms:
             raise DomainError("undefined for the zero element")
@@ -147,7 +139,7 @@ class PuiseuxPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = PuiseuxPoly.constant(other)
+            other = PuiseuxPoly.monomial(other, 0)
         elif not isinstance(other, PuiseuxPoly):
             return NotImplemented
         acc: dict[Fraction, Fraction] = {}

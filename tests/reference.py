@@ -843,11 +843,11 @@ def yun_squarefree(f):
     c = zz.zz_trial_div(f, g)
     d = zz.zz_sub(zz.zz_trial_div(df, g), zz.zz_derivative(c))
     parts, i = [], 1
-    while zz.zz_deg(c) > 0:
+    while len(c) > 1:
         a = prs_gcd(c, d)
         c = zz.zz_trial_div(c, a)
         d = zz.zz_sub(zz.zz_trial_div(d, a), zz.zz_derivative(c))
-        if zz.zz_deg(a) > 0:
+        if len(a) > 1:
             parts.append((a, i))
         i += 1
     return parts

@@ -9,6 +9,7 @@ import pytest
 from puiseux import (
     CanonicalFactorization,
     DomainError,
+    NumericalMonoid,
     PuiseuxMonoid,
     PuiseuxPoly,
     QPoly,
@@ -23,7 +24,7 @@ from puiseux import (
     recompose,
 )
 from puiseux import engine
-from puiseux._intpoly import zz_gcd, zz_trial_div
+from puiseux._intpoly import zz_gcd, zz_mul, zz_trial_div
 
 import reference
 from reference import (
@@ -361,6 +362,33 @@ def test_divisor_count_and_atom_test_build_no_divisor(monkeypatch):
     assert len(built) == 1120
 
 
+def test_divisor_walk_tests_membership_with_one_gap_mask(monkeypatch):
+    # the walk reads one bitmask of the gaps below k + c, not one
+    # membership query per coefficient and split at every leaf
+    calls = []
+    contains = NumericalMonoid.contains
+    monkeypatch.setattr(NumericalMonoid, "contains", lambda N, x: calls.append(x) or contains(N, x))
+    assert ff_divisor_count(parse_poly("X^60 - 1"), PuiseuxMonoid([2, 3])) == 1120
+    assert len(calls) < 20
+
+
+def test_build_makes_each_prefix_once_in_any_key_order(monkeypatch):
+    f, S = parse_poly("X^60 - 1"), PuiseuxMonoid([2, 3])
+    products, divisors = [], []
+    for order in ("walk", "shuffled"):
+        keys, build = engine._divisor_walk(f, S, engine.DEFAULT_DIVISOR_LIMIT)
+        keys = list(keys)
+        if order == "shuffled":
+            random.Random(28).shuffle(keys)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(engine, "zz_mul", lambda g, h: calls.append(1) or zz_mul(g, h))
+            divisors.append(sorted(map(build, keys), key=lambda g: (g.degree, g.terms)))
+        products.append(len(calls))
+    assert products[0] == products[1]
+    assert divisors[0] == divisors[1] and len(divisors[0]) == 1120
+
+
 def _element_in(rng: random.Random, S: PuiseuxMonoid) -> PuiseuxPoly:
     """c * Y^t * prod B(Y^g)^e with Y = X^(1/scale): blocks B composed with
     generators g of the scaled monoid N, some squared or cubed, and t a
@@ -389,6 +417,8 @@ def test_divisors_match_untruncated_walk():
         PuiseuxMonoid([5, 7]),
         PuiseuxMonoid([Rat(1, 2), Rat(1, 3)]),
         PuiseuxMonoid([Rat(2, 3), 1]),
+        PuiseuxMonoid([10, 11]),
+        PuiseuxMonoid([7, 11, 13]),
     ]
     for S in monoids:
         for _ in range(12):
@@ -428,6 +458,16 @@ def test_binomials_past_the_dense_cap_reach_the_divisor_walk():
     assert ff_divisor_count(f, S) == 4
     assert not is_atom_in_algebra(f, S)
     assert ff_divisor_count(f, PuiseuxMonoid([2, 3])) == 2
+
+
+def test_gap_mask_stops_at_the_core_degree():
+    # the conductor of <100003, 100019> is 10,002,000,036, so a mask of
+    # every gap below it would never be built
+    S = PuiseuxMonoid([100003, 100019])
+    start = time.perf_counter()
+    assert ff_divisor_count(parse_poly("7"), S) == 1
+    assert divisors_in_algebra(parse_poly("7"), S).divisors == (PuiseuxPoly.one(),)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_divisor_cap_refuses_before_building_any_phi(monkeypatch):
