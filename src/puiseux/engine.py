@@ -112,31 +112,38 @@ class DivisorSet(NamedTuple):
 
 
 def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
-    """A generator of the kept (t, choice) keys of f's divisors in Q[S], and
-    the function that builds the monic divisor of a key.
+    """A generator of the kept (t, choice) keys of f's divisors in Q[S], the
+    function that ranks a key on integers, and the function that builds the
+    monic divisor of a rank.
 
     f is scaled into a numerical monoid N, where canonical_factorization
     gives it as X^k times factors, taken primitive over Z.  A key pairs a
-    split t (t and k - t in N) with one exponent per factor, naming the
-    divisor X^t * g with cofactor X^(k-t) * h.  The factors are pairwise
-    non-associate, so distinct keys name distinct classes.  Every exponent
-    at or above the conductor of N is a member, so only the coefficients of
-    g and h below degree c, the conductor or one past the core degree if
-    that is less, decide a key, and the walk multiplies factor powers
-    truncated there.  By Gauss's lemma the integer associates have the
-    supports of the factors.  One bitmask of the gaps of N below k + c
-    decides every split of a leaf.  Only build multiplies out to full
-    degree, each prefix of a choice once in any key order, so it refuses
-    when its work could pass :data:`MAX_BUILD_WORK`, and the walk alone
+    split t (t and k - t in N) with one exponent j_i per factor, naming the
+    divisor X^t * g with cofactor X^(k-t) * h, where h is the product of
+    the mirror choice (e_i - j_i).  The factors are pairwise non-associate,
+    so distinct keys name distinct classes.  Every exponent at or above the
+    conductor of N is a member, so only the coefficients of g and h below
+    degree c, the conductor or one past the core degree if that is less,
+    decide a key, and the walk multiplies factor powers truncated there.
+    By Gauss's lemma the integer associates have the supports of the
+    factors.  The walk visits each choice with its mirror, branching only on
+    j_i <= e_i / 2 while the two agree, and one bitmask of the gaps of N
+    below k + c decides every split of a leaf for both.  The rank is X^t * g
+    with its coefficients times lead / lc(g), lead the product of the
+    factors' leading coefficients, all positive, so ranks order as their
+    monic divisors do.  Only the rank multiplies out to full degree, each
+    prefix of a choice once in any key order, and the root of that memo
+    refuses when the work could pass :data:`MAX_BUILD_WORK`; the walk alone
     serves counts and atom tests of larger elements.
     """
     if f.is_zero:
         raise DomainError("divisors of the zero element are undefined")
-    for s in f.support:
-        if not monoid.contains(s):
-            raise DomainError(f"support exponent {s} lies outside the monoid")
     scale, numerical = monoid.normalization()
-    cf = canonical_factorization(f.substitute(scale))
+    scaled = f.substitute(scale)
+    for e, _ in scaled.terms:
+        if not (e.denominator == 1 and numerical.contains(e.numerator)):
+            raise DomainError(f"support exponent {e / scale} lies outside the monoid")
+    cf = canonical_factorization(scaled)
     k = int(cf.monomial_exponent)
     splits = numerical.divisors(k)
     parts = cf.cyclotomic_part + cf.prime_part
@@ -155,7 +162,7 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
         for _ in range(mult):
             row.append(zz_mul(row[-1], g))
         powers.append(row)
-    # build multiplies each prefix of a choice out at most once: the nodes
+    # rank multiplies each prefix of a choice out at most once: the nodes
     # prefixes before a factor, of mean degree degree / 2, each times every
     # nonzero power of it.  Each divisor it stores has mean degree degree / 2.
     work, nodes, degree = 0, 1, 0
@@ -168,46 +175,57 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
     gaps = sum(1 << x for x in range(k + c) if not numerical.contains(x))
     low = [[p[:c] for p in row] for row in powers]
 
-    def walk(index: int, g: list[int], h: list[int], choice: tuple[int, ...]):
+    def walk(index: int, g: list[int], h: list[int], choice: tuple, mirror: tuple, same: bool):
         if index == len(low):
             g_bits = sum(1 << i for i, x in enumerate(g) if x)
             h_bits = sum(1 << i for i, x in enumerate(h) if x)
             for t in splits:
                 if not (g_bits & gaps >> t or h_bits & gaps >> (k - t)):
                     yield t, choice
+                if not (same or h_bits & gaps >> t or g_bits & gaps >> (k - t)):
+                    yield t, mirror
             return
         row = low[index]
-        for j, power in enumerate(row):
+        e = len(row) - 1
+        for j in range(e // 2 + 1 if same else e + 1):
+            g_j = zz_mul(g, row[j])[:c] if j else g
+            h_j = zz_mul(h, row[e - j])[:c] if j < e else h
             yield from walk(
-                index + 1, zz_mul(g, power)[:c], zz_mul(h, row[-1 - j])[:c], choice + (j,)
+                index + 1, g_j, h_j, choice + (j,), mirror + (e - j,), same and 2 * j == e
             )
 
-    # build multiplies each prefix of a choice out once, and shares equal
-    # exponents and coefficients.
+    # rank multiplies each prefix of a choice out once, and build shares equal
+    # exponents and coefficients.  Every product recurses to the root on its
+    # first miss, so the root alone checks the cap.
     @lru_cache(maxsize=None)
     def product(choice: tuple[int, ...]) -> list[int]:
         if not choice:
+            if work > MAX_BUILD_WORK:
+                raise ResourceLimitError(
+                    f"building the divisors takes up to {work} coefficient products,"
+                    f" past the cap of {MAX_BUILD_WORK}"
+                )
             return [1]
         g, j = product(choice[:-1]), choice[-1]
         return zz_mul(g, powers[len(choice) - 1][j]) if j else g
 
     exponent = lru_cache(maxsize=None)(lambda i: Rat(i * scale.denominator, scale.numerator))
     coefficient = lru_cache(maxsize=None)(Fraction)
+    # The leading coefficient of every divisor divides lead.
+    lead = math.prod(row[-1][-1] for row in powers)
 
-    def build(key: tuple[int, tuple[int, ...]]) -> PuiseuxPoly:
-        if work > MAX_BUILD_WORK:
-            raise ResourceLimitError(
-                f"building the divisors takes up to {work} coefficient products,"
-                f" past the cap of {MAX_BUILD_WORK}"
-            )
+    def rank(key: tuple[int, tuple[int, ...]]):
         t, choice = key
         g = product(choice)
-        lc = g[-1]
+        unit = lead // g[-1]
+        return t + len(g), tuple((i, x * unit) for i, x in enumerate(g, t) if x)
+
+    def build(ranked) -> PuiseuxPoly:
         return PuiseuxPoly._from_canonical(
-            tuple((exponent(i), coefficient(x, lc)) for i, x in enumerate(g, t) if x)
+            tuple((exponent(i), coefficient(y, lead)) for i, y in ranked[1])
         )
 
-    return walk(0, [1][:c], [1][:c], ()), build
+    return walk(0, [1][:c], [1][:c], (), (), True), rank, build
 
 
 def divisors_in_algebra(
@@ -225,8 +243,8 @@ def divisors_in_algebra(
     exceeding either raises :class:`ResourceLimitError` rather than
     truncating.
     """
-    keys, build = _divisor_walk(f, monoid, limit)
-    ordered = tuple(sorted(map(build, keys), key=lambda g: (g.degree, g.terms)))
+    keys, rank, build = _divisor_walk(f, monoid, limit)
+    ordered = tuple(map(build, sorted(map(rank, keys))))
     return DivisorSet(element=f, monoid=monoid, divisors=ordered)
 
 
@@ -237,7 +255,7 @@ def ff_divisor_count(
 
     Counts the kept keys of the walk without building any divisor.
     """
-    keys, _ = _divisor_walk(f, monoid, limit)
+    keys = _divisor_walk(f, monoid, limit)[0]
     return sum(1 for _ in keys)
 
 
@@ -250,5 +268,5 @@ def is_atom_in_algebra(
     """
     if f.is_zero or f.degree == 0:
         raise DomainError("atoms are nonzero nonunits; constants are units or zero")
-    keys, _ = _divisor_walk(f, monoid, limit)
+    keys = _divisor_walk(f, monoid, limit)[0]
     return sum(1 for _ in islice(keys, 3)) == 2

@@ -376,17 +376,72 @@ def test_build_makes_each_prefix_once_in_any_key_order(monkeypatch):
     f, S = parse_poly("X^60 - 1"), PuiseuxMonoid([2, 3])
     products, divisors = [], []
     for order in ("walk", "shuffled"):
-        keys, build = engine._divisor_walk(f, S, engine.DEFAULT_DIVISOR_LIMIT)
+        keys, rank, build = engine._divisor_walk(f, S, engine.DEFAULT_DIVISOR_LIMIT)
         keys = list(keys)
         if order == "shuffled":
             random.Random(28).shuffle(keys)
         calls = []
         with monkeypatch.context() as m:
             m.setattr(engine, "zz_mul", lambda g, h: calls.append(1) or zz_mul(g, h))
-            divisors.append(sorted(map(build, keys), key=lambda g: (g.degree, g.terms)))
+            divisors.append(sorted(map(build, map(rank, keys)), key=lambda g: (g.degree, g.terms)))
         products.append(len(calls))
     assert products[0] == products[1]
     assert divisors[0] == divisors[1] and len(divisors[0]) == 1120
+
+
+def test_divisor_walk_multiplies_each_choice_with_its_mirror(monkeypatch):
+    # one truncated product per node and choice pair, none by the unit power:
+    # 16,392 products before the walk paired each choice with its mirror.
+    # X^120 - 1 in <2, 3> took 262,156 and now 65,551; X^144 - 1 in <3, 5>
+    # took 131,083 and now 32,782.
+    calls = []
+    monkeypatch.setattr(engine, "zz_mul", lambda g, h: calls.append(1) or zz_mul(g, h))
+    assert ff_divisor_count(parse_poly("X^60 - 1"), PuiseuxMonoid([2, 3])) == 1120
+    assert len(calls) <= 4200
+
+
+def test_walk_yields_a_choice_equal_to_its_mirror_once():
+    # all multiplicities even, so the choice (2, 1, 1) is its own mirror
+    S = PuiseuxMonoid([2, 3])
+    f = parse_poly("X^4") * parse_poly("X^2 - 2") ** 2 * parse_poly("X^2 + X + 1") ** 2
+    f = f * parse_poly("X + 1") ** 4
+    keys = list(engine._divisor_walk(f, S, engine.DEFAULT_DIVISOR_LIMIT)[0])
+    assert (2, (2, 1, 1)) in keys
+    assert len(keys) == len(set(keys)) == ff_divisor_count(f, S) == len(untruncated_divisors(f, S))
+
+
+def test_divisors_sort_by_degree_then_terms_across_leading_coefficients():
+    # divisors are sorted as integer ranks, scaled by the product of the
+    # factors' leading coefficients; 2X^2+3X+3 and 3X^2+2 give divisors of
+    # one degree whose order only the coefficients decide
+    rng = random.Random(131)
+    pool = [QPoly([3, 3, 2]), QPoly([2, 0, 3]), QPoly([-1, 3]), cyclotomic_poly(1), cyclotomic_poly(3)]
+    for S in (PuiseuxMonoid([2, 3]), PuiseuxMonoid([3, 5, 7]), PuiseuxMonoid([Rat(1, 2), Rat(1, 3)])):
+        scale, N = S.normalization()
+        for _ in range(8):
+            f = PuiseuxPoly.monomial(random_fraction(rng), rng.choice(N.generators))
+            for _ in range(rng.randint(2, 4)):
+                block = PuiseuxPoly.from_qpoly(rng.choice(pool), rng.choice(N.generators))
+                power = rng.choice((1, 2, 2))
+                if f.degree + block.degree * power > 30:
+                    break
+                f = f * block**power
+            divisors = divisors_in_algebra(f.substitute(Rat(1) / scale), S).divisors
+            assert divisors == tuple(sorted(divisors, key=lambda g: (g.degree, g.terms)))
+
+
+def test_support_outside_the_monoid_names_the_smallest_exponent():
+    for text, gens, exponent in (
+        ("X^(1/2) + 1", [1], "1/2"),
+        ("X + 1", [2, 3], "1"),
+        ("X^(1/2) + X^(1/3) + 1", [1], "1/3"),
+    ):
+        match = f"support exponent {exponent} lies outside the monoid"
+        with pytest.raises(DomainError, match=match):
+            divisors_in_algebra(parse_poly(text), PuiseuxMonoid(gens))
+    for text in ("X + 1", "7"):
+        with pytest.raises(DomainError):
+            ff_divisor_count(parse_poly(text), PuiseuxMonoid([]))
 
 
 def _element_in(rng: random.Random, S: PuiseuxMonoid) -> PuiseuxPoly:
@@ -428,8 +483,10 @@ def test_divisors_match_untruncated_walk():
             assert result.divisors == expected
             for g in result.divisors:
                 assert all(type(e) is Rat and type(c) is Fraction for e, c in g.terms)
-            keys, _ = engine._divisor_walk(f, S, engine.DEFAULT_DIVISOR_LIMIT)
+            keys = engine._divisor_walk(f, S, engine.DEFAULT_DIVISOR_LIMIT)[0]
             assert len(list(keys)) == len(set(expected)) == ff_divisor_count(f, S)
+            if f.degree > 0:
+                assert is_atom_in_algebra(f, S) == (len(expected) == 2)
 
 
 def test_cyclotomic_rich_dense_factorization_is_fast():
@@ -496,6 +553,16 @@ def test_build_cap_refuses_binomials_whose_divisors_are_too_large_to_build():
     # the walk builds nothing, so counts and atom tests are still answered
     assert ff_divisor_count(parse_poly("X^131074 - 1"), S) == 16
     assert not is_atom_in_algebra(parse_poly("X^131072 - 1"), S)
+
+
+def test_build_cap_refuses_at_the_first_key_not_after_the_walk(monkeypatch):
+    # keys are ranked as the walk yields them, so the cap at the memo's root
+    # is met before the other 2^18 - 1 keys of X^131072 - 1 are walked
+    calls = []
+    monkeypatch.setattr(engine, "zz_mul", lambda g, h: calls.append(1) or zz_mul(g, h))
+    with pytest.raises(ResourceLimitError, match="coefficient products"):
+        divisors_in_algebra(parse_poly("X^131072 - 1"), PuiseuxMonoid([1]))
+    assert len(calls) < 1000
 
 
 def test_resource_limit_guard():
