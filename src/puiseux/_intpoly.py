@@ -458,6 +458,17 @@ def _mignotte_bound(f: list[int]) -> int:
     return (math.isqrt(n + 1) + 1) * (1 << n) * zz_max_norm(f) * abs(f[-1])
 
 
+def _trace_bound(cur: list[int], bound: int) -> int:
+    """A bound on |lc(h)*g_(deg g - 1)| for every factorization cur = g*h over Z.
+
+    That coefficient is -lc(cur) times the sum of the roots of g.  They are
+    at most deg cur roots of cur, each of modulus at most
+    1 + max_(i<n) |cur_i| / |lc(cur)| (Cauchy).  bound, the Mignotte bound of
+    a multiple f of cur, bounds it too; the smaller of the two is returned.
+    """
+    return min(bound, (len(cur) - 1) * (abs(cur[-1]) + max(map(abs, cur[:-1]))))
+
+
 def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree f with lc(f) > 0, deg f >= 1.
 
@@ -470,7 +481,7 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     each lifted factor's next-to-leading coefficient and values at 0, 1, -1.
     If cur = g*h over Z and the subset lifts g, then lc(cur) times the
     product of its monic lifts is lc(h)*g modulo p^l.  So the symmetric
-    residue of its next-to-leading coefficient lies within the bound, and
+    residue of its next-to-leading coefficient lies within _trace_bound, and
     for x in 0, 1, -1 with cur(x) != 0 that of lc(h)*g(x) is nonzero and
     divides lc(cur)*cur(x) = lc(h)*g(x) * lc(g)*h(x).  The residues are the
     true values: with M the Mahler measure, |lc(h)*g(x)| and the coefficients
@@ -521,12 +532,12 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
             raise ResourceLimitError(
                 f"{subsets} recombination subsets exceed the cap of {MAX_SUBSETS}"
             )
-        lc = cur[-1]
+        lc, trace_bound = cur[-1], _trace_bound(cur, bound)
         targets = [lc * cur[0], lc * sum(cur), lc * (sum(cur[::2]) - sum(cur[1::2]))]
         tests = [(vals, t) for vals, t in zip(values, targets) if t]
         sums = map(sum, combinations([trace[i] for i in remaining], size))
         for subset, t in zip(combinations(remaining, size), sums):
-            if bound < lc * t % pl < pl - bound:
+            if trace_bound < lc * t % pl < pl - trace_bound:
                 continue
             for vals, target in tests:
                 c = lc

@@ -8,10 +8,10 @@ JSON payloads are serialized as strings "a/b" to stay exact.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .cyclotomic import (
@@ -62,38 +62,25 @@ class _UsageError(Exception):
     pass
 
 
-class _Help(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(f"{self.format_usage()}error: {message}")
-
-    def print_help(self, file=None):
-        # -h hands the text back to run_command instead of printing and exiting.
-        raise _Help(self.format_help().rstrip("\n"))
-
-
 def _integer(text: str) -> int:
     """An optional '-' and ASCII digits, as the wire format writes integers.
 
     A number past the interpreter's int/str digit limit is a resource limit,
-    as in the grammar; argparse lets a ``ResourceLimitError`` through.
+    as in the grammar; any other text is a usage error of the argument.
     """
     if text.isascii() and text.removeprefix("-").isdigit():
         try:
             return int(text)
         except ValueError:
             raise _digit_limit_error() from None
-    raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
 
 
 def _parse_field(spec: str) -> int:
     try:
         if spec.startswith("F"):
             return _integer(spec[1:])
-    except argparse.ArgumentTypeError:
+    except ValueError:
         pass
     raise _UsageError(f"field must look like F2, F3, ... (got {spec!r})")
 
@@ -155,7 +142,9 @@ def _cmd_in_algebra(args):
     """divisors, count and atom: parse f, then S, and run the command's query."""
     f = parse_poly(args.poly)
     monoid = parse_monoid(args.monoid)
-    answer = args.query(f, monoid, limit=args.limit)
+    # looked up per call, so a replaced query function is the one that runs
+    query = {"divisors": divisors_in_algebra, "atom": is_atom_in_algebra, "count": ff_divisor_count}
+    answer = query[args.command](f, monoid, limit=args.limit)
     element, algebra = format_poly(f), format_monoid(monoid)
     payload = {"element": element, "monoid": algebra}
     if args.command == "divisors":
@@ -241,55 +230,130 @@ def _cmd_substitute(args):
     return payload, payload["result"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="puiseux", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    sub.required = True
+# One row per command: its handler, a one-line summary, its positionals as
+# (name, converter) and its long options as (name, converter, default,
+# required, help).  Every command also takes the flags -h/--help and --json.
+_POLY, _LITERAL = (("poly", str),), (("monoid_literal", str),)
+_IN_ALGEBRA = (
+    ("monoid", str, None, True, 'monoid literal, e.g. "<2, 3>"'),
+    ("limit", _limit, DEFAULT_DIVISOR_LIMIT, False, "candidate-combination cap"),
+)
+_FIELD = (("field", str, None, False, "prime field such as F2 (default: Q)"),)
+_BY = (("by", str, None, True, "positive rational ratio, e.g. 1/2"),)
+_COMMANDS = {
+    "factor": (_cmd_factor, "canonical monomial/cyclotomic/prime factorization", _POLY, ()),
+    "symsupp": (_cmd_symsupp, "decide symmetric support", _POLY, ()),
+    "divisors": (_cmd_in_algebra, "list all non-associate divisors in Q[S]", _POLY, _IN_ALGEBRA),
+    "atom": (_cmd_in_algebra, "decide atomicity in Q[S]", _POLY, _IN_ALGEBRA),
+    "count": (_cmd_in_algebra, "count non-associate divisors in Q[S]", _POLY, _IN_ALGEBRA),
+    "cyclotomic": (_cmd_cyclotomic, "print the n-th cyclotomic polynomial", (("index", _integer),), ()),
+    "totient-inv": (_cmd_totient_inv, "all n with phi(n) = d", (("value", _integer),), ()),
+    "lemma21": (_cmd_lemma21, "elementary symmetric values and vanishing check", _POLY, _FIELD),
+    "monoid-atoms": (_cmd_monoid_atoms, "minimal generating set of a monoid", _LITERAL, ()),
+    "monoid-divisors": (
+        _cmd_monoid_divisors, "divisors of an element in a monoid", (*_LITERAL, ("element", str)), ()
+    ),
+    "substitute": (_cmd_substitute, "scale every exponent by a positive rational", _POLY, _BY),
+}
+_USAGE = "usage: puiseux [-h] command ..."
 
-    def add(name, handler, summary):
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler)
-        p.add_argument("--json", action="store_true", help="emit a JSON document")
-        return p
 
-    p = add("factor", _cmd_factor, "canonical monomial/cyclotomic/prime factorization")
-    p.add_argument("poly")
-    p = add("symsupp", _cmd_symsupp, "decide symmetric support")
-    p.add_argument("poly")
-    for name, query, summary in (
-        ("divisors", divisors_in_algebra, "list all non-associate divisors in Q[S]"),
-        ("atom", is_atom_in_algebra, "decide atomicity in Q[S]"),
-        ("count", ff_divisor_count, "count non-associate divisors in Q[S]"),
-    ):
-        p = add(name, _cmd_in_algebra, summary)
-        p.set_defaults(query=query)
-        p.add_argument("poly")
-        p.add_argument("--monoid", required=True, help='monoid literal, e.g. "<2, 3>"')
-        p.add_argument(
-            "--limit", type=_limit, default=DEFAULT_DIVISOR_LIMIT,
-            help="candidate-combination cap",
-        )
-    p = add("cyclotomic", _cmd_cyclotomic, "print the n-th cyclotomic polynomial")
-    p.add_argument("index", type=_integer)
-    p = add("totient-inv", _cmd_totient_inv, "all n with phi(n) = d")
-    p.add_argument("value", type=_integer)
-    p = add("lemma21", _cmd_lemma21, "elementary symmetric values and vanishing check")
-    p.add_argument("poly")
-    p.add_argument("--field", help="prime field such as F2 (default: Q)")
-    p = add("monoid-atoms", _cmd_monoid_atoms, "minimal generating set of a monoid")
-    p.add_argument("monoid_literal")
-    p = add("monoid-divisors", _cmd_monoid_divisors, "divisors of an element in a monoid")
-    p.add_argument("monoid_literal")
-    p.add_argument("element")
-    p = add("substitute", _cmd_substitute, "scale every exponent by a positive rational")
-    p.add_argument("poly")
-    p.add_argument("--by", required=True, help="positive rational ratio, e.g. 1/2")
-    return parser
+def _usage(name: str) -> str:
+    _, _, positionals, options = _COMMANDS[name]
+    flags = (f"--{key} {key.upper()}" if required else f"[--{key} {key.upper()}]"
+             for key, _, _, required, _ in options)
+    return " ".join([f"usage: puiseux {name} [-h] [--json]", *flags, *(key for key, _ in positionals)])
+
+
+def _help(name: str | None) -> str:
+    """The -h text of one command, or of the program when name is None."""
+    if name is None:
+        head = [_USAGE, "", __doc__.strip(), "", "commands:"]
+        rows = [(command, row[1]) for command, row in _COMMANDS.items()]
+    else:
+        _, summary, positionals, options = _COMMANDS[name]
+        head = [_usage(name), "", summary, "", "arguments:"]
+        rows = [(key, "") for key, _ in positionals]
+        rows += [(f"--{key} {key.upper()}", text) for key, _, _, _, text in options]
+        rows.append(("--json", "emit a JSON document"))
+    rows.append(("-h, --help", "show this help text"))
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join(head + [f"  {left:{width}}{right}".rstrip() for left, right in rows])
+
+
+def _read(argv: list[str]) -> SimpleNamespace | str:
+    """Read argv by the command table: the handler's arguments, or the -h text.
+
+    An option takes its value as the next token or after '=' and may be cut
+    to a prefix (no option name is a prefix of another); '--' ends them.  A
+    token that starts with a single '-', other than -h, is a positional, so
+    "-2*X^3+1" is a polynomial.  Tokens are read in order, so an error before
+    -h wins.  Usage errors are worded as argparse words them.
+    """
+    usage, row, ended, args, unknown, tokens = _USAGE, None, False, {"json": False}, [], iter(argv)
+    names, wanted, options = ("help",), [], {}
+
+    def fail(message: str):
+        raise _UsageError(f"{usage}\nerror: {message}")
+
+    def convert(function, text: str, label: str):
+        try:
+            return function(text)
+        except ValueError as exc:
+            fail(f"argument {label}: {exc}")
+
+    for token in tokens:
+        if token == "--" and not ended:
+            ended = True
+        elif ended or token != "-h" and not token.startswith("--"):
+            if row is None:
+                if token not in _COMMANDS:
+                    choices = ", ".join(map(repr, _COMMANDS))
+                    fail(f"argument command: invalid choice: {token!r} (choose from {choices})")
+                row, usage = _COMMANDS[token], _usage(token)
+                wanted, options = list(row[2]), {option[0]: option for option in row[3]}
+                names = ("help", "json", *options)
+                args.update(command=token, handler=row[0])
+                args.update((key, option[2]) for key, option in options.items())
+            elif wanted:
+                key, function = wanted.pop(0)
+                args[key] = convert(function, token, key)
+            else:
+                unknown.append(token)
+        else:
+            key, eq, value = ("--help" if token == "-h" else token)[2:].partition("=")
+            matches = [name for name in names if name.startswith(key)]
+            if len(matches) != 1:
+                unknown.append(token)
+            elif matches[0] in ("help", "json"):
+                if eq:
+                    label = "-h/--help" if matches[0] == "help" else "--json"
+                    fail(f"argument {label}: ignored explicit argument {value!r}")
+                if matches[0] == "help":
+                    return _help(args.get("command"))
+                args["json"] = True
+            else:
+                key = matches[0]
+                if not eq:
+                    value = next(tokens, "--")
+                    if value == "-h" or value.startswith("--"):
+                        fail(f"argument --{key}: expected one argument")
+                args[key] = convert(options[key][1], value, f"--{key}")
+    if row is None:
+        fail("the following arguments are required: command")
+    missing = [key for key, _ in wanted]
+    missing += [f"--{key}" for key, _, _, required, _ in row[3] if required and args[key] is None]
+    if missing:
+        fail("the following arguments are required: " + ", ".join(missing))
+    if unknown:
+        usage = _USAGE
+        fail("unrecognized arguments: " + " ".join(unknown))
+    return SimpleNamespace(**args)
 
 
 def run_command(argv: list[str]) -> CommandResult:
     """Dispatch one argv vector; never raises for expected error classes."""
-    # Until argparse has read argv, the raw flag decides the output form.
+    # Until the whole argv has been read, the raw flag decides the output form.
     as_json = "--json" in argv
 
     def finish(status: str, payload: dict | None, text: str) -> CommandResult:
@@ -299,11 +363,11 @@ def run_command(argv: list[str]) -> CommandResult:
         return CommandResult(status, payload, text)
 
     try:
-        args = build_parser().parse_args(argv)
+        args = _read(argv)
+        if isinstance(args, str):
+            return finish("ok", {"help": args}, args)
         as_json = args.json
         payload, text = args.handler(args)
-    except _Help as exc:
-        return finish("ok", {"help": str(exc)}, str(exc))
     except ParseError as exc:
         return finish("parse-error", {"error": str(exc)}, f"parse error: {exc}")
     except _UsageError as exc:

@@ -74,11 +74,53 @@ def test_substitute_command():
 
 
 def test_a_leading_minus_sign_needs_a_space_or_a_double_dash():
-    # Without a space, argparse reads "-2*X^3+1" as an unknown option.
+    # the forms that were needed while a leading "-" read as an option
     spaced = run_command(["factor", "--json", "-2*X^3 + 1"])
     dashed = run_command(["factor", "--json", "--", "-2*X^3+1"])
     assert spaced.exit_code == dashed.exit_code == 0
     assert dashed.payload == spaced.payload
+
+
+def test_a_leading_minus_sign_is_read_as_a_polynomial():
+    bare = run_command(["factor", "-2*X^3+1", "--json"])
+    spaced = run_command(["factor", "-2*X^3 + 1", "--json"])
+    assert bare.exit_code == spaced.exit_code == 0
+    assert bare.text == spaced.text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "X^6-1", "--monoid=<2,3>"],
+        ["count", "X^6-1", "--mon", "<2,3>"],
+        ["count", "--mon=<2,3>", "X^6-1"],
+    ],
+)
+def test_options_take_an_equals_sign_or_a_unique_prefix(argv):
+    result = run_command(argv)
+    assert (result.exit_code, result.text) == (0, "6")
+
+
+def test_argv_forms_that_end_in_an_exit_code():
+    capped = run_command(["count", "X^6-1", "--monoid", "<2,3>", "--lim", "9"])
+    assert capped.status == "resource-limit" and capped.exit_code == 3
+    # after "--" nothing is an option, as before the leading-minus change
+    dashed = run_command(["factor", "--json", "--", "-2*X^3+1"])
+    assert dashed.exit_code == 0 and dashed.payload["constant"] == "-2"
+    bogus = run_command(["factor", "--bogus", "X^2"])
+    assert bogus.exit_code == 2 and "--bogus" in bogus.text
+    unscaled = run_command(["substitute", "X-1"])
+    assert unscaled.exit_code == 2 and "--by" in unscaled.text
+
+
+def test_help_names_every_command():
+    text = run_command(["--help"]).text
+    commands = [
+        "factor", "symsupp", "divisors", "atom", "count", "cyclotomic", "totient-inv",
+        "lemma21", "monoid-atoms", "monoid-divisors", "substitute",
+    ]
+    listed = [line.split()[0] for line in text.splitlines() if line.startswith("  ")]
+    assert set(commands) <= set(listed)
 
 
 def test_exit_codes():
@@ -333,6 +375,15 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     code = (
         "import sys; before = set(sys.modules); import puiseux.cli; "
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_importing_the_cli_loads_neither_argparse_nor_gettext():
+    code = (
+        "import sys; before = set(sys.modules); import puiseux.cli; "
+        "print(sorted({'argparse', 'gettext'} & (set(sys.modules) - before)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -26,7 +26,7 @@ SEED_CORPUS = [
     ["totient-inv", "963761198400", "--json"],
     ["monoid-atoms", "<100000007,100000037>"],
     ["cyclotomic", "1" * 5000, "--json"],
-    ["factor", "-h"],  # argparse's help action exits unless the parser hands it back
+    ["factor", "-h"],  # help is a result, never an exit of the process
 ]
 
 EXTREME = [

@@ -4,6 +4,7 @@ kernel, against the textbook algorithms kept in the reference module."""
 import math
 import random
 import time
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from puiseux._intpoly import (
     PackedGF,
     _choose_prime,
     _mignotte_bound,
+    _trace_bound,
     gf_berlekamp,
     gf_divmod,
     gf_monic,
@@ -504,6 +506,38 @@ def test_recombination_pretests_match_all_subsets():
             continue
         assert zz_factor_squarefree(f) == zassenhaus_all_subsets(f), f
         checked += 1
+
+
+def test_trace_bound_covers_every_true_factor():
+    """Over products of known factors, lc(h) times the next-to-leading
+    coefficient of every true factor g = f/h lies within the trace bound,
+    which never exceeds the Mignotte bound and is below it on all of them.
+    The first product is X^30 - 1, whose factor Phi_1*Phi_6*Phi_10*Phi_15
+    has four roots summing to 4, twice its Cauchy root bound 2."""
+    rng = random.Random(73)
+    tighter = 0
+    for case in range(60):
+        if case == 0:
+            factors = [list(cyclotomic_poly(d).prim) for d in (1, 2, 3, 5, 6, 10, 15, 30)]
+        else:
+            factors = [random_zz(rng, rng.randint(1, 3)) for _ in range(rng.randint(2, 5))]
+        f = [1]
+        for g in factors:
+            f = zz_mul(f, g)
+        bound = _mignotte_bound(f)
+        trace_bound = _trace_bound(f, bound)
+        assert trace_bound <= bound
+        tighter += trace_bound < bound
+        for size in range(1, len(factors)):
+            for chosen in combinations(range(len(factors)), size):
+                g, h = [1], [1]
+                for i, factor in enumerate(factors):
+                    if i in chosen:
+                        g = zz_mul(g, factor)
+                    else:
+                        h = zz_mul(h, factor)
+                assert abs(h[-1] * g[-2]) <= trace_bound, (factors, chosen)
+    assert tighter == 60
 
 
 def test_hensel_lift_matches_pseudo_division_steps():
