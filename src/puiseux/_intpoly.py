@@ -5,7 +5,10 @@ A polynomial is a ``list[int]`` (or, as an argument, a tuple such as
 zero polynomial is empty.  ``zz_*`` functions work over Z, ``gf_*``
 functions modulo a prime p or, in Hensel lifting, a power of p.  The work
 modulo p itself (the prime test, Berlekamp and Hensel's first inverse)
-packs a polynomial over F_p into one int, ``PackedGF``.
+packs a polynomial over F_p into one int, ``PackedGF``.  Berlekamp first
+reads the factors of degree 1 and 2 off the roots of f in F_(p^2), all
+evaluated at once on a cached table of packed powers, and factors only what
+is left.
 """
 
 from __future__ import annotations
@@ -19,12 +22,19 @@ from .exact import is_prime
 # zz_factor_squarefree refuses an input whose degree times the bit length of
 # its Mignotte bound exceeds this: Hensel lifting works at that degree
 # modulo p^l > 2 * bound, and Berlekamp's matrix is cubic in the degree.
-# X^400 + X + 1 (size 162000) still factors, in 0.9-1.1 s with Python 3.11 on
-# a 2-vCPU virtual machine (1.4-1.5 s with Berlekamp on coefficient lists);
-# X^500 + X + 1, whose rest has size 251000, took 1.1-1.5 s.
+# X^400 + X + 1 (size 162000) still factors, in 0.6-0.75 s with Python 3.11
+# on a 2-vCPU virtual machine; X^500 + X + 1 (size 251000) took 1.0-1.3 s
+# with the cap lifted.
 MAX_LIFT_SIZE = 170_000
 # It also refuses once its recombination would pre-test more subsets than this.
 MAX_SUBSETS = 1 << 20
+# gf_berlekamp's root pass builds a table per prime only if it takes at most
+# half this many bytes, and the tables kept take at most this: 512 KiB in all,
+# whatever the primes and degrees.  At degree 409, the lifting cap's largest,
+# it admits p <= 7; p = 11 to degree 313, 23 to 70, 43 to 16, 89 to 2, and no
+# larger p.  On random squarefree inputs the pass with Berlekamp on the rest
+# took about as long as Berlekamp alone up to p = 53, 1.4x as long at p = 97.
+MAX_ROOT_TABLE = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +255,13 @@ class PackedGF:
     floor(a*M / 2^s) = floor(a/p).  For W = s + b + 1 each a_i*M < 2^(s+b)
     stays in its slot; shifted by s, the quotient of slot i fills its low b
     bits, below the low part of slot i + 1's product, which the mask clears.
-    Subtracting the quotients times p leaves a_i mod p."""
+    Subtracting the quotients times p leaves a_i mod p.  W may be rounded up
+    to a multiple of ``align`` bits."""
 
-    def __init__(self, p: int, n: int):
+    def __init__(self, p: int, n: int, align: int = 1):
         self.p, self.b = p, ((p - 1) + max(n + 1, p) * (p - 1) ** 2).bit_length()
         self.s = self.b + p.bit_length()
-        self.W = self.s + self.b + 1
+        self.W = -(-(self.s + self.b + 1) // align) * align
         self.M, self.slot = -(-(1 << self.s) // p), (1 << self.W) - 1
         self.mask = ((1 << self.b) - 1) * ((1 << self.W * (n + 1)) - 1) // self.slot
 
@@ -313,8 +324,58 @@ class PackedGF:
         return d != 0 and self.degree(self.gcd(self.pack(f), d)) == 0
 
 
+_root_tables: dict[int, tuple[PackedGF, int, list[int], list[int], int]] = {}
+
+
+def _root_table(p: int, n: int) -> tuple[PackedGF, int, list[int], list[int], int] | None:
+    """(T, nu, re, im, size): slot b*p + a of re[j] and im[j] holds the two
+    coordinates of alpha^j, j <= n, for the m = p(p+1)/2 elements
+    alpha = a + b*s of F_(p^2) with 0 <= b <= (p-1)/2 and s^2 = nu the least
+    non-residue, in the byte-aligned slots of T; size over-counts their bytes.
+    None for a table above MAX_ROOT_TABLE / 2.  The least recently used
+    tables go first, so that the tables kept stay within MAX_ROOT_TABLE."""
+    table = _root_tables.get(p)
+    if table and len(table[2]) > n:
+        _root_tables[p] = _root_tables.pop(p)
+        return table
+    m = p * (p + 1) // 2
+    if 4 * (n + 1) * m > MAX_ROOT_TABLE:  # every slot takes a byte at least
+        return None
+    T = PackedGF(p, max(n, m - 1), 8)
+    step = T.W // 8
+    size = (2 * n + 3) * (m * step * 16 // 15 + 64)  # re, im and T.mask, 30 bits per 4 bytes
+    if 2 * size > MAX_ROOT_TABLE:
+        return None
+    _root_tables.pop(p, None)
+    while size + sum(t[4] for t in _root_tables.values()) > MAX_ROOT_TABLE:
+        del _root_tables[next(iter(_root_tables))]
+    nu = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    coords = [(a, b, nu * b) for b in range((p + 1) // 2) for a in range(p)]
+    x, y, buf, re, im = [1] * m, [0] * m, bytearray(m * step), [], []
+    for _ in range(n + 1):
+        buf[::step] = bytes(x)
+        re.append(int.from_bytes(buf, "little"))
+        buf[::step] = bytes(y)
+        im.append(int.from_bytes(buf, "little"))
+        x, y = ([(u * a + v * nb) % p for u, v, (a, _, nb) in zip(x, y, coords)],
+                [(u * b + v * a) % p for u, v, (a, b, _) in zip(x, y, coords)])
+    table = _root_tables[p] = (T, nu, re, im, size)
+    return table
+
+
 def gf_berlekamp(f: list[int], p: int) -> list[list[int]]:
-    """Irreducible monic factors of a monic squarefree f over F_p (Berlekamp).
+    """Irreducible monic factors of a monic squarefree f over F_p, sorted.
+
+    >>> gf_berlekamp([1, 2, 2, 3, 2, 1, 1], 7)  # (X + 1)(X^2 + 1)(X^3 + X + 1)
+    [[1, 1], [1, 0, 1], [1, 1, 0, 1]]
+
+    First the factors of degree 1 and 2, through the roots of f in F_(p^2),
+    if _root_table admits p and deg f >= 2: f(alpha) for all alpha at once is
+    sum f_j * re[j] + (sum f_j * im[j]) * s, each sum reduced by T, whose slot
+    bound covers deg f.  Slot b*p + a is a root if both parts vanish there;
+    b = 0 gives X - a, b > 0 the irreducible X^2 - 2a*X + a^2 - nu*b^2.  Their
+    product is divided out of f.  A rest of degree 3 to 5 is then irreducible,
+    and only a rest of degree 6 or more goes on to Berlekamp.
 
     The matrix rows X^(p*i) mod f, i < n = deg f, are every p-th step of one
     packed walk through the powers of X mod f, a shift and top * (-f mod p) a
@@ -328,9 +389,25 @@ def gf_berlekamp(f: list[int], p: int) -> list[list[int]]:
     of w, and u is reduced modulo what is left.  Once u is constant, v takes
     one value on every factor of the rest, which is then a single piece, and
     the remaining values of c are not tried.  Deterministic: the basis comes
-    from Gaussian elimination, and the factors are returned sorted.
+    from Gaussian elimination.
     """
+    f, small, key = gf_normal(f, p), [], lambda g: (len(g), g)
     n = len(f) - 1
+    if n > 1 and (table := _root_table(p, n)):
+        T, nu, re, im, _ = table
+        step = T.W // 8
+        zero = T.reduce(sum(c * r for c, r in zip(f, re))) | T.reduce(sum(c * r for c, r in zip(f, im)))
+        values = zero.to_bytes(p * (p + 1) // 2 * step, "little")[::step]
+        small = [[(a * a - nu * b * b) % p, -2 * a % p, 1] if b else [-a % p, 1]
+                 for i, v in enumerate(values) if not v for b, a in [divmod(i, p)]]
+        if small:
+            P, g = PackedGF(p, n), 1
+            for h in small:
+                g = P.reduce(g * P.pack(h))
+            f = P.unpack(P.divmod(P.pack(f), g)[0])
+            n = len(f) - 1
+        if n < 6:
+            return sorted(small + [f] * (n > 0), key=key)
     P = PackedGF(p, n)
     W, slot, top = P.W, P.slot, P.W * n
     neg, low, cur, rows = P.pack([-c for c in f[:n]]), (1 << top) - 1, 1, [1]
@@ -373,7 +450,7 @@ def gf_berlekamp(f: list[int], p: int) -> list[list[int]]:
                 c += 1
             refined.append(w)
         factors = refined
-    return sorted(map(P.unpack, factors), key=lambda g: (len(g), g))
+    return sorted(small + list(map(P.unpack, factors)), key=key)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Integer division, gcd, Yun's split and Zassenhaus factorization in the
 kernel, against the textbook algorithms kept in the reference module."""
 
+import gc
 import math
 import random
 import time
+import tracemalloc
 from itertools import combinations
 from fractions import Fraction
 
@@ -12,12 +14,15 @@ import pytest
 from puiseux import PuiseuxPoly, QPoly, ResourceLimitError, canonical_factorization, cyclotomic_poly
 from puiseux import _intpoly, cyclotomic
 from puiseux.cyclotomic import classify_cyclotomic, factor_primitive
+from puiseux.exact import is_prime
 from puiseux._intpoly import (
     MAX_LIFT_SIZE,
+    MAX_ROOT_TABLE,
     MAX_SUBSETS,
     PackedGF,
     _choose_prime,
     _mignotte_bound,
+    _root_table,
     _trace_bound,
     gf_berlekamp,
     gf_divmod,
@@ -338,7 +343,7 @@ def test_sd32_berlekamp_gcds(monkeypatch):
     p, factors, calls = count_berlekamp_gcds(monkeypatch, sd32)
     assert p == 19 and len(factors) == 16
     assert calls <= 28  # 76 when every c is tried, 551 when whole pieces are rescanned
-    assert calls == 28  # the packed split tries the pieces and values of the list split
+    assert calls == 0  # 28 before the root pass: all sixteen factors are quadratics
 
 
 def test_sd16_of_x_squared_berlekamp_gcds(monkeypatch):
@@ -346,14 +351,14 @@ def test_sd16_of_x_squared_berlekamp_gcds(monkeypatch):
     p, factors, calls = count_berlekamp_gcds(monkeypatch, f)
     assert p == 11 and len(factors) == 12
     assert calls <= 23  # 55 when every c is tried, 363 when whole pieces are rescanned
-    assert calls == 23
+    assert calls == 7  # 23 before the root pass, which leaves four quartics to Berlekamp
 
 
 def test_sd16_times_x2_minus_3_berlekamp_gcds(monkeypatch):
     p, factors, calls = count_berlekamp_gcds(monkeypatch, sd16_times_x2_minus_3())
     assert p == 11 and len(factors) == 10
     assert calls <= 23  # 33 when every c is tried
-    assert calls == 23
+    assert calls == 0  # 23 before the root pass: every factor is linear or quadratic
 
 
 @pytest.mark.parametrize("f, p, tests", [
@@ -727,7 +732,7 @@ def test_berlekamp_matrix_walk_matches_squaring(p, degree):
 
 
 def random_gf_irreducible(rng: random.Random, p: int, degree: int) -> list[int]:
-    """A random monic irreducible of degree 1 to 4 over F_p: it has no factor
+    """A random monic irreducible of degree 1 to 5 over F_p: it has no factor
     of degree i <= degree/2, so gcd(g, X^(p^i) - X) = 1 for each such i."""
     while True:
         g = [rng.randrange(p) for _ in range(degree)] + [1]
@@ -796,3 +801,58 @@ def test_packed_reduction_is_exact_at_the_slot_bound(p):
             s0, nq, s1 = [p - 1] * n, [p - 1] * (n - k), [p - 1] * (k + 1)
             expected = gf_normal(add(s0, zz_mul(nq, s1)), p)
             assert P.unpack(P.reduce(P.pack(s0) + P.pack(nq) * P.pack(s1))) == expected, (p, n, k)
+
+
+def test_root_pass_matches_exhaustive_scan():
+    # Every prime from 3 to 97, the first whose root table is refused at every
+    # degree >= 2: linear and quadratic factors times a rest of degree 0, 3, 4,
+    # 5 or 3 + 3, the last of which goes on to Berlekamp.
+    assert _root_table(89, 2) is not None and _root_table(97, 2) is None
+    rng = random.Random(107)
+    passes = {True: 0, False: 0}
+    for p in filter(is_prime, range(3, 98)):
+        degree = 40 if p <= 23 else 16
+        for rest in ([], [3], [4], [5], [3, 3]):
+            factors = []
+            for k in rest:
+                while (g := random_gf_irreducible(rng, p, k)) in factors:
+                    pass
+                factors.append(g)
+            for _ in range(3 * degree):
+                g = random_gf_irreducible(rng, p, rng.randint(1, 2))
+                if g not in factors and sum(len(h) - 1 for h in factors) + len(g) - 1 <= degree:
+                    factors.append(g)
+            f = [1]
+            for g in factors:
+                f = gf_mul(f, g, p)
+            passes[_root_table(p, len(f) - 1) is not None] += 1
+            expected = sorted(factors, key=lambda g: (len(g), g))
+            assert gf_berlekamp(f, p) == berlekamp_scan(f, p) == expected, (f, p)
+    assert min(passes.values()) >= 20, passes
+
+
+def test_root_tables_stay_within_their_byte_bound():
+    _intpoly._root_tables.clear()
+    x400 = [1, 1] + [0] * 398 + [1]
+    for f in (swinnerton_dyer([2, 3, 5, 7, 11]), sd16_of_x_squared(), sd16_times_x2_minus_3(), x400):
+        zz_factor_squarefree(f)
+    kept = [(p, len(t[2]) - 1) for p, t in _intpoly._root_tables.items()]
+    assert kept == [(19, 32), (11, 32), (3, 400)]
+    # The same tables rebuilt under tracemalloc, and then, in the same process,
+    # one at every prime up to 89 at degrees up to the lifting cap's 409: what
+    # clearing them frees is what they retained.
+    for builds in (kept, [(p, n) for p in range(3, 90) if is_prime(p) for n in (2, 16, 40, 409)]):
+        _intpoly._root_tables.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for p, n in builds:
+                _root_table(p, n)
+                counted = sum(t[4] for t in _intpoly._root_tables.values())
+                assert counted <= MAX_ROOT_TABLE, (p, n)
+            held = tracemalloc.get_traced_memory()[0]
+            _intpoly._root_tables.clear()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < retained <= counted <= MAX_ROOT_TABLE, (retained, counted)
