@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
-from ._intpoly import zz_mul
+from ._intpoly import zz_eval_pow2, zz_mul
 from .cyclotomic import binomial_indices, cyclotomic_poly, factor_primitive
 from .errors import DomainError, ResourceLimitError
 from .exact import Rat
@@ -124,11 +124,13 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
     so distinct keys name distinct classes.  Every exponent at or above the
     conductor of N is a member, so only the coefficients of g and h below
     degree c, the conductor or one past the core degree if that is less,
-    decide a key, and the walk multiplies factor powers truncated there.
-    By Gauss's lemma the integer associates have the supports of the
-    factors.  The walk visits each choice with its mirror, branching only on
-    j_i <= e_i / 2 while the two agree, and one bitmask of the gaps of N
-    below k + c decides every split of a leaf for both.  The rank is X^t * g
+    decide a key.  The walk multiplies factor powers truncated there, each
+    one int of c signed w-bit slots (X -> 2^w mod 2^(w*c)), w wide enough
+    for every coefficient.  By Gauss's lemma the integer associates have the
+    supports of the factors.  The walk visits each choice with its mirror,
+    branching only on j_i <= e_i / 2 while the two agree; one SWAR pass
+    marks a leaf's nonzero slots, and one bitmask of the gaps of N below
+    k + c decides every split of the leaf for both.  The rank is X^t * g
     with its coefficients times lead / lc(g), lead the product of the
     factors' leading coefficients, all positive, so ranks order as their
     monic divisors do.  Only the rank multiplies out to full degree, each
@@ -173,12 +175,25 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
     work += 64 * combinations * (degree + 2) // 2
     c = min(numerical.conductor, degree + 1)
     gaps = sum(1 << x for x in range(k + c) if not numerical.contains(x))
-    low = [[p[:c] for p in row] for row in powers]
+    # Every slot holds a coefficient d with |d| <= bound < 2^(w-1), so adding
+    # high carries out of no slot and leaves its low w-1 bits zero only at
+    # d = 0.  Slots are whole bytes: nonzero reads the top byte of each as a bit.
+    bound = math.prod(max(sum(map(abs, p[:c])) for p in row) for row in powers)
+    w = bound.bit_length() + 8 & -8
+    mask = (1 << w * c) - 1
+    high = mask // ((1 << w) - 1) << w - 1
+    rest = high - (high >> w - 1)
+    size, step = w * (c + 1) // 8, w // 8
+    digits = bytes.maketrans(b"\x00\x80", b"01")
+    low = [[zz_eval_pow2(p[:c], w) & mask for p in row] for row in powers]
 
-    def walk(index: int, g: list[int], h: list[int], choice: tuple, mirror: tuple, same: bool):
+    def nonzero(v: int) -> int:
+        x = (v + high & rest) + rest & high
+        return int(x.to_bytes(size, "big")[::step].translate(digits), 2)
+
+    def walk(index: int, g: int, h: int, choice: tuple, mirror: tuple, same: bool):
         if index == len(low):
-            g_bits = sum(1 << i for i, x in enumerate(g) if x)
-            h_bits = sum(1 << i for i, x in enumerate(h) if x)
+            g_bits, h_bits = nonzero(g), nonzero(h)
             for t in splits:
                 if not (g_bits & gaps >> t or h_bits & gaps >> (k - t)):
                     yield t, choice
@@ -188,8 +203,8 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
         row = low[index]
         e = len(row) - 1
         for j in range(e // 2 + 1 if same else e + 1):
-            g_j = zz_mul(g, row[j])[:c] if j else g
-            h_j = zz_mul(h, row[e - j])[:c] if j < e else h
+            g_j = g * row[j] & mask if j else g
+            h_j = h * row[e - j] & mask if j < e else h
             yield from walk(
                 index + 1, g_j, h_j, choice + (j,), mirror + (e - j,), same and 2 * j == e
             )
@@ -225,7 +240,7 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
             tuple((exponent(i), coefficient(y, lead)) for i, y in ranked[1])
         )
 
-    return walk(0, [1][:c], [1][:c], (), (), True), rank, build
+    return walk(0, 1 & mask, 1 & mask, (), (), True), rank, build
 
 
 def divisors_in_algebra(

@@ -43,9 +43,12 @@ where the kernel's heuristic gcd returns the cofactors.  The divisor walk
 reuses the kernel's scaling, factoring and membership, but multiplies
 every sub-multiset of factor powers out in full, with no truncation below
 the conductor, and collects the divisors, built by ``PuiseuxPoly``'s
-checking constructor, in a set.  Making an element dense rebuilds the
-scaled element through that constructor and gives every dense coefficient
-its own ``Fraction``, where ``PuiseuxPoly.to_qpoly`` scales in integers.
+checking constructor, in a set.  The key walk is the engine's walk on
+truncated coefficient lists, with ``zz_mul`` and one bitmask of the gaps,
+where the engine packs each truncated product into one int.  Making an
+element dense rebuilds the scaled element through that constructor and
+gives every dense coefficient its own ``Fraction``, where
+``PuiseuxPoly.to_qpoly`` scales in integers.
 The wire-format parser splits the text into a token list before it parses,
 where the library reads the characters directly.
 """
@@ -66,6 +69,7 @@ from puiseux import (
     QPoly,
     Rat,
     ResourceLimitError,
+    canonical_factorization,
     cyclotomic_poly,
     inverse_totient,
 )
@@ -895,6 +899,49 @@ def untruncated_divisors(f, monoid):
 
     walk(0, [1], [1])
     return tuple(sorted(found, key=lambda g: (g.degree, g.terms)))
+
+
+def list_walk_keys(f, monoid):
+    """The kept (t, choice) keys of f's divisors in Q[S], in the engine's
+    order: each choice walked with its mirror on integer coefficient lists
+    truncated below c, and every split of a leaf decided against one
+    bitmask of the gaps of the scaled monoid below k + c."""
+    scale, numerical = monoid.normalization()
+    cf = canonical_factorization(f.substitute(scale))
+    k = int(cf.monomial_exponent)
+    splits = numerical.divisors(k)
+    factors = [(cyclotomic_poly(n).prim, e) for n, e in cf.cyclotomic_part]
+    factors += [(q.prim, l) for q, l in cf.prime_part]
+    powers = []
+    for g, mult in factors:
+        row = [[1]]
+        for _ in range(mult):
+            row.append(zz.zz_mul(row[-1], g))
+        powers.append(row)
+    c = min(numerical.conductor, sum(len(row[-1]) - 1 for row in powers) + 1)
+    gaps = sum(1 << x for x in range(k + c) if not numerical.contains(x))
+    low = [[p[:c] for p in row] for row in powers]
+    keys = []
+
+    def walk(index, g, h, choice, mirror, same):
+        if index == len(low):
+            g_bits = sum(1 << i for i, x in enumerate(g) if x)
+            h_bits = sum(1 << i for i, x in enumerate(h) if x)
+            for t in splits:
+                if not (g_bits & gaps >> t or h_bits & gaps >> (k - t)):
+                    keys.append((t, choice))
+                if not (same or h_bits & gaps >> t or g_bits & gaps >> (k - t)):
+                    keys.append((t, mirror))
+            return
+        row = low[index]
+        e = len(row) - 1
+        for j in range(e // 2 + 1 if same else e + 1):
+            g_j = zz.zz_mul(g, row[j])[:c] if j else g
+            h_j = zz.zz_mul(h, row[e - j])[:c] if j < e else h
+            walk(index + 1, g_j, h_j, choice + (j,), mirror + (e - j,), same and 2 * j == e)
+
+    walk(0, [1][:c], [1][:c], (), (), True)
+    return keys
 
 
 # -- sparse to dense through a rebuilt element --------------------------------

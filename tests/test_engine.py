@@ -389,15 +389,35 @@ def test_build_makes_each_prefix_once_in_any_key_order(monkeypatch):
     assert divisors[0] == divisors[1] and len(divisors[0]) == 1120
 
 
-def test_divisor_walk_multiplies_each_choice_with_its_mirror(monkeypatch):
-    # one truncated product per node and choice pair, none by the unit power:
-    # 16,392 products before the walk paired each choice with its mirror.
-    # X^120 - 1 in <2, 3> took 262,156 and now 65,551; X^144 - 1 in <3, 5>
-    # took 131,083 and now 32,782.
-    calls = []
+def _count_walk_products(monkeypatch) -> tuple[list, list]:
+    """Record the engine's list products and the walk's packed products."""
+    calls, steps = [], []
+
+    class Power(int):
+        # a packed factor power: counts every product g * power of the walk
+        def __and__(self, mask):
+            return Power(int(self) & mask)
+
+        def __rmul__(self, g):
+            steps.append(1)
+            return g * int(self)
+
+    pack = engine.zz_eval_pow2
     monkeypatch.setattr(engine, "zz_mul", lambda g, h: calls.append(1) or zz_mul(g, h))
-    assert ff_divisor_count(parse_poly("X^60 - 1"), PuiseuxMonoid([2, 3])) == 1120
-    assert len(calls) <= 4200
+    monkeypatch.setattr(engine, "zz_eval_pow2", lambda f, w: Power(pack(f, w)))
+    return calls, steps
+
+
+def test_divisor_walk_multiplies_each_choice_with_its_mirror(monkeypatch):
+    # one packed product per node and choice pair, none by the unit power:
+    # 16,380 before the walk paired each choice with its mirror.  The only
+    # list products are the factor powers: X^60 - 1 has twelve cyclotomic
+    # factors, each to the first power; the walk on lists made 4,107 here.
+    calls, steps = _count_walk_products(monkeypatch)
+    f, S = parse_poly("X^60 - 1"), PuiseuxMonoid([2, 3])
+    assert ff_divisor_count(f, S) == 1120
+    assert len(calls) == sum(e for _, e in canonical_factorization(f).cyclotomic_part) == 12
+    assert 0 < len(steps) <= 4095
 
 
 def test_walk_yields_a_choice_equal_to_its_mirror_once():
@@ -487,6 +507,68 @@ def test_divisors_match_untruncated_walk():
             assert len(list(keys)) == len(set(expected)) == ff_divisor_count(f, S)
             if f.degree > 0:
                 assert is_atom_in_algebra(f, S) == (len(expected) == 2)
+
+
+# irreducible over Q, with coefficients near 10^20 and gaps in their support
+BIG_BLOCKS = [
+    [10**20 + 1, 0, 1],
+    [-(10**20 + 3), 1],
+    [10**20, 1, 1],
+    [-3, 0, -(10**20), 1],
+]
+
+
+def _big_element_in(rng: random.Random, S: PuiseuxMonoid) -> PuiseuxPoly:
+    """Like _element_in, with blocks whose coefficients are near 10^20."""
+    scale, N = S.normalization()
+    t = rng.choice([x for x in range(N.conductor + 4) if N.contains(x)])
+    f = PuiseuxPoly.monomial(random_fraction(rng), t)
+    for _ in range(rng.randint(1, 3)):
+        block = PuiseuxPoly.from_qpoly(QPoly(rng.choice(BIG_BLOCKS)), rng.choice(N.generators))
+        f = f * block ** rng.choice((1, 1, 2))
+    return f.substitute(Rat(1) / scale)
+
+
+def test_packed_walk_matches_list_walk(monkeypatch):
+    # the same keys in the same order as the walk on truncated lists
+    rng = random.Random(32)
+    monoids = [
+        PuiseuxMonoid([1]),
+        PuiseuxMonoid([2, 3]),
+        PuiseuxMonoid([3, 5, 7]),
+        PuiseuxMonoid([5, 7]),
+        PuiseuxMonoid([Rat(1, 2), Rat(1, 3)]),
+        PuiseuxMonoid([Rat(2, 3), 1]),
+        PuiseuxMonoid([10, 11]),
+        PuiseuxMonoid([7, 11, 13]),
+    ]
+    cases = [(_element_in(rng, S), S) for S in monoids for _ in range(8)]
+    cases += [(_big_element_in(rng, S), S) for S in monoids[1:] for _ in range(4)]
+    # c = 0 in <1>; c is the core degree plus one in <100003, 100019>
+    cases += [(parse_poly(text), PuiseuxMonoid([100003, 100019])) for text in ("7", "-2/3")]
+    big = parse_poly(f"X^6 - {10**20}") ** 2 * parse_poly("X^2 - 1")
+    cases += [(parse_poly(f"X^2 + {10**20}"), PuiseuxMonoid([2, 3])), (big, PuiseuxMonoid([2, 3]))]
+    # a coefficient of exactly 2^63 at a gap: a 64-bit slot would read it as zero
+    cases += [(parse_poly(f"X^4 + {2**63}*X^3 + X^2"), PuiseuxMonoid([2, 3]))]
+    widths = []
+    pack = engine.zz_eval_pow2
+    monkeypatch.setattr(engine, "zz_eval_pow2", lambda f, w: widths.append(w) or pack(f, w))
+    for f, S in cases:
+        keys = list(engine._divisor_walk(f, S, engine.DEFAULT_DIVISOR_LIMIT)[0])
+        assert keys == reference.list_walk_keys(f, S), (f, S)
+    assert any(64 < w <= 128 for w in widths) and max(widths) > 128
+
+
+def test_count_at_the_combination_cap_ends_in_seconds(monkeypatch):
+    # 2^18 combinations in <7, 11, 13>: the list walk took 11 s here, the
+    # packed one about 0.8 s, with no list product past the 18 factor powers.
+    # The time bound only guards against a hang.
+    calls, steps = _count_walk_products(monkeypatch)
+    S = PuiseuxMonoid([7, 11, 13])
+    start = time.perf_counter()
+    assert ff_divisor_count(parse_poly("X^180 - 1"), S) == 30
+    assert time.perf_counter() - start < 15.0
+    assert len(calls) == 18 and 0 < len(steps) < 1 << 18
 
 
 def test_cyclotomic_rich_dense_factorization_is_fast():
