@@ -456,6 +456,11 @@ def gf_berlekamp(f: list[int], p: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # Hensel lifting (quadratic, multifactor)
 
+def _mirror(h: list[int]) -> list[int]:
+    """sigma(h) = (-1)^deg h * h(-X), monic with h."""
+    return [-c if (len(h) - i) % 2 == 0 else c for i, c in enumerate(h)]
+
+
 def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> list[list[int]]:
     """Lift monic pairwise-coprime factors f_i of f mod p to monic factors mod p^l.
 
@@ -478,16 +483,26 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> li
     Gerhard, Modern Computer Algebra 15.5, which runs a gcd of up to the
     degree of f at each of its r - 1 inner nodes and lifts every node's
     Bezout pair.
+
+    An even F is sigma(F), sigma = _mirror, so sigma permutes irreducible f_i
+    mod p, and as lifts are unique it takes the lift of f_i to that of
+    sigma(f_i).  A step reads only F and f_i: one factor of each pair is
+    lifted, and its twin is sigma of that lift (an f_i with no twin, itself).
     """
     pl = p**l
     F = gf_monic(f, pl)
     lifted = [list(fi) for fi in factors]
-    inverses = [[] for _ in factors]
+    twin = list(range(len(factors)))
+    if not any(F[1::2]):
+        index = {tuple(c % p for c in fi): i for i, fi in enumerate(factors)}
+        twin = [index.get(tuple(c % p for c in _mirror(fi)), i) for i, fi in enumerate(factors)]
+    own = [fi for i, fi in enumerate(lifted) if twin[i] >= i]
+    inverses = [[] for _ in own]
     m = p
     while m < pl:
         big = min(m * m, pl)
         Fm = gf_normal(F, big)
-        for i, fi in enumerate(lifted):
+        for i, fi in enumerate(own):
             if len(fi) == 2:
                 t, v, w = -fi[0], 0, 0
                 for c in reversed(Fm):
@@ -516,16 +531,26 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> li
                 for j, d in enumerate(gf_rem(zz_mul(e, s), fi, big)):
                     fi[j] = (fi[j] + d) % big
         m = big
-    return [zz_trunc_sym(fi, pl) for fi in lifted]
+    out = []
+    for fi, j in zip(lifted, twin):
+        out.append(zz_trunc_sym(fi, pl) if j >= len(out) else _mirror(out[j]))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Zassenhaus factorization of primitive squarefree integer polynomials
 
 def _choose_prime(f: list[int]) -> int:
-    """Smallest prime p >= 3 with p not dividing lc(f) and f squarefree mod p."""
+    """Smallest prime p >= 3 with p not dividing lc(f) and f squarefree mod p.
+
+    An even f = g(X^2) has f' = 2X * g'(X^2) and X^2 | f if X | f.  So for
+    odd p it is squarefree mod p exactly when p does not divide f(0) and g,
+    of half the degree, is: gcd(g(X^2), g'(X^2)) = gcd(g, g')(X^2).
+    """
+    g = f if any(f[1::2]) else f[::2]
     p = 3
-    while not (is_prime(p) and f[-1] % p != 0 and PackedGF(p, len(f) - 1).is_squarefree(f)):
+    while not (is_prime(p) and f[-1] % p != 0 and (g is f or f[0] % p != 0)
+               and PackedGF(p, len(g) - 1).is_squarefree(g)):
         p += 2
     return p
 

@@ -532,6 +532,15 @@ def gf_is_squarefree(f, p):
     return bool(d) and len(gf_gcd(f, d, p)) == 1
 
 
+def choose_prime_full_euclid(f):
+    """Smallest prime p >= 3 with p not dividing lc(f) and f squarefree mod
+    p, by one Euclid of f and f' of the full degree at every such prime."""
+    p = 3
+    while not (is_prime(p) and f[-1] % p and gf_is_squarefree(f, p)):
+        p += 2
+    return p
+
+
 def gf_nullspace(a, p):
     """Basis of the right null space of a square matrix over F_p."""
     n = len(a)

@@ -42,6 +42,7 @@ from puiseux._intpoly import (
 from reference import (
     add,
     berlekamp_scan,
+    choose_prime_full_euclid,
     gf_divmod_eager,
     gf_gcd,
     gf_gcdex,
@@ -297,11 +298,14 @@ def sd16_times_x2_minus_3() -> list[int]:
     return zz_mul(swinnerton_dyer([2, 3, 5, 7]), [-3, 0, 1])
 
 
-def sd16_of_x_squared() -> list[int]:
-    sd16 = swinnerton_dyer([2, 3, 5, 7])
-    f = [0] * (2 * len(sd16) - 1)
-    f[::2] = sd16
+def of_x_squared(g: list[int]) -> list[int]:
+    f = [0] * (2 * len(g) - 1)
+    f[::2] = g
     return f
+
+
+def sd16_of_x_squared() -> list[int]:
+    return of_x_squared(swinnerton_dyer([2, 3, 5, 7]))
 
 
 def test_swinnerton_dyer_builder():
@@ -363,12 +367,44 @@ def test_sd16_times_x2_minus_3_berlekamp_gcds(monkeypatch):
 
 @pytest.mark.parametrize("f, p, tests", [
     (swinnerton_dyer([2, 3, 5, 7, 11]), 19, 7),
-    (sd16_times_x2_minus_3(), 11, 4),
+    # 3 and 5 divide f(0) = -138675, so 7 and 11 are left (4 with a test at every prime)
+    (sd16_times_x2_minus_3(), 11, 2),
+    # 5 divides f(0) = 46225, so 3, 7 and 11 are left (4 with a test at every prime)
+    (sd16_of_x_squared(), 11, 3),
 ])
 def test_choose_prime_runs_one_squarefree_test_per_odd_prime(monkeypatch, f, p, tests):
-    # no odd prime below p divides lc(f), so each is tested and rejected
+    # no odd prime below p divides lc(f) = 1, and every f here is even: an odd
+    # prime dividing f(0) is rejected with no test, every other one is tested
     chosen, calls = count_calls(monkeypatch, "is_squarefree", lambda: _choose_prime(f), PackedGF)
     assert (chosen, calls) == (p, tests)
+
+
+def test_choose_prime_on_even_inputs_matches_full_euclid(monkeypatch):
+    """The half-degree test on g for f = g(X^2) picks the prime that one
+    Euclid of f and f' at every prime picks."""
+    rng = random.Random(89)
+    seen, by_content, by_lead, checked = set(), 0, 0, 0
+    while checked < 240:
+        g = [rng.randint(-30, 30) for _ in range(rng.randint(1, 8))]
+        g += [rng.choice((1, 2, 3, 5, 9, 15, 21, 35, 105))]
+        if rng.random() < 0.3:
+            g[0] = rng.choice((3, 5, 7, 15, 21, 105)) * rng.choice((-2, -1, 1, 2))
+        h = zz_primitive(g)[1]
+        if g[0] == 0 or zz_squarefree(h) != [(h, 1)]:
+            continue
+        f, tested = of_x_squared(g), []
+        inner = PackedGF.is_squarefree
+        monkeypatch.setattr(PackedGF, "is_squarefree", lambda P, h: tested.append(len(h)) or inner(P, h))
+        p = _choose_prime(f)
+        monkeypatch.undo()
+        assert p == choose_prime_full_euclid(f), f
+        assert set(tested) == {len(g)}, (f, tested)  # every test ran on g
+        below = [q for q in range(3, p, 2) if is_prime(q)]
+        by_content += any(f[0] % q == 0 and f[-1] % q for q in below)
+        by_lead += any(f[-1] % q == 0 for q in below)
+        seen.add(p)
+        checked += 1
+    assert by_content >= 40 and by_lead >= 40 and len(seen) >= 4, (by_content, by_lead, seen)
 
 
 def test_sparse_trinomial_factors_in_bounded_time():
@@ -545,9 +581,35 @@ def test_trace_bound_covers_every_true_factor():
     assert tighter == 60
 
 
-def test_hensel_lift_matches_pseudo_division_steps():
+def mirror_orbits(p: int, modular: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The degrees of the pairs {h, h*} of modular factors with h* != h, and
+    of the factors with h* = h, for h* = (-1)^deg h * h(-X) mod p."""
+    keys = {tuple(h) for h in modular}
+    pairs, fixed = [], []
+    for h in map(tuple, modular):
+        star = tuple((-c if (len(h) - 1 - i) % 2 else c) % p for i, c in enumerate(h))
+        if star == h:
+            fixed.append(len(h) - 1)
+        elif star in keys and star < h:
+            pairs.append(len(h) - 1)
+    return pairs, fixed
+
+
+def even_part(rng: random.Random) -> list[int] | None:
+    """A primitive squarefree even f: h(X^2) or h(X) * h(-X) up to sign, for a
+    random squarefree product h, or None when that is not squarefree."""
+    h = random_squarefree_product(rng)
+    if rng.random() < 0.5:
+        f = of_x_squared(h)
+    else:
+        f = zz_primitive(zz_mul(h, [-c if i % 2 else c for i, c in enumerate(h)]))[1]
+    return f if f[0] and zz_squarefree(f) == [(f, 1)] else None
+
+
+def test_hensel_lift_matches_pseudo_division_steps(monkeypatch):
     rng = random.Random(71)
     primes = (3, 5, 7, 11, 13, 17, 19, 23)
+    cubic_pair = zz_mul([2, -2, 0, 1], [-2, -2, 0, 1])  # Eisenstein X^3 - 2X + 2 and its mirror
     # (f, its number of modular factors at the chosen prime, l)
     cases = [
         (sd16_times_x2_minus_3(), 10, 40),  # the factor benchmark's median op
@@ -556,16 +618,24 @@ def test_hensel_lift_matches_pseudo_division_steps():
         (zz_mul([2, -2, 0, 1], zz_mul([-3, 0, 1], [1, 1])), 3, 40),  # Eisenstein X^3 - 2X + 2
         (zz_mul([2, -2, 0, 1], zz_mul([-3, 0, 1], [1, 1])), 3, 2),
         (zz_mul([3, 6, 0, 3, 0, 2], zz_mul([-3, 0, 1], [-5, 0, 1])), 5, 40),  # Eisenstein, lc = 2
+        # even: the mirror lifts one factor of each pair {h, (-1)^deg h * h(-X)}
+        (sd16_of_x_squared(), 12, 30),  # at p = 11, four self-mirrored quartics
+        (zz_mul(cubic_pair, [-3, 0, 1]), 3, 40),  # at p = 5, a pair of cubics and X^2 + 2
+        (zz_mul(cubic_pair, [-3, 0, 1]), 3, 2),
+        (zz_mul(zz_mul([2, -2, 1], [2, 2, 1]), zz_mul([3, -1, 1], [3, 1, 1])), None, 40),
     ]
+    mirrored, mirror = [], _intpoly._mirror
+    monkeypatch.setattr(_intpoly, "_mirror", lambda h: mirrored.append(len(h)) or mirror(h))
     used, mixed, lifted = set(), 0, 0
-    while lifted < 60:
+    even_primes, pair_degrees, fixed_degrees = set(), set(), set()
+    while lifted < 100:
         if cases:
             f, r, l = cases.pop()
             p = _choose_prime(f)
         else:
-            f, r, l = random_squarefree_product(rng), None, rng.randint(2, 40)
-            p = rng.choice(primes)
-        if len(f) < 3 or f[-1] % p == 0 or zz_squarefree(f) != [(f, 1)]:
+            f = random_squarefree_product(rng) if lifted < 60 else even_part(rng)
+            r, l, p = None, rng.randint(2, 40), rng.choice(primes)
+        if f is None or len(f) < 3 or f[-1] % p == 0 or zz_squarefree(f) != [(f, 1)]:
             continue
         if not gf_is_squarefree(gf_normal(f, p), p):
             continue
@@ -573,6 +643,7 @@ def test_hensel_lift_matches_pseudo_division_steps():
         assert r is None or len(modular) == r
         if len(modular) < 2:
             continue
+        mirrored.clear()
         lifts = zz_hensel_lift(p, f, modular, l)
         assert lifts == hensel_lift_pseudo(p, f, modular, l), (p, f, l)
         pl = p**l
@@ -580,10 +651,21 @@ def test_hensel_lift_matches_pseudo_division_steps():
         for g in lifts:
             product = gf_mul(product, g, pl)
         assert product == gf_monic(gf_normal(f, pl), pl)
+        if any(f[1::2]):
+            assert mirrored == []
+        else:
+            # one mirror per factor to pair them, one per twin filled in
+            pairs, fixed = mirror_orbits(p, modular)
+            assert len(mirrored) == len(modular) + len(pairs), (p, f, pairs, fixed)
+            even_primes.add(p)
+            pair_degrees.update(min(d, 3) for d in pairs)
+            fixed_degrees.update(fixed)
         used.add(p)
         mixed += {min(len(g) - 1, 3) for g in modular} == {1, 2, 3}
         lifted += 1
     assert used == set(primes) and mixed >= 5, (used, mixed)
+    assert len(even_primes) >= 5 and pair_degrees == {1, 2, 3}, (even_primes, pair_degrees)
+    assert {2, 4} <= fixed_degrees, fixed_degrees
 
 
 def hensel_lift_calls(monkeypatch, f: list[int]) -> tuple[list[list[int]], dict[str, list[int]]]:
@@ -613,6 +695,30 @@ def test_hensel_lift_takes_quadratic_and_linear_factors_through_their_roots(monk
     modular, calls = hensel_lift_calls(monkeypatch, sd16_times_x2_minus_3())
     assert sorted(len(g) - 1 for g in modular) == [1, 1] + [2] * 8
     assert calls == {"inverse": [], "gf_divmod": []}
+
+
+@pytest.mark.parametrize("f, p, l, pairs, inversions", [
+    (sd16_times_x2_minus_3(), 11, 14, 5, 21),  # 41 with all ten factors lifted
+    (swinnerton_dyer([2, 3, 5, 7, 11]), 19, 22, 8, 41),  # 81 with all sixteen lifted
+])
+def test_hensel_lift_inverts_once_per_mirrored_pair_and_step(monkeypatch, f, p, l, pairs, inversions):
+    # Every factor is linear or quadratic and none is its own mirror, so each
+    # Newton step inverts F'(t) once per pair, after one inversion in gf_monic.
+    modular = gf_berlekamp(gf_monic(gf_normal(f, p), p), p)
+    pair_degrees, fixed = mirror_orbits(p, modular)
+    assert (len(pair_degrees), fixed) == (pairs, []) and len(modular) == 2 * pairs
+    calls = 0
+
+    def counting_pow(*args):
+        nonlocal calls
+        calls += args[1:2] == (-1,)
+        return pow(*args)
+
+    monkeypatch.setattr(_intpoly, "pow", counting_pow, raising=False)
+    lifts = zz_hensel_lift(p, f, modular, l)
+    monkeypatch.undo()
+    assert calls == inversions
+    assert lifts == hensel_lift_pseudo(p, f, modular, l)
 
 
 def test_hensel_lift_runs_one_inverse_per_factor_of_degree_three_or_more(monkeypatch):
