@@ -14,7 +14,8 @@ is left.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from collections.abc import Iterable
+from itertools import combinations, product
 
 from .errors import ResourceLimitError
 from .exact import is_prime
@@ -26,7 +27,8 @@ from .exact import is_prime
 # on a 2-vCPU virtual machine; X^500 + X + 1 (size 251000) took 1.0-1.3 s
 # with the cap lifted.
 MAX_LIFT_SIZE = 170_000
-# It also refuses once its recombination would pre-test more subsets than this.
+# It also refuses once its recombination would pre-test more subsets than this,
+# counting the choices that split an even factor h(X^2) as subsets.
 MAX_SUBSETS = 1 << 20
 # gf_berlekamp's root pass builds a table per prime only if it takes at most
 # half this many bytes, and the tables kept take at most this: 512 KiB in all,
@@ -461,7 +463,14 @@ def _mirror(h: list[int]) -> list[int]:
     return [-c if (len(h) - i) % 2 == 0 else c for i, c in enumerate(h)]
 
 
-def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> list[list[int]]:
+def _twins(factors: list[list[int]], p: int) -> list[int]:
+    """twin[i] = j for sigma(f_i) = f_j mod p, or i if sigma(f_i) is not among them."""
+    index = {tuple(c % p for c in fi): i for i, fi in enumerate(factors)}
+    return [index.get(tuple(c % p for c in _mirror(fi)), i) for i, fi in enumerate(factors)]
+
+
+def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int,
+                   twin: list[int] | None = None) -> list[list[int]]:
     """Lift monic pairwise-coprime factors f_i of f mod p to monic factors mod p^l.
 
     One Newton iteration lifts all the factors at once.  Let F = f/lc(f),
@@ -488,14 +497,13 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> li
     mod p, and as lifts are unique it takes the lift of f_i to that of
     sigma(f_i).  A step reads only F and f_i: one factor of each pair is
     lifted, and its twin is sigma of that lift (an f_i with no twin, itself).
+    The pairing twin = _twins(factors, p) may be passed in.
     """
     pl = p**l
     F = gf_monic(f, pl)
     lifted = [list(fi) for fi in factors]
-    twin = list(range(len(factors)))
-    if not any(F[1::2]):
-        index = {tuple(c % p for c in fi): i for i, fi in enumerate(factors)}
-        twin = [index.get(tuple(c % p for c in _mirror(fi)), i) for i, fi in enumerate(factors)]
+    if twin is None:
+        twin = list(range(len(factors))) if any(F[1::2]) else _twins(factors, p)
     own = [fi for i, fi in enumerate(lifted) if twin[i] >= i]
     inverses = [[] for _ in own]
     m = p
@@ -571,6 +579,38 @@ def _trace_bound(cur: list[int], bound: int) -> int:
     return min(bound, (len(cur) - 1) * (abs(cur[-1]) + max(map(abs, cur[:-1]))))
 
 
+def _first_factor(cur: list[int], candidates: Iterable[tuple[tuple[int, ...], int]],
+                  lifted: list[list[int]], values: list[list[int]], pl: int,
+                  bound: int) -> tuple[tuple[int, ...], list[int], list[int]] | None:
+    """The first (subset, g, cur / g) over the (subset, trace sum) pairs of
+    candidates such that g, the primitive part of lc(cur) times the subset's
+    lifted factors mod pl, divides cur over Z; None if none does.  The four
+    pre-tests of zz_factor_squarefree come first."""
+    lc, trace_bound = cur[-1], _trace_bound(cur, bound)
+    targets = [lc * cur[0], lc * sum(cur), lc * (sum(cur[::2]) - sum(cur[1::2]))]
+    tests = [(vals, t) for vals, t in zip(values, targets) if t]
+    for subset, t in candidates:
+        if trace_bound < lc * t % pl < pl - trace_bound:
+            continue
+        for vals, target in tests:
+            c = lc
+            for i in subset:
+                c = c * vals[i] % pl
+            if c > pl // 2:
+                c -= pl
+            if c == 0 or target % c:
+                break
+        else:
+            cand = [lc]
+            for i in subset:
+                cand = zz_mul(cand, lifted[i])
+            _, cand = zz_primitive(zz_trunc_sym(cand, pl))
+            q = zz_trial_div(cur, cand)
+            if q is not None:
+                return subset, cand, q
+    return None
+
+
 def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree f with lc(f) > 0, deg f >= 1.
 
@@ -592,9 +632,38 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     that fails a test lifts no factor, so the factors found are those of
     trial division alone.
 
+    An even f = g(X^2) is recombined over g.  sigma = _mirror permutes the
+    modular factors f_i (see zz_hensel_lift), and p does not divide f(0), so
+    no f_i is X and a self-mirrored f_i is even.  The units, one per pair
+    {f_i, sigma(f_i)} and one per self-mirrored f_i, are the even parts
+    (f_i * sigma(f_i) mod p^l)[::2] and f_i[::2]: monic lifts of the factors
+    of g mod p, so g's Hensel lifts.  A factor h of g gives h(X^2), which
+    divides f and has h's coefficients and M(h(X^2)) = M(h), so the same
+    bound, p^l and tests hold over the units, and g is recombined over them
+    in the same way (over Y^2 in turn while it is even).
+
+    Lemma: for h irreducible in Z[Y] and not +-Y, h(X^2) is irreducible or
+    +-u(X)*u(-X) with u irreducible.  Proof: let u be an irreducible factor
+    of h(X^2); u(-X) divides h((-X)^2) = h(X^2) too.  If u(-X) = +-u(X), u
+    is even (an odd u has the factor X, so u = +-X and h = +-Y), so
+    u = w(X^2) with w a factor of h, and u = +-h(X^2).  Otherwise
+    u(X)*u(-X) divides h(X^2), and it is +-v(X^2) with deg v = deg u.  h
+    divides v, as both vanish at a^2 for a root a of u, so
+    2 deg u <= deg h(X^2) = 2 deg h <= 2 deg v = 2 deg u, and h(X^2) is
+    c*u(X)*u(-X) with c = +-1 by Gauss's lemma, h being primitive.
+
+    So h(X^2) is irreducible at once if a unit of h is self-mirrored: that
+    f_i dividing u mod p would divide sigma(u) = +-u(-X) too, and f_i^2
+    would divide f mod p.  Otherwise u takes one f_i of each of h's k pairs,
+    and the 2^(k-1) choices with the first pair's f_i fixed each go through
+    the four pre-tests against h(X^2) before trial division.  The factors are
+    returned sorted by their number of f_i, then their sorted indices: the
+    order in which recombination over the f_i finds them.
+
     An f with ``deg f * bit_length(bound) > MAX_LIFT_SIZE`` raises
     :class:`ResourceLimitError` before a prime is chosen, and so does one
-    whose recombination would pre-test more than ``MAX_SUBSETS`` subsets.
+    whose recombination would pre-test more than ``MAX_SUBSETS`` subsets or
+    choices.
     """
     n = len(f) - 1
     if n == 1:
@@ -615,55 +684,67 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     while pl <= 2 * bound:
         pl *= p
         l += 1
-    lifted = zz_hensel_lift(p, f, modular, l)
-    trace = [g[-2] for g in lifted]
-    values = [
-        [g[0] % pl for g in lifted],
-        [sum(g) % pl for g in lifted],
-        [(sum(g[::2]) - sum(g[1::2])) % pl for g in lifted],
-    ]
-
-    result = []
-    remaining = list(range(len(lifted)))
-    cur = f
-    size = 1
+    twin = None if any(f[1::2]) else _twins(modular, p)
+    lifted = zz_hensel_lift(p, f, modular, l, twin)
+    levels = []
+    while twin:
+        pairs = [(i, j) for i, j in enumerate(twin) if i <= j]
+        levels.append((lifted, pairs))
+        f = f[::2]
+        lifted = [(zz_trunc_sym(zz_mul(lifted[i], lifted[j]), pl) if i < j else lifted[i])[::2]
+                  for i, j in pairs]
+        twin = None if any(f[1::2]) else _twins(lifted, p)
     subsets = 0
-    while 2 * size <= len(remaining):
-        subsets += math.comb(len(remaining), size)
+
+    def plan(count: int) -> None:
+        nonlocal subsets
+        subsets += count
         if subsets > MAX_SUBSETS:
             raise ResourceLimitError(
                 f"{subsets} recombination subsets exceed the cap of {MAX_SUBSETS}"
             )
-        lc, trace_bound = cur[-1], _trace_bound(cur, bound)
-        targets = [lc * cur[0], lc * sum(cur), lc * (sum(cur[::2]) - sum(cur[1::2]))]
-        tests = [(vals, t) for vals, t in zip(values, targets) if t]
+
+    def tables(lifted: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+        return [g[-2] for g in lifted], [
+            [g[0] % pl for g in lifted],
+            [sum(g) % pl for g in lifted],
+            [(sum(g[::2]) - sum(g[1::2])) % pl for g in lifted],
+        ]
+
+    trace, values = tables(lifted)
+    found = []
+    remaining = list(range(len(lifted)))
+    cur = f
+    size = 1
+    while 2 * size <= len(remaining):
+        plan(math.comb(len(remaining), size))
         sums = map(sum, combinations([trace[i] for i in remaining], size))
-        for subset, t in zip(combinations(remaining, size), sums):
-            if trace_bound < lc * t % pl < pl - trace_bound:
-                continue
-            for vals, target in tests:
-                c = lc
-                for i in subset:
-                    c = c * vals[i] % pl
-                if c > pl // 2:
-                    c -= pl
-                if c == 0 or target % c:
-                    break
-            else:
-                cand = [lc]
-                for i in subset:
-                    cand = zz_mul(cand, lifted[i])
-                cand = zz_trunc_sym(cand, pl)
-                _, cand = zz_primitive(cand)
-                q = zz_trial_div(cur, cand)
-                if q is not None:
-                    result.append(cand)
-                    cur = q
-                    chosen = set(subset)
-                    remaining = [i for i in remaining if i not in chosen]
-                    break
+        hit = _first_factor(cur, zip(combinations(remaining, size), sums), lifted, values, pl, bound)
+        if hit:
+            subset, g, cur = hit
+            found.append((g, subset))
+            remaining = [i for i in remaining if i not in subset]
         else:
             size += 1
     if len(cur) > 1:
-        result.append(cur)
-    return result
+        found.append((cur, tuple(remaining)))
+    for lifted, pairs in reversed(levels):
+        trace, values = tables(lifted)
+        split = []
+        for h, units in found:
+            H = [c for a in h for c in (a, 0)][:-1]
+            chosen = [pairs[k] for k in units]
+            indices = tuple(sorted({i for pair in chosen for i in pair}))
+            hit = None
+            if all(i < j for i, j in chosen):
+                plan(1 << (len(chosen) - 1))
+                choices = [chosen[0][:1]] + chosen[1:]
+                sums = map(sum, product(*[[trace[i] for i in c] for c in choices]))
+                hit = _first_factor(H, zip(product(*choices), sums), lifted, values, pl, bound)
+            if hit:
+                subset, u, q = hit
+                split += [(u, tuple(sorted(subset))), (q, tuple(i for i in indices if i not in subset))]
+            else:
+                split.append((H, indices))
+        found = split
+    return [g for g, _ in sorted(found, key=lambda t: (len(t[1]), t[1]))]

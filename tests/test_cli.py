@@ -237,9 +237,11 @@ def test_sparse_binomial_factors_in_bounded_memory():
 
 
 def test_binomial_with_many_modular_factors_hits_the_subset_cap():
-    # 39 factors mod 7: about 2^38 subsets, which ran for minutes uncapped
+    # X^105 + 566292 is odd, with 30 factors mod 11: its recombination plans
+    # 2,804,011 subsets by size 7.  (X^120 + 566292, once refused here, is
+    # even and now recombined over its mirror pairs in Y = X^2.)
     start = time.perf_counter()
-    result = run_command(["factor", "X^120+566292", "--json"])
+    result = run_command(["factor", "X^105+566292", "--json"])
     assert result.exit_code == 3
     assert json.loads(result.text)["status"] == "resource-limit"
     assert time.perf_counter() - start < 5.0

@@ -432,23 +432,128 @@ def test_lifting_cap_admits_x400_and_refuses_larger_trinomials():
 
 
 def test_recombination_cap_refuses_sd64_quickly():
-    sd64 = swinnerton_dyer([2, 3, 5, 7, 11, 13])
+    # SD64 * (X + 1) is odd, so its 33 lifted factors are recombined one by
+    # one: C(33, 1) subsets find X + 1, and the other 32 plan C(32, 1) + ...
+    # + C(32, 6), past 2^20 at size 6 (1,149,049 planned subsets in all)
+    f = zz_mul(swinnerton_dyer([2, 3, 5, 7, 11, 13]), [1, 1])
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="subsets"):
-        zz_factor_squarefree(sd64)
+    with pytest.raises(ResourceLimitError, match="1149049 recombination subsets"):
+        zz_factor_squarefree(f)
     assert time.perf_counter() - start < 2.0
 
 
+def test_sd64_is_proved_irreducible_in_bounded_time():
+    # Its 32 factors mod 19 are 16 mirrored pairs: recombination runs over
+    # 16 units in Y = X^2, where the trace test is not blind.  Refused at
+    # the subset cap when each lifted factor was its own unit.
+    sd64 = swinnerton_dyer([2, 3, 5, 7, 11, 13])
+    start = time.perf_counter()
+    assert zz_factor_squarefree(sd64) == [sd64]
+    assert time.perf_counter() - start < 5.0
+
+
 def test_recombination_cap_counts_every_planned_subset(monkeypatch):
-    # SD32 splits into 16 factors mod 19, and its passes plan
-    # C(16, 1) + ... + C(16, 8) = 39,202 subsets
+    # SD32 splits into 8 mirrored pairs mod 19.  Recombination over the 8
+    # units plans C(8, 1) + ... + C(8, 4) = 162 subsets, and the irreducible
+    # core read at X^2 plans 2^7 = 128 choices of one factor per pair: 290.
+    # (39,202 = C(16, 1) + ... + C(16, 8) over the 16 lifted factors.)
     sd32 = swinnerton_dyer([2, 3, 5, 7, 11])
-    assert MAX_SUBSETS >= 39_202
-    monkeypatch.setattr(_intpoly, "MAX_SUBSETS", 39_202)
+    assert MAX_SUBSETS >= 290
+    monkeypatch.setattr(_intpoly, "MAX_SUBSETS", 290)
     assert zz_factor_squarefree(sd32) == [sd32]
-    monkeypatch.setattr(_intpoly, "MAX_SUBSETS", 39_201)
-    with pytest.raises(ResourceLimitError, match="39202 recombination subsets"):
+    monkeypatch.setattr(_intpoly, "MAX_SUBSETS", 289)
+    with pytest.raises(ResourceLimitError, match="290 recombination subsets"):
         zz_factor_squarefree(sd32)
+    monkeypatch.setattr(_intpoly, "MAX_SUBSETS", 161)
+    with pytest.raises(ResourceLimitError, match="162 recombination subsets"):
+        zz_factor_squarefree(sd32)
+
+
+def count_pretests(monkeypatch, f: list[int]) -> tuple[list[list[int]], int, int]:
+    """zz_factor_squarefree(f), the subsets and choices that reached the
+    pre-tests, and the trial divisions."""
+    pretests, first_factor = 0, _intpoly._first_factor
+
+    def counting(cur, candidates, *rest):
+        def each():
+            nonlocal pretests
+            for candidate in candidates:
+                pretests += 1
+                yield candidate
+        return first_factor(cur, each(), *rest)
+
+    monkeypatch.setattr(_intpoly, "_first_factor", counting)
+    factors, calls = count_trial_divisions(monkeypatch, f)
+    return factors, pretests, calls
+
+
+@pytest.mark.parametrize("f, found, pretests, divisions", [
+    # 39,202 subsets when every lifted factor was its own unit
+    (swinnerton_dyer([2, 3, 5, 7, 11]), 1, 290, 0),
+    # the factor benchmark's p90 product: 794 subsets over single factors
+    (zz_mul(swinnerton_dyer([2, 3, 5, 11]), swinnerton_dyer([2, 3, 7])), 2, 32, 1),
+    # its median op: 165 subsets over single factors
+    (sd16_times_x2_minus_3(), 2, 20, 1),
+])
+def test_recombination_pretests_and_trial_divisions(monkeypatch, f, found, pretests, divisions):
+    factors, tested, calls = count_pretests(monkeypatch, f)
+    assert len(factors) == found
+    assert (tested, calls) == (pretests, divisions)
+
+
+def mirrored(u: list[int]) -> list[int]:
+    """(-1)^deg u * u(-X)."""
+    return [-c if (len(u) - i) % 2 == 0 else c for i, c in enumerate(u)]
+
+
+def test_even_recombination_matches_all_subsets():
+    """Recombination over mirror pairs in Y = X^2 and the split of each
+    h(X^2) find the factors, in order, that trial division of every subset
+    of the lifted factors finds."""
+    rng = random.Random(97)
+    cubic = [2, -2, 0, 1]  # Eisenstein X^3 - 2X + 2
+    splitting = [
+        [9, 0, 5, 0, 1],  # (X^2 + X + 3)(X^2 - X + 3)
+        [1, 0, 0, 0, 4],  # 4X^4 + 1 = (2X^2 + 2X + 1)(2X^2 - 2X + 1)
+        [4, 0, 0, 0, 1],  # X^4 + 4 = (X^2 + 2X + 2)(X^2 - 2X + 2)
+    ]
+    cases = splitting + [
+        of_x_squared([4, 0, 0, 0, 1]),  # X^8 + 4: Y^4 + 4 splits, and neither half at X^2
+        of_x_squared(of_x_squared(zz_mul([-2, 1], [3, 1]))),  # (X^4 - 2)(X^4 + 3) = g(X^4)
+        of_x_squared(of_x_squared([-4, 0, 1])),  # X^8 - 4 = (X^4 - 2)(X^4 + 2)
+        swinnerton_dyer([2, 3]),  # two self-mirrored quadratics mod 5
+        zz_mul(swinnerton_dyer([2, 3]), [1, 0, 0, 0, 4]),
+        zz_mul(zz_mul(cubic, mirrored(cubic)), [-3, 0, 1]),  # a mirrored pair of odd cubics
+        zz_mul(zz_mul(cubic, mirrored(cubic)), [9, 0, 5, 0, 1]),
+    ]
+    blocks = [
+        lambda: rng.choice(splitting),
+        lambda: [-rng.choice((2, 3, 4, 5, 9, 12)), 0, rng.choice((1, 1, 3, 4))],
+        lambda: of_x_squared(eisenstein_block(rng)),
+        lambda: of_x_squared(of_x_squared([rng.choice((-3, -2, 2, 3, 5)), 1])),
+        lambda: (lambda u: zz_mul(u, mirrored(u)))(eisenstein_block(rng)),
+        lambda: swinnerton_dyer(rng.sample((2, 3, 5, 7), 2)),
+    ]
+    checked, split, nested = 0, 0, 0
+    while checked < 60:
+        if cases:
+            f = cases.pop(0)
+        else:
+            f = [1]
+            for _ in range(rng.randint(2, 3)):
+                f = zz_mul(f, rng.choice(blocks)())
+            f = zz_primitive(f)[1]
+            if len(f) <= 13 and rng.random() < 0.3:
+                f = of_x_squared(f)
+        if zz_squarefree(f) != [(f, 1)]:
+            continue
+        assert not any(f[1::2])
+        factors = zz_factor_squarefree(f)
+        assert factors == zassenhaus_all_subsets(f), f
+        split += any(any(g[1::2]) for g in factors)
+        nested += not any(f[2::4])
+        checked += 1
+    assert split >= 20 and nested >= 8, (split, nested)
 
 
 def seven_phi_product() -> QPoly:
