@@ -463,20 +463,21 @@ def _mirror(h: list[int]) -> list[int]:
     return [-c if (len(h) - i) % 2 == 0 else c for i, c in enumerate(h)]
 
 
-def _twins(factors: list[list[int]], p: int) -> list[int]:
-    """twin[i] = j for sigma(f_i) = f_j mod p, or i if sigma(f_i) is not among them."""
+def _pairs(factors: list[list[int]], p: int) -> list[tuple[int, int]]:
+    """(i, j), i <= j, for sigma(f_i) = f_j mod p; (i, i) if sigma(f_i) is f_i or no f_j."""
     index = {tuple(c % p for c in fi): i for i, fi in enumerate(factors)}
-    return [index.get(tuple(c % p for c in _mirror(fi)), i) for i, fi in enumerate(factors)]
+    return [(i, j) for i, fi in enumerate(factors)
+            if (j := index.get(tuple(c % p for c in _mirror(fi)), i)) >= i]
 
 
-def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int,
-                   twin: list[int] | None = None) -> list[list[int]]:
+def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int) -> list[list[int]]:
     """Lift monic pairwise-coprime factors f_i of f mod p to monic factors mod p^l.
 
-    One Newton iteration lifts all the factors at once.  Let F = f/lc(f),
-    equal to prod f_i mod m, and s_i the inverse of the cofactor
-    c_i = prod_{j != i} f_j modulo (f_i, m).  Every other cofactor is
-    divisible by f_i, so f_i + (F rem f_i) * s_i rem f_i is the lift mod m^2.
+    One Newton iteration lifts all the factors at once.  Let F = f/lc(f) and
+    s_i the inverse modulo (f_i, m) of the cofactor c_i, F = f_i * c_i mod m;
+    f_i + (F rem f_i) * s_i rem f_i is the lift mod m^2.  A step reads only F
+    and f_i, so any subset of F's factors mod p lifts to its entries in the
+    lift of them all.
 
     A factor of degree 1 or 2 is lifted through its root t in Z/m[t]/(f_i),
     where F rem f_i is F(t).  One Horner pass gives F(t) mod m^2 and F'(t)
@@ -492,25 +493,16 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int,
     Gerhard, Modern Computer Algebra 15.5, which runs a gcd of up to the
     degree of f at each of its r - 1 inner nodes and lifts every node's
     Bezout pair.
-
-    An even F is sigma(F), sigma = _mirror, so sigma permutes irreducible f_i
-    mod p, and as lifts are unique it takes the lift of f_i to that of
-    sigma(f_i).  A step reads only F and f_i: one factor of each pair is
-    lifted, and its twin is sigma of that lift (an f_i with no twin, itself).
-    The pairing twin = _twins(factors, p) may be passed in.
     """
     pl = p**l
     F = gf_monic(f, pl)
     lifted = [list(fi) for fi in factors]
-    if twin is None:
-        twin = list(range(len(factors))) if any(F[1::2]) else _twins(factors, p)
-    own = [fi for i, fi in enumerate(lifted) if twin[i] >= i]
-    inverses = [[] for _ in own]
+    inverses = [[] for _ in lifted]
     m = p
     while m < pl:
         big = min(m * m, pl)
         Fm = gf_normal(F, big)
-        for i, fi in enumerate(own):
+        for i, fi in enumerate(lifted):
             if len(fi) == 2:
                 t, v, w = -fi[0], 0, 0
                 for c in reversed(Fm):
@@ -539,10 +531,7 @@ def zz_hensel_lift(p: int, f: list[int], factors: list[list[int]], l: int,
                 for j, d in enumerate(gf_rem(zz_mul(e, s), fi, big)):
                     fi[j] = (fi[j] + d) % big
         m = big
-    out = []
-    for fi, j in zip(lifted, twin):
-        out.append(zz_trunc_sym(fi, pl) if j >= len(out) else _mirror(out[j]))
-    return out
+    return [zz_trunc_sym(fi, pl) for fi in lifted]
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +621,12 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     that fails a test lifts no factor, so the factors found are those of
     trial division alone.
 
-    An even f = g(X^2) is recombined over g.  sigma = _mirror permutes the
-    modular factors f_i (see zz_hensel_lift), and p does not divide f(0), so
-    no f_i is X and a self-mirrored f_i is even.  The units, one per pair
-    {f_i, sigma(f_i)} and one per self-mirrored f_i, are the even parts
+    An even f = g(X^2) is recombined over g.  f = sigma(f), sigma = _mirror,
+    so sigma permutes the modular factors f_i, and as Hensel lifts are unique
+    it takes the lift of f_i to that of sigma(f_i): one f_i of each pair
+    {f_i, sigma(f_i)} (_pairs) is lifted, the other is sigma of that lift.
+    p does not divide f(0), so no f_i is X and a self-mirrored f_i is even.
+    The units, one per pair and one per self-mirrored f_i, are the even parts
     (f_i * sigma(f_i) mod p^l)[::2] and f_i[::2]: monic lifts of the factors
     of g mod p, so g's Hensel lifts.  A factor h of g gives h(X^2), which
     divides f and has h's coefficients and M(h(X^2)) = M(h), so the same
@@ -650,15 +641,17 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     u(X)*u(-X) divides h(X^2), and it is +-v(X^2) with deg v = deg u.  h
     divides v, as both vanish at a^2 for a root a of u, so
     2 deg u <= deg h(X^2) = 2 deg h <= 2 deg v = 2 deg u, and h(X^2) is
-    c*u(X)*u(-X) with c = +-1 by Gauss's lemma, h being primitive.
+    c*u(X)*u(-X) with c = +-1 by Gauss's lemma, h being primitive.  Then
+    h(0) = c*u(0)^2 and lc(h) = +-lc(u)^2, so |h(0)| and lc(h) > 0 are squares.
 
-    So h(X^2) is irreducible at once if a unit of h is self-mirrored: that
-    f_i dividing u mod p would divide sigma(u) = +-u(-X) too, and f_i^2
-    would divide f mod p.  Otherwise u takes one f_i of each of h's k pairs,
-    and the 2^(k-1) choices with the first pair's f_i fixed each go through
-    the four pre-tests against h(X^2) before trial division.  The factors are
-    returned sorted by their number of f_i, then their sorted indices: the
-    order in which recombination over the f_i finds them.
+    So h(X^2) is irreducible at once if |h(0)| or lc(h) is not a square, or
+    if a unit of h is self-mirrored: that f_i dividing u mod p would divide
+    sigma(u) = +-u(-X) too, and f_i^2 would divide f mod p.  Otherwise u
+    takes one f_i of each of h's k pairs, and the 2^(k-1) choices with the
+    first pair's f_i fixed each go through the four pre-tests against h(X^2)
+    before trial division.  The factors are returned sorted by their number
+    of f_i, then their sorted indices: the order in which recombination over
+    the f_i finds them.
 
     An f with ``deg f * bit_length(bound) > MAX_LIFT_SIZE`` raises
     :class:`ResourceLimitError` before a prime is chosen, and so does one
@@ -684,16 +677,18 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     while pl <= 2 * bound:
         pl *= p
         l += 1
-    twin = None if any(f[1::2]) else _twins(modular, p)
-    lifted = zz_hensel_lift(p, f, modular, l, twin)
+    pairs = [] if any(f[1::2]) else _pairs(modular, p)
+    own = zz_hensel_lift(p, f, [modular[i] for i, _ in pairs] or modular, l)
+    lifted = list(modular) if pairs else own
+    for (i, j), g in zip(pairs, own):
+        lifted[i], lifted[j] = g, (_mirror(g) if i < j else g)
     levels = []
-    while twin:
-        pairs = [(i, j) for i, j in enumerate(twin) if i <= j]
+    while pairs:
         levels.append((lifted, pairs))
         f = f[::2]
         lifted = [(zz_trunc_sym(zz_mul(lifted[i], lifted[j]), pl) if i < j else lifted[i])[::2]
                   for i, j in pairs]
-        twin = None if any(f[1::2]) else _twins(lifted, p)
+        pairs = [] if any(f[1::2]) else _pairs(lifted, p)
     subsets = 0
 
     def plan(count: int) -> None:
@@ -736,7 +731,7 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
             chosen = [pairs[k] for k in units]
             indices = tuple(sorted({i for pair in chosen for i in pair}))
             hit = None
-            if all(i < j for i, j in chosen):
+            if all(i < j for i, j in chosen) and all(math.isqrt(a) ** 2 == a for a in (abs(h[0]), h[-1])):
                 plan(1 << (len(chosen) - 1))
                 choices = [chosen[0][:1]] + chosen[1:]
                 sums = map(sum, product(*[[trace[i] for i in c] for c in choices]))

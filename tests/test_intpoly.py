@@ -452,6 +452,18 @@ def test_sd64_is_proved_irreducible_in_bounded_time():
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("n, c", [(200, 30), (300, 6), (300, 566292)])
+def test_binomials_skip_splits_that_cannot_happen(n, c):
+    # Every h(X^2) on the even tower of X^n + c has h(0) = c, not a square,
+    # so none splits as +-u(X)*u(-X) and only the odd core's subsets are
+    # planned (2^20 - 1 for X^300 + 6).  Refused at the subset cap when each
+    # split's 2^(k-1) choices were tried.
+    f = [c] + [0] * (n - 1) + [1]
+    start = time.perf_counter()
+    assert zz_factor_squarefree(f) == [f]
+    assert time.perf_counter() - start < 5.0
+
+
 def test_recombination_cap_counts_every_planned_subset(monkeypatch):
     # SD32 splits into 8 mirrored pairs mod 19.  Recombination over the 8
     # units plans C(8, 1) + ... + C(8, 4) = 162 subsets, and the irreducible
@@ -492,8 +504,9 @@ def count_pretests(monkeypatch, f: list[int]) -> tuple[list[list[int]], int, int
     (swinnerton_dyer([2, 3, 5, 7, 11]), 1, 290, 0),
     # the factor benchmark's p90 product: 794 subsets over single factors
     (zz_mul(swinnerton_dyer([2, 3, 5, 11]), swinnerton_dyer([2, 3, 7])), 2, 32, 1),
-    # its median op: 165 subsets over single factors
-    (sd16_times_x2_minus_3(), 2, 20, 1),
+    # its median op: 165 subsets over single factors; X^2 - 3 has a split
+    # choice, skipped because -3 is not a square
+    (sd16_times_x2_minus_3(), 2, 19, 1),
 ])
 def test_recombination_pretests_and_trial_divisions(monkeypatch, f, found, pretests, divisions):
     factors, tested, calls = count_pretests(monkeypatch, f)
@@ -711,6 +724,53 @@ def even_part(rng: random.Random) -> list[int] | None:
     return f if f[0] and zz_squarefree(f) == [(f, 1)] else None
 
 
+def lift_in_factorization(monkeypatch, f: list[int], p: int | None = None) -> dict:
+    """Run zz_factor_squarefree(f), at the prime p if given, and record its
+    zz_hensel_lift call: its p, l, factors and lifts, the inversions
+    pow(., -1, m) inside it, and the order of the _pairs ("P"), _mirror ("m")
+    and zz_hensel_lift ("H") calls."""
+    run = {"log": [], "inversions": 0, "inside": False}
+    mirror, pairs, lift = _intpoly._mirror, _intpoly._pairs, _intpoly.zz_hensel_lift
+
+    def recording_lift(q, g, factors, l):
+        run["log"].append("H")
+        run.update(p=q, l=l, factors=factors, inside=True)
+        run["lifts"] = lift(q, g, factors, l)
+        run["inside"] = False
+        return run["lifts"]
+
+    def counting_pow(*args):
+        run["inversions"] += run["inside"] and args[1:2] == (-1,)
+        return pow(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(_intpoly, "_mirror", lambda h: run["log"].append("m") or mirror(h))
+        m.setattr(_intpoly, "_pairs", lambda *args: run["log"].append("P") or pairs(*args))
+        m.setattr(_intpoly, "zz_hensel_lift", recording_lift)
+        m.setattr(_intpoly, "pow", counting_pow, raising=False)
+        if p is not None:
+            m.setattr(_intpoly, "_choose_prime", lambda g: p)
+        zz_factor_squarefree(f)
+    assert run["log"].count("H") == 1, run["log"]
+    return run
+
+
+def check_lift_of_mirror_pairs(run: dict, f: list[int], modular: list[list[int]]) -> None:
+    """The lift in zz_factor_squarefree of an even f took exactly one factor of
+    each mirror pair and every self-mirrored factor, in order, and lifted
+    them to their entries in the full lift; pairing the factors took one
+    _mirror per factor, and one more per twin filled in."""
+    p, l, factors = run["p"], run["l"], run["factors"]
+    star = {tuple(h): tuple((-c if (len(h) - 1 - i) % 2 else c) % p for i, c in enumerate(h)) for h in modular}
+    keys = [tuple(h) for h in factors]
+    assert keys == sorted(keys, key=[tuple(h) for h in modular].index)
+    assert sorted(keys + [star[k] for k in keys if star[k] != k]) == sorted(map(tuple, modular)), (p, f)
+    full = hensel_lift_pseudo(p, f, modular, l)
+    assert run["lifts"] == [full[modular.index(h)] for h in factors], (p, f, l)
+    log, top = "".join(run["log"]), "P" + "m" * len(modular) + "H" + "m" * (len(modular) - len(factors))
+    assert log == top or log.startswith(top + "P"), log
+
+
 def test_hensel_lift_matches_pseudo_division_steps(monkeypatch):
     rng = random.Random(71)
     primes = (3, 5, 7, 11, 13, 17, 19, 23)
@@ -751,17 +811,19 @@ def test_hensel_lift_matches_pseudo_division_steps(monkeypatch):
         mirrored.clear()
         lifts = zz_hensel_lift(p, f, modular, l)
         assert lifts == hensel_lift_pseudo(p, f, modular, l), (p, f, l)
+        assert mirrored == []
         pl = p**l
         product = [1]
         for g in lifts:
             product = gf_mul(product, g, pl)
         assert product == gf_monic(gf_normal(f, pl), pl)
-        if any(f[1::2]):
-            assert mirrored == []
-        else:
-            # one mirror per factor to pair them, one per twin filled in
+        if not any(f[1::2]):
+            # zz_factor_squarefree lifts one factor per pair and each self-mirrored
+            # one: one mirror per factor to pair them, one per twin filled in
             pairs, fixed = mirror_orbits(p, modular)
-            assert len(mirrored) == len(modular) + len(pairs), (p, f, pairs, fixed)
+            run = lift_in_factorization(monkeypatch, f, p)
+            assert len(run["factors"]) == len(pairs) + len(fixed), (p, f, pairs, fixed)
+            check_lift_of_mirror_pairs(run, f, modular)
             even_primes.add(p)
             pair_degrees.update(min(d, 3) for d in pairs)
             fixed_degrees.update(fixed)
@@ -771,6 +833,36 @@ def test_hensel_lift_matches_pseudo_division_steps(monkeypatch):
     assert used == set(primes) and mixed >= 5, (used, mixed)
     assert len(even_primes) >= 5 and pair_degrees == {1, 2, 3}, (even_primes, pair_degrees)
     assert {2, 4} <= fixed_degrees, fixed_degrees
+
+
+def test_hensel_lift_of_a_subset_matches_the_full_lift():
+    """A Newton step reads only F and f_i, so lifting any nonempty subset of
+    the modular factors gives exactly their entries in the lift of them all,
+    which the even recombination relies on when it lifts one factor per
+    mirror pair."""
+    rng = random.Random(101)
+    primes = (3, 5, 7, 11, 13, 17, 19, 23)
+    used, kinds, degrees, lifted = set(), {"odd": 0, "even": 0}, set(), 0
+    while lifted < 80:
+        even = lifted % 2 == 1
+        f = even_part(rng) if even else random_squarefree_product(rng)
+        p, l = rng.choice(primes), rng.randint(2, 40)
+        if f is None or len(f) < 3 or f[-1] % p == 0 or zz_squarefree(f) != [(f, 1)]:
+            continue
+        if not gf_is_squarefree(gf_normal(f, p), p):
+            continue
+        modular = gf_berlekamp(gf_monic(gf_normal(f, p), p), p)
+        if len(modular) < 3:
+            continue
+        full = zz_hensel_lift(p, f, modular, l)
+        chosen = sorted(rng.sample(range(len(modular)), rng.randint(1, len(modular) - 1)))
+        assert zz_hensel_lift(p, f, [modular[i] for i in chosen], l) == [full[i] for i in chosen], (p, f, l, chosen)
+        used.add(p)
+        kinds["even" if even else "odd"] += 1
+        degrees.update(min(len(modular[i]) - 1, 3) for i in chosen)
+        lifted += 1
+    assert used == set(primes) and min(kinds.values()) == 40, (used, kinds)
+    assert degrees == {1, 2, 3}, degrees  # both root forms and the division step
 
 
 def hensel_lift_calls(monkeypatch, f: list[int]) -> tuple[list[list[int]], dict[str, list[int]]]:
@@ -807,23 +899,16 @@ def test_hensel_lift_takes_quadratic_and_linear_factors_through_their_roots(monk
     (swinnerton_dyer([2, 3, 5, 7, 11]), 19, 22, 8, 41),  # 81 with all sixteen lifted
 ])
 def test_hensel_lift_inverts_once_per_mirrored_pair_and_step(monkeypatch, f, p, l, pairs, inversions):
-    # Every factor is linear or quadratic and none is its own mirror, so each
-    # Newton step inverts F'(t) once per pair, after one inversion in gf_monic.
+    # Every factor is linear or quadratic and none is its own mirror, so
+    # zz_factor_squarefree lifts one factor per pair, and each Newton step
+    # inverts F'(t) once per pair, after one inversion in gf_monic.
     modular = gf_berlekamp(gf_monic(gf_normal(f, p), p), p)
     pair_degrees, fixed = mirror_orbits(p, modular)
     assert (len(pair_degrees), fixed) == (pairs, []) and len(modular) == 2 * pairs
-    calls = 0
-
-    def counting_pow(*args):
-        nonlocal calls
-        calls += args[1:2] == (-1,)
-        return pow(*args)
-
-    monkeypatch.setattr(_intpoly, "pow", counting_pow, raising=False)
-    lifts = zz_hensel_lift(p, f, modular, l)
-    monkeypatch.undo()
-    assert calls == inversions
-    assert lifts == hensel_lift_pseudo(p, f, modular, l)
+    run = lift_in_factorization(monkeypatch, f)
+    assert (run["p"], run["l"], len(run["factors"])) == (p, l, pairs)
+    assert run["inversions"] == inversions
+    check_lift_of_mirror_pairs(run, f, modular)
 
 
 def test_hensel_lift_runs_one_inverse_per_factor_of_degree_three_or_more(monkeypatch):
