@@ -552,6 +552,40 @@ def _choose_prime(f: list[int]) -> int:
     return p
 
 
+_SMALL_PRIMES = [p for p in range(2, 100) if is_prime(p)]
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
+
+
+def _certified_irreducible(f: list[int], shift: bool = True) -> bool:
+    """Whether f's Newton polygon at some prime p < 100 proves f irreducible:
+    p divides f(0) != 0 but not lc(f), v = v_p(f(0)) is prime to n, and each
+    a_i, 0 < i < n, has v_p(a_i) >= v*(n - i)/n.  The polygon is then one
+    segment with no lattice point inside, so a factor over Q_p has degree n
+    (Dumas, J. Math. Pures Appl. 1906; Eisenstein is v = 1).  Failing that,
+    with shift, if s = a_(n-1)/(n*a_n) is a nonzero integer and f(-s) has a
+    prime factor below 100, f(X - s) is tried: (X + 1)^n + c becomes X^n + c."""
+    n, c = len(f) - 1, f[0]
+    g = math.gcd(_PRIMORIAL, *f[:-1]) if c else 1  # p | a_i for i < n; v_p(0) is infinite
+    for p in _SMALL_PRIMES:
+        if g % p == 0 and f[-1] % p:
+            v = next(k for k in range(c.bit_length()) if c % p ** (k + 1))  # v_p(f(0))
+            if math.gcd(v, n) == 1 and all(a % p ** -(-v * (n - i) // n) == 0 for i, a in enumerate(f[1:-1], 1)):
+                return True
+    s, r = divmod(f[-2], n * f[-1])
+    if not shift or r or not s:
+        return False
+    value = 0
+    for a in reversed(f):
+        value = value * -s + a
+    if not value or math.gcd(value, _PRIMORIAL) == 1:
+        return False
+    f = list(f)
+    for i in range(n):  # Taylor shift, n(n+1)/2 steps
+        for j in range(n - 1, i - 1, -1):
+            f[j] -= s * f[j + 1]
+    return _certified_irreducible(f, False)
+
+
 def _mignotte_bound(f: list[int]) -> int:
     n = len(f) - 1
     return (math.isqrt(n + 1) + 1) * (1 << n) * zz_max_norm(f) * abs(f[-1])
@@ -653,15 +687,16 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     of f_i, then their sorted indices: the order in which recombination over
     the f_i finds them.
 
+    An f that _certified_irreducible proves irreducible returns [f] first; its
+    shift runs only within the lifting cap, past which it can take seconds.
     An f with ``deg f * bit_length(bound) > MAX_LIFT_SIZE`` raises
     :class:`ResourceLimitError` before a prime is chosen, and so does one
     whose recombination would pre-test more than ``MAX_SUBSETS`` subsets or
     choices.
     """
-    n = len(f) - 1
-    if n == 1:
+    n, bound = len(f) - 1, _mignotte_bound(f)
+    if n == 1 or _certified_irreducible(f, n * bound.bit_length() <= MAX_LIFT_SIZE):
         return [f]
-    bound = _mignotte_bound(f)
     if n * bound.bit_length() > MAX_LIFT_SIZE:
         raise ResourceLimitError(
             f"factoring degree {n} with a {bound.bit_length()}-bit coefficient bound "

@@ -111,6 +111,16 @@ class DivisorSet(NamedTuple):
     divisors: tuple[PuiseuxPoly, ...]
 
 
+def _truncated(f: PuiseuxPoly, monoid: PuiseuxMonoid) -> PuiseuxMonoid:
+    """S without its generators above max(deg f, least generator): the
+    exponents of f's divisors and cofactors lie in [0, deg f], where S has
+    only sums of the rest.  S itself, normalization cached, if none is."""
+    gens = monoid.generators
+    if f.is_zero or not gens or gens[-1] <= max(f.degree, gens[0]):
+        return monoid
+    return PuiseuxMonoid(g for g in gens if g <= max(f.degree, gens[0]))
+
+
 def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
     """A generator of the kept (t, choice) keys of f's divisors in Q[S], the
     function that ranks a key on integers, and the function that builds the
@@ -258,7 +268,7 @@ def divisors_in_algebra(
     exceeding either raises :class:`ResourceLimitError` rather than
     truncating.
     """
-    keys, rank, build = _divisor_walk(f, monoid, limit)
+    keys, rank, build = _divisor_walk(f, _truncated(f, monoid), limit)
     ordered = tuple(map(build, sorted(map(rank, keys))))
     return DivisorSet(element=f, monoid=monoid, divisors=ordered)
 
@@ -270,7 +280,7 @@ def ff_divisor_count(
 
     Counts the kept keys of the walk without building any divisor.
     """
-    keys = _divisor_walk(f, monoid, limit)[0]
+    keys = _divisor_walk(f, _truncated(f, monoid), limit)[0]
     return sum(1 for _ in keys)
 
 
@@ -283,5 +293,5 @@ def is_atom_in_algebra(
     """
     if f.is_zero or f.degree == 0:
         raise DomainError("atoms are nonzero nonunits; constants are units or zero")
-    keys = _divisor_walk(f, monoid, limit)[0]
+    keys = _divisor_walk(f, _truncated(f, monoid), limit)[0]
     return sum(1 for _ in islice(keys, 3)) == 2

@@ -237,11 +237,16 @@ def test_sparse_binomial_factors_in_bounded_memory():
 
 
 def test_binomial_with_many_modular_factors_hits_the_subset_cap():
-    # X^105 + 566292 is odd, with 30 factors mod 11: its recombination plans
-    # 2,804,011 subsets by size 7.  (X^120 + 566292, once refused here, is
-    # even and now recombined over its mirror pairs in Y = X^2.)
-    start = time.perf_counter()
+    # X^105 + 566292, odd with 30 factors mod 11, once planned 2,804,011
+    # subsets here; it is Eisenstein at 3 and is now answered before any
+    # modular work.  SD64 * (X + 2) still plans 1,149,049 subsets: 33 find
+    # X + 2, and the 32 factors of SD64 pass 2^20 at size 6.
     result = run_command(["factor", "X^105+566292", "--json"])
+    assert result.exit_code == 0
+    assert [q["poly"] for q in json.loads(result.text)["primes"]] == ["X^105 + 566292"]
+    text = (pathlib.Path(__file__).parent / "data" / "sd64_times_x_plus_2.txt").read_text().strip()
+    start = time.perf_counter()
+    result = run_command(["factor", text, "--json"])
     assert result.exit_code == 3
     assert json.loads(result.text)["status"] == "resource-limit"
     assert time.perf_counter() - start < 5.0

@@ -509,6 +509,60 @@ def test_divisors_match_untruncated_walk():
                 assert is_atom_in_algebra(f, S) == (len(expected) == 2)
 
 
+def test_truncating_the_monoid_at_deg_f_keeps_every_answer():
+    # S is T plus generators above deg f (and some below it, in [1, deg f]),
+    # with denominators dividing T's, so that the walk on all of S stays
+    # small.  The public calls walk S cut at max(deg f, least generator), and
+    # _divisor_walk on S itself walks every generator.
+    rng = random.Random(161)
+    bases = [
+        PuiseuxMonoid([1]),
+        PuiseuxMonoid([2, 3]),
+        PuiseuxMonoid([3, 5, 7]),
+        PuiseuxMonoid([Rat(1, 2), Rat(1, 3)]),
+        PuiseuxMonoid([Rat(2, 3), 1]),
+    ]
+    for case in range(60):
+        T = bases[case % len(bases)]
+        f = _element_in(rng, T)
+        degree, dens = f.degree, [d for d in (1, 2, 3, 6) if T.normalization()[0].numerator % d == 0]
+        above = [degree + Rat(rng.randint(1, 9), rng.choice(dens)) for _ in range(rng.randint(1, 3))]
+        below = [Rat(rng.randint(1, 12), rng.choice(dens)) for _ in range(rng.randint(0, 2))]
+        S = PuiseuxMonoid(list(T.generators) + above + [g for g in below if g <= degree])
+        keys, rank, build = engine._divisor_walk(f, S, engine.DEFAULT_DIVISOR_LIMIT)
+        expected = tuple(map(build, sorted(map(rank, keys))))
+        result = divisors_in_algebra(f, S)
+        assert result.divisors == expected, (f, S)
+        assert result.monoid is S
+        assert ff_divisor_count(f, S) == len(expected)
+        if degree > 0:
+            assert is_atom_in_algebra(f, S) == (len(expected) == 2)
+        truncated = engine._truncated(f, S)
+        assert all(g <= max(degree, S.generators[0]) for g in truncated.generators)
+        assert set(truncated.generators) < set(S.generators)
+        assert engine._truncated(f, truncated) is truncated
+
+
+def test_truncation_keeps_a_generator_equal_to_deg_f_and_the_least_one():
+    for text, gens, kept in (("X^3 - 1", [2, 3, 7], [2, 3]), ("X^2 - 1", [2, 3], [2]), ("7", [2, 3], [2])):
+        f, S = parse_poly(text), PuiseuxMonoid(gens)
+        assert engine._truncated(f, S).generators == tuple(map(Rat, kept))
+        keys = engine._divisor_walk(f, S, engine.DEFAULT_DIVISOR_LIMIT)[0]
+        assert ff_divisor_count(f, S) == len(list(keys))
+
+
+def test_generators_above_deg_f_cost_nothing():
+    # <(3/2)^0, ..., (3/2)^7>: the last three generators exceed deg f = 6 and
+    # raise the clearing denominator from 16 to 128, and the walk on all eight
+    # took about 10 s on a 2-vCPU virtual machine
+    S = PuiseuxMonoid([Rat(3, 2) ** k for k in range(8)])
+    f = parse_poly("X^6-1")
+    assert engine._truncated(f, S).generators == tuple(Rat(3, 2) ** k for k in range(5))
+    start = time.perf_counter()
+    assert ff_divisor_count(f, S) == 24
+    assert time.perf_counter() - start < 3.0
+
+
 # irreducible over Q, with coefficients near 10^20 and gaps in their support
 BIG_BLOCKS = [
     [10**20 + 1, 0, 1],

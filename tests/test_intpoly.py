@@ -3,7 +3,9 @@ kernel, against the textbook algorithms kept in the reference module."""
 
 import gc
 import math
+import pathlib
 import random
+import signal
 import time
 import tracemalloc
 from itertools import combinations
@@ -11,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from puiseux import PuiseuxPoly, QPoly, ResourceLimitError, canonical_factorization, cyclotomic_poly
+from puiseux import PuiseuxPoly, QPoly, ResourceLimitError, canonical_factorization, cyclotomic_poly, parse_poly
 from puiseux import _intpoly, cyclotomic
 from puiseux.cyclotomic import classify_cyclotomic, factor_primitive
 from puiseux.exact import is_prime
@@ -20,6 +22,7 @@ from puiseux._intpoly import (
     MAX_ROOT_TABLE,
     MAX_SUBSETS,
     PackedGF,
+    _certified_irreducible,
     _choose_prime,
     _mignotte_bound,
     _root_table,
@@ -50,6 +53,7 @@ from reference import (
     gf_mul,
     gf_pow_mod,
     hensel_lift_pseudo,
+    kronecker_factor,
     prs_gcd,
     pseudo_divmod,
     q_divmod,
@@ -453,15 +457,150 @@ def test_sd64_is_proved_irreducible_in_bounded_time():
 
 
 @pytest.mark.parametrize("n, c", [(200, 30), (300, 6), (300, 566292)])
-def test_binomials_skip_splits_that_cannot_happen(n, c):
+def test_binomials_skip_splits_that_cannot_happen(monkeypatch, n, c):
     # Every h(X^2) on the even tower of X^n + c has h(0) = c, not a square,
     # so none splits as +-u(X)*u(-X) and only the odd core's subsets are
     # planned (2^20 - 1 for X^300 + 6).  Refused at the subset cap when each
-    # split's 2^(k-1) choices were tried.
+    # split's 2^(k-1) choices were tried.  Each binomial is Eisenstein at a
+    # prime dividing c, so the Newton-polygon certificate is switched off to
+    # keep the tower on this path.
+    monkeypatch.setattr(_intpoly, "_certified_irreducible", lambda f, shift=True: False)
     f = [c] + [0] * (n - 1) + [1]
     start = time.perf_counter()
     assert zz_factor_squarefree(f) == [f]
     assert time.perf_counter() - start < 5.0
+
+
+SD64_TIMES_X_PLUS_2 = pathlib.Path(__file__).parent / "data" / "sd64_times_x_plus_2.txt"
+
+
+def test_sd64_fixture_is_swinnerton_dyer_times_x_plus_2():
+    # The CLI refusal checks read SD64 * (X + 2) from this file: X + 2 is not
+    # cyclotomic, so the odd product reaches Zassenhaus whole (SD64 * (X + 1)
+    # would lose Phi_2 to the cyclotomic split, and SD64 alone is answered).
+    text = SD64_TIMES_X_PLUS_2.read_text().strip()
+    f = zz_mul(swinnerton_dyer([2, 3, 5, 7, 11, 13]), [2, 1])
+    assert parse_poly(text).to_qpoly().prim == tuple(f)
+    with pytest.raises(ResourceLimitError, match="1149049 recombination subsets"):
+        zz_factor_squarefree(f)
+
+
+def dumas_block(rng: random.Random, p: int | None = None, depressed: bool = False) -> list[int]:
+    """A primitive f of degree n in 2..8 whose Newton polygon at p is the one
+    segment from (0, v) to (n, 0), v coprime to n: a_0 = p^v * unit, lc a
+    unit mod p, and every other a_i zero or a multiple of p^ceil(v(n-i)/n),
+    sometimes of a higher power.  With depressed, a_(n-1) = 0."""
+    p = p or rng.choice((2, 3, 5, 7))
+    n = rng.randint(2, 8)
+    v = rng.choice([v for v in range(1, 5) if math.gcd(v, n) == 1])
+    units = [c for c in range(-6, 7) if c % p]
+    f = [p**v * rng.choice(units)]
+    for i in range(1, n):
+        f.append(rng.choice((0, 1, 1, 2)) * rng.choice((-1, 1)) * p ** (-(-v * (n - i) // n) + rng.choice((0, 0, 1))))
+    f.append(rng.choice([c for c in (1, 2, 3, 5, 7) if c % p]))
+    if depressed:
+        f[-2] = 0
+    return zz_primitive(f)[1]
+
+
+def shifted(f: list[int], t: int) -> list[int]:
+    """f(X + t)."""
+    out = []
+    for c in reversed(f):
+        out = add(zz_mul(out, [t, 1]), [c])
+    return out
+
+
+def test_certificate_fires_on_one_segment_polygons_and_the_oracle_agrees():
+    # Half the inputs are depressed blocks shifted by X -> X + t, which only
+    # the depressing shift certifies.
+    rng = random.Random(361)
+    shifted_hits = 0
+    for case in range(120):
+        depressed = case % 2 == 1
+        f = dumas_block(rng, depressed=depressed)
+        t = rng.choice((-3, -2, -1, 1, 2, 3)) if depressed else 0
+        g = zz_primitive(shifted(f, t))[1] if t else f
+        assert _certified_irreducible(g), (f, t)
+        assert _certified_irreducible(g, shift=False) or t, (f, t)
+        shifted_hits += not _certified_irreducible(g, shift=False)
+        assert zz_factor_squarefree(g) == [g]
+        assert len(kronecker_factor(g)) == 1, g
+    assert shifted_hits > 30
+
+
+def product_of_irreducibles(rng: random.Random) -> list[int]:
+    """A primitive product of two to four nonconstant blocks, lc > 0: one-segment
+    polygons at a shared or a random prime, Eisenstein blocks, SD8, X^2 - a,
+    Phi_n and non-monic linear factors.  Sometimes even, as h(X^2) or
+    h(X) * h(-X); sometimes a product of depressed blocks (so itself
+    depressed) shifted by X -> X + t, which the certificate shifts back."""
+    p, shape = rng.choice((2, 3, 5)), rng.random()
+    depressed = shape < 0.3
+    blocks = [
+        lambda: dumas_block(rng, p, depressed),
+        lambda: dumas_block(rng, None, depressed),
+        lambda: swinnerton_dyer(rng.sample((2, 3, 5, 7), 3)),
+        lambda: [-rng.choice((-3, -1, 2, 3, 5, 6)), 0, rng.choice((1, 2, 3))],
+        lambda: eisenstein_block(rng),
+        lambda: list(cyclotomic_poly(rng.choice((3, 4, 5, 6, 8, 9, 10, 12))).prim),
+        lambda: [rng.choice((-6, -3, -2, 2, 3, 6)), rng.choice((1, 2, 3, 5))],
+    ]
+    f = [1]
+    for _ in range(rng.randint(2, 4)):
+        f = zz_mul(f, rng.choice(blocks[:4] if depressed else blocks)())
+    if depressed:
+        f = shifted(f, rng.choice((-3, -2, -1, 1, 2, 3)))
+    elif shape < 0.45:
+        f = of_x_squared(f)
+    elif shape < 0.6:
+        f = zz_mul(f, [-c if i % 2 else c for i, c in enumerate(f)])
+    return zz_primitive(f)[1]
+
+
+def test_certificate_never_fires_on_a_product():
+    rng = random.Random(362)
+    for _ in range(600):
+        f = product_of_irreducibles(rng)
+        assert not _certified_irreducible(f), f
+
+
+def test_certificate_edge_cases():
+    sd8 = swinnerton_dyer([2, 3, 5])
+
+    def hang(signum, frame):
+        raise AssertionError("the certificate did not return within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(2)
+    try:
+        # f(0) = 0: v_p(0) is infinite, and a valuation loop on it never ends
+        assert not _certified_irreducible(zz_mul([0, 1], sd8))
+        assert zz_factor_squarefree(zz_mul([0, 1], sd8)) == [[0, 1], sd8]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # 2 divides lc and f(0), so only 3 may certify 2X^3 + 3X + 6
+    assert _certified_irreducible([6, 3, 0, 2])
+    assert not _certified_irreducible([2, 4, 1, 2])  # (2X + 1)(X^2 + 2)
+    assert not _certified_irreducible([4, 0, 0, 0, 1])  # X^4 + 4, gcd(v, n) = 2
+    assert zz_factor_squarefree([4, 0, 0, 0, 1]) == [[2, -2, 1], [2, 2, 1]]
+    assert not _certified_irreducible([8, 0, 0, 0, 0, 0, 1])  # X^6 + 8, gcd(v, n) = 3
+    assert zz_factor_squarefree([8, 0, 0, 0, 0, 0, 1]) == [[2, 0, 1], [4, 0, -2, 0, 1]]
+    # zero middle coefficients lie above every line: X^5 + 12 at 3, X^7 + 8 at 2
+    assert _certified_irreducible([12, 0, 0, 0, 0, 1])
+    assert _certified_irreducible([8] + [0] * 6 + [1])
+    # (X + 1)^4 + 2 through the shift; (X + 1)^4 + 4 is Y^4 + 4 at Y = X + 1
+    assert _certified_irreducible(shifted([2, 0, 0, 0, 1], 1))
+    assert not _certified_irreducible(shifted([4, 0, 0, 0, 1], 1))
+    # past the lifting cap the shift is not tried: (X + 1)^1000 + 2 is refused
+    # there at once (a shift at degree 4000 took seconds)
+    f = [math.comb(1000, i) for i in range(1001)]
+    f[0] += 2
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="coefficient bound"):
+        zz_factor_squarefree(f)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_recombination_cap_counts_every_planned_subset(monkeypatch):
