@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from . import _intpoly as zz
 from .errors import DomainError, ResourceLimitError
-from .exact import CACHE_SIZE, _require_modulus, is_prime
+from .exact import _require_modulus, is_prime
 from .ppoly import MAX_DENSE_DEGREE
 from .qpoly import QPoly, squarefree_decompose
 
@@ -36,6 +36,15 @@ MAX_SPLIT_DEGREE = 1 << 12
 # Products n one inverse_totient table may hold: 6983776800 holds 1.1e5,
 # 720720000 1.2e5; the split builds its candidates without it.
 MAX_TOTIENT_STEPS = 1 << 20
+
+# Entries per memo cache below: 1.7x the most keys a workload uses.  Worst
+# cases: cyclotomic_poly 2.3 MiB an entry, 8 bytes a coefficient to
+# MAX_DENSE_DEGREE and 32 for each outside -5..256, at most 58,075 (Phi_115115
+# has 29,081 and holds 1.4 MiB); _split_candidates 2 MiB; _cyclotomic_value
+# 91 KiB an entry: Phi_n(2^k) < (2^k + 1)^phi(n), and a point passes 2^8..2^(k-1)
+# only as roots, whose product divides a constant term of at most 4300 digits,
+# so k <= 169.  Plus 512 KiB of _intpoly root tables: 305 MiB in all.
+CACHE_SIZE = 128
 
 
 def _prime_factors(n: int) -> list[tuple[int, int]]:
@@ -89,8 +98,7 @@ def cyclotomic_poly(n: int) -> QPoly:
     series truncated at degree phi(r) with one O(phi(r)) pass per divisor
     (multiply by 1 - X^d, or divide by it), and then
     Phi_n(X) = Phi_r(X^(n/r)).  Nothing is divided by a dense polynomial
-    and no Phi_d is built on the way, so only Phi_n enters the bounded
-    cache, as a tuple of small integers.  A degree phi(n) above
+    and no Phi_d is built or cached on the way.  A degree phi(n) above
     :data:`.ppoly.MAX_DENSE_DEGREE` raises :class:`ResourceLimitError`
     before anything is allocated.
 
@@ -123,7 +131,6 @@ def cyclotomic_poly(n: int) -> QPoly:
     return QPoly.from_ints(1, coeffs)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def totient(n: int) -> int:
     """Euler's phi, n * prod(1 - 1/p) over the primes p | n."""
     if n < 1:
@@ -134,7 +141,6 @@ def totient(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def inverse_totient(d: int) -> frozenset[int]:
     """All n with phi(n) = d.
 

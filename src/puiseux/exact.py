@@ -9,16 +9,10 @@ a ``Fraction`` constrained to be non-negative.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError, ResourceLimitError
 
 MAX_PRIME = 2**31
-
-# Entries kept by each memo cache (cyclotomic_poly, totient, inverse_totient,
-# _split_candidates, _cyclotomic_value, is_prime), so a long-lived process
-# stays bounded; far above what one factorization or divisor walk looks up.
-CACHE_SIZE = 1024
 
 
 class Rat(Fraction):
@@ -49,7 +43,6 @@ PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def is_prime(n: int) -> bool:
     """Deterministic strong-pseudoprime test, O(log n) squarings per base; n at
     or above PRIME_TEST_LIMIT, where the bases stop deciding, raises ResourceLimitError."""

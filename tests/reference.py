@@ -247,17 +247,6 @@ def _lagrange_basis(xs):
     return basis
 
 
-def _interpolate(points):
-    """Lagrange interpolation through (x, y) pairs; exact rational coefficients."""
-    xs = [x for x, _ in points]
-    basis = _lagrange_basis(xs)
-    coeffs = [Fraction(0)] * len(points)
-    for (_, y), poly in zip(points, basis):
-        for k, c in enumerate(poly):
-            coeffs[k] += y * c
-    return coeffs
-
-
 def _find_factor(f):
     """A nonconstant proper integer divisor of f via Kronecker search, or None."""
     n = len(f) - 1

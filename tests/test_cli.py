@@ -1,22 +1,29 @@
 """Command-line surface: dispatch, exit codes, JSON output, determinism."""
 
+import gc
 import json
 import os
 import pathlib
+import random
 import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from puiseux import (
     CanonicalFactorization,
+    QPoly,
     Rat,
+    cyclotomic_poly,
     parse_poly,
     recompose,
 )
+from puiseux import cyclotomic
+from puiseux._intpoly import MAX_ROOT_TABLE
 from puiseux.cli import run_command
 
 
@@ -225,6 +232,40 @@ def _run_capped(argv, timeout=10):
         timeout=timeout,
     )
     return proc, time.perf_counter() - start
+
+
+SD8 = "X^8 - 40*X^6 + 352*X^4 - 960*X^2 + 576"
+SD16_X2 = (
+    "X^32 - 136*X^28 + 6476*X^24 - 141912*X^20 + 1513334*X^16"
+    " - 7453176*X^12 + 13950764*X^8 - 5596840*X^4 + 46225"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        (["factor", "X^6-13*X^4+31*X^2-3"], ["X^2 - 3", "X^4 - 10*X^2 + 1"]),
+        (["factor", SD8.replace(" ", "")], [SD8]),
+        (["factor", SD16_X2.replace(" ", "")], [SD16_X2]),
+        (
+            ["factor", "X^8+5*X^6+13*X^4+20*X^2+36"],
+            ["X^2 - 2*X + 2", "X^2 + 2*X + 2", "X^2 - X + 3", "X^2 + X + 3"],
+        ),
+        (["factor", "X^60+566292"], ["X^60 + 566292"]),
+        (["factor", "X^120+566292"], ["X^120 + 566292"]),
+        (["factor", "X^300+6"], ["X^300 + 6"]),
+        (["count", "X^144-1", "--monoid", "<3,5>"], "2304"),
+        (["count", "X^120-1", "--monoid", "<2,3>"], "17920"),
+        (["count", "X^65537-1", "--monoid", "<1>"], "4"),
+    ],
+)
+def test_answers_of_even_towers_binomials_and_counts(argv, answer):
+    # Mirrored and Swinnerton-Dyer towers, certified binomials, and counts
+    # over many cyclotomic classes, each answered in well under a second.
+    result = run_command(argv)
+    assert result.exit_code == 0, result.text
+    got = [q["poly"] for q in result.payload["primes"]] if argv[0] == "factor" else result.text
+    assert got == answer
 
 
 def test_sparse_binomial_factors_in_bounded_memory():
@@ -471,3 +512,58 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6"
+
+
+def _soak_queries(rng: random.Random, rounds: int):
+    """Every command once a round, each large within the caps: ten fresh
+    Phi_n a round and one of degree up to about 4096 every fourth round,
+    fresh totient values with 15 to 1241 preimages, factors of degree up to
+    60 and counts over up to 9 cyclotomic classes."""
+    gens = ["<2,3>", "<3,5>", "<2,5>", "<3,4,5>"]
+    totients = [2**a * 3**b * c for a in range(7, 12) for b in range(3) for c in (5, 7, 11, 35)]
+    totients = rng.sample(totients, rounds)
+    indices = rng.sample(range(2, 300), 10 * rounds)
+    for i, d in enumerate(totients):
+        a, b = rng.sample(range(3, 31), 2)
+        k, p = rng.randrange(3, 9), rng.choice([2, 3, 5, 7, 11])
+        binomial = QPoly([-p] + [0] * (k - 1) + [1])
+        quadratic = QPoly([rng.randrange(1, 9), rng.randrange(-5, 6), 1])
+        poly = str(cyclotomic_poly(a) * cyclotomic_poly(b) * binomial * quadratic).replace(" ", "")
+        monoid = ["--monoid", rng.choice(gens)]
+        yield ["factor", poly]
+        yield ["symsupp", poly]
+        yield ["lemma21", poly, "--field", f"F{rng.choice([2, 3, 5, 7])}"]
+        yield ["substitute", poly, "--by", f"{rng.randrange(1, 9)}/{rng.randrange(1, 9)}"]
+        for n in indices[10 * i : 10 * i + 10] + [rng.randrange(1000, 4600)] * (i % 4 == 0):
+            yield ["cyclotomic", str(n)]
+        yield ["totient-inv", str(d)]
+        yield ["count", f"X^{rng.randrange(12, 37)}-1", *monoid]
+        yield ["atom", f"X^{rng.randrange(8, 13)}+{rng.randrange(1, 4)}", *monoid]
+        yield ["divisors", f"X^{rng.randrange(8, 13)}-1", *monoid]
+        yield ["monoid-atoms", "<" + ",".join(map(str, rng.sample(range(5, 60), 4))) + ">"]
+        yield ["monoid-divisors", rng.choice(gens), str(rng.randrange(20, 200))]
+
+
+def test_memo_caches_stop_growing_in_a_long_lived_process():
+    # The budget adds up the worst cases stated at cyclotomic.CACHE_SIZE:
+    # cyclotomic_poly and _cyclotomic_value per entry, the split's tables and
+    # _intpoly's root tables.  Each half of the stream brings fresh indices
+    # and totient values, and the first half fills all CACHE_SIZE entries of
+    # cyclotomic_poly, so the second half only replaces entries.
+    phi_entry = 8 * 65537 + 32 * 58075
+    budget = cyclotomic.CACHE_SIZE * (phi_entry + 91 * 1024) + (2 << 20) + MAX_ROOT_TABLE
+    queries = list(_soak_queries(random.Random(14), 24))
+    half = len(queries) // 2
+    retained = []
+    tracemalloc.start()
+    try:
+        for part in (queries[:half], queries[half:]):
+            for argv in part:
+                assert run_command(argv).exit_code == 0, argv
+            gc.collect()
+            retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    first, second = retained
+    assert second < budget
+    assert second - first < 64 * 1024, retained

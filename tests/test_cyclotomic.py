@@ -1,14 +1,18 @@
 """Cyclotomic generation/recognition, symmetric values, vanishing pattern."""
 
 import bisect
+import importlib
 import math
+import pkgutil
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import puiseux
 from puiseux import (
     DomainError,
     PuiseuxPoly,
@@ -38,7 +42,6 @@ from puiseux.cyclotomic import (
     _split_candidates,
     classify_cyclotomic,
 )
-from puiseux.exact import is_prime
 from randgen import (
     NONCYCLOTOMIC_IRREDUCIBLES,
     factor_over_q,
@@ -95,8 +98,29 @@ def test_cyclotomic_degree_cap_refuses_before_building():
 
 
 def test_memo_caches_are_bounded():
-    for cached in (cyclotomic_poly, totient, inverse_totient, is_prime):
-        assert cached.cache_info().maxsize is not None
+    # Exactly the three caches whose worst cases CACHE_SIZE's comment states.
+    cached = {
+        (fn.__module__, fn.__qualname__): fn.cache_info().maxsize
+        for info in pkgutil.iter_modules(puiseux.__path__, "puiseux.")
+        for module in [importlib.import_module(info.name)]
+        for fn in vars(module).values()
+        if hasattr(fn, "cache_info")
+    }
+    assert cached == {
+        ("puiseux.cyclotomic", name): cyclotomic.CACHE_SIZE
+        for name in ("cyclotomic_poly", "_split_candidates", "_cyclotomic_value")
+    }
+
+
+def test_a_cyclotomic_entry_with_large_coefficients_stays_within_its_bound():
+    # CACHE_SIZE's comment bounds an entry by 8 bytes a coefficient and 32 for
+    # each of at most 58,075 outside CPython's small ints (counted over every
+    # index up to MAX_DENSE_DEGREE).  Phi_115115, degree 63360, has 29,081.
+    phi = cyclotomic_poly.__wrapped__(115115)
+    large = {id(c): c for c in phi.prim if not -5 <= c <= 256}
+    assert phi.degree == 63360 and len(large) == 29081
+    held = sys.getsizeof(phi.prim) + sum(map(sys.getsizeof, large.values()))
+    assert held < 8 * 65537 + 32 * 58075
 
 
 def test_factoring_past_the_trial_division_limit_is_refused():
@@ -150,16 +174,16 @@ def test_split_candidates_match_one_inverse_totient_search_per_value():
         assert candidates(d) == reference[: bisect.bisect(reference, (d, math.inf))], d
 
 
-def test_totient_table_leaves_the_inverse_totient_cache_alone():
-    # A fresh table (to 64, for degree 60) is built without inverse_totient,
-    # so it can neither enter nor, at the split cap, flush the caller's cache.
+def test_totient_table_is_built_without_inverse_totient(monkeypatch):
+    # A fresh table (to 64, for degree 60) comes from its own sieve, so the
+    # split never pays for an inverse_totient search.
+    calls = []
+    monkeypatch.setattr(cyclotomic, "inverse_totient", lambda d: calls.append(d))
     _split_candidates.cache_clear()
-    inverse_totient.cache_clear()
-    inverse_totient(5040)
     candidates(60)
-    assert inverse_totient.cache_info().currsize == 1
-    inverse_totient(5040)
-    assert inverse_totient.cache_info().hits == 1
+    indices, rest = classify_cyclotomic([-1] + [0] * 59 + [1])
+    assert indices == [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60] and rest == [1]
+    assert calls == []
 
 
 def test_split_cyclotomic_examples():
@@ -242,16 +266,14 @@ def test_inverse_totient_matches_the_recursive_search():
     rng = random.Random(25)
     seeded = [2 * rng.randrange(1, 10**9) for _ in range(200)]
     for d in [*range(1, 5001), *seeded, 6983776800, 720720000]:
-        assert inverse_totient.__wrapped__(d) == totient_search(d), d
+        assert inverse_totient(d) == totient_search(d), d
 
 
 def test_inverse_totient_makes_no_product_it_cannot_complete(monkeypatch):
     # Unpruned, these tables pass 151,356 and 151,789 products held.
     monkeypatch.setattr(cyclotomic, "MAX_TOTIENT_STEPS", 150_000)
-    inverse_totient.cache_clear()
     assert len(inverse_totient(6983776800)) == 12181
     assert len(inverse_totient(720720000)) == 13894
-    inverse_totient.cache_clear()
 
 
 def classify(p: QPoly) -> int | None:
