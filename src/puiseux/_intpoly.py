@@ -655,17 +655,19 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     that fails a test lifts no factor, so the factors found are those of
     trial division alone.
 
-    An even f = g(X^2) is recombined over g.  f = sigma(f), sigma = _mirror,
-    so sigma permutes the modular factors f_i, and as Hensel lifts are unique
-    it takes the lift of f_i to that of sigma(f_i): one f_i of each pair
-    {f_i, sigma(f_i)} (_pairs) is lifted, the other is sigma of that lift.
-    p does not divide f(0), so no f_i is X and a self-mirrored f_i is even.
-    The units, one per pair and one per self-mirrored f_i, are the even parts
-    (f_i * sigma(f_i) mod p^l)[::2] and f_i[::2]: monic lifts of the factors
-    of g mod p, so g's Hensel lifts.  A factor h of g gives h(X^2), which
-    divides f and has h's coefficients and M(h(X^2)) = M(h), so the same
-    bound, p^l and tests hold over the units, and g is recombined over them
-    in the same way (over Y^2 in turn while it is even).
+    Recombination recurses on even inputs.  An odd f runs the subset loop
+    over its lifted factors.  An even f = g(X^2) recombines g over its units
+    and splits each factor h of g that comes back.  f = sigma(f), sigma =
+    _mirror, so sigma permutes the modular factors f_i, and as Hensel lifts
+    are unique it takes the lift of f_i to that of sigma(f_i): one f_i of
+    each pair {f_i, sigma(f_i)} (_pairs) is lifted, the other is sigma of
+    that lift.  p does not divide f(0), so no f_i is X and a self-mirrored
+    f_i is even.  The units, one per pair and one per self-mirrored f_i, are
+    the even parts (f_i * sigma(f_i) mod p^l)[::2] and f_i[::2]: monic lifts
+    of the factors of g mod p, so g's Hensel lifts.  A factor h of g gives
+    h(X^2), which divides f and has h's coefficients and M(h(X^2)) = M(h),
+    so the same bound, p^l and tests hold over the units, and g, odd or
+    even, is recombined over them by the same rule.
 
     Lemma: for h irreducible in Z[Y] and not +-Y, h(X^2) is irreducible or
     +-u(X)*u(-X) with u irreducible.  Proof: let u be an irreducible factor
@@ -705,8 +707,6 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     p = _choose_prime(f)
     fp = gf_monic(gf_normal(f, p), p)
     modular = gf_berlekamp(fp, p)
-    if len(modular) == 1:
-        return [f]
     l = 1
     pl = p
     while pl <= 2 * bound:
@@ -717,13 +717,6 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     lifted = list(modular) if pairs else own
     for (i, j), g in zip(pairs, own):
         lifted[i], lifted[j] = g, (_mirror(g) if i < j else g)
-    levels = []
-    while pairs:
-        levels.append((lifted, pairs))
-        f = f[::2]
-        lifted = [(zz_trunc_sym(zz_mul(lifted[i], lifted[j]), pl) if i < j else lifted[i])[::2]
-                  for i, j in pairs]
-        pairs = [] if any(f[1::2]) else _pairs(lifted, p)
     subsets = 0
 
     def plan(count: int) -> None:
@@ -734,47 +727,47 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
                 f"{subsets} recombination subsets exceed the cap of {MAX_SUBSETS}"
             )
 
-    def tables(lifted: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-        return [g[-2] for g in lifted], [
-            [g[0] % pl for g in lifted],
-            [sum(g) % pl for g in lifted],
-            [(sum(g[::2]) - sum(g[1::2])) % pl for g in lifted],
-        ]
-
-    trace, values = tables(lifted)
-    found = []
-    remaining = list(range(len(lifted)))
-    cur = f
-    size = 1
-    while 2 * size <= len(remaining):
-        plan(math.comb(len(remaining), size))
-        sums = map(sum, combinations([trace[i] for i in remaining], size))
-        hit = _first_factor(cur, zip(combinations(remaining, size), sums), lifted, values, pl, bound)
-        if hit:
-            subset, g, cur = hit
-            found.append((g, subset))
-            remaining = [i for i in remaining if i not in subset]
-        else:
-            size += 1
-    if len(cur) > 1:
-        found.append((cur, tuple(remaining)))
-    for lifted, pairs in reversed(levels):
-        trace, values = tables(lifted)
-        split = []
-        for h, units in found:
-            H = [c for a in h for c in (a, 0)][:-1]
-            chosen = [pairs[k] for k in units]
-            indices = tuple(sorted({i for pair in chosen for i in pair}))
-            hit = None
-            if all(i < j for i, j in chosen) and all(math.isqrt(a) ** 2 == a for a in (abs(h[0]), h[-1])):
-                plan(1 << (len(chosen) - 1))
-                choices = [chosen[0][:1]] + chosen[1:]
-                sums = map(sum, product(*[[trace[i] for i in c] for c in choices]))
-                hit = _first_factor(H, zip(product(*choices), sums), lifted, values, pl, bound)
+    def recombine(f: list[int], lifted: list[list[int]],
+                  pairs: list[tuple[int, int]]) -> list[tuple[list[int], tuple[int, ...]]]:
+        """The factors of f over its lifted factors, each with the indices it takes."""
+        trace = [g[-2] for g in lifted]
+        values = [[g[0] % pl for g in lifted], [sum(g) % pl for g in lifted],
+                  [(sum(g[::2]) - sum(g[1::2])) % pl for g in lifted]]
+        found = []
+        if pairs:
+            g = f[::2]
+            units = [(zz_trunc_sym(zz_mul(lifted[i], lifted[j]), pl) if i < j else lifted[i])[::2]
+                     for i, j in pairs]
+            for h, ks in recombine(g, units, [] if any(g[1::2]) else _pairs(units, p)):
+                H = [c for a in h for c in (a, 0)][:-1]
+                chosen = [pairs[k] for k in ks]
+                indices = tuple(sorted({i for pair in chosen for i in pair}))
+                hit = None
+                if all(i < j for i, j in chosen) and all(math.isqrt(a) ** 2 == a for a in (abs(h[0]), h[-1])):
+                    plan(1 << (len(chosen) - 1))
+                    choices = [chosen[0][:1]] + chosen[1:]
+                    sums = map(sum, product(*[[trace[i] for i in c] for c in choices]))
+                    hit = _first_factor(H, zip(product(*choices), sums), lifted, values, pl, bound)
+                if hit:
+                    subset, u, q = hit
+                    found += [(u, tuple(sorted(subset))), (q, tuple(i for i in indices if i not in subset))]
+                else:
+                    found.append((H, indices))
+            return found
+        remaining = list(range(len(lifted)))
+        size = 1
+        while 2 * size <= len(remaining):
+            plan(math.comb(len(remaining), size))
+            sums = map(sum, combinations([trace[i] for i in remaining], size))
+            hit = _first_factor(f, zip(combinations(remaining, size), sums), lifted, values, pl, bound)
             if hit:
-                subset, u, q = hit
-                split += [(u, tuple(sorted(subset))), (q, tuple(i for i in indices if i not in subset))]
+                subset, g, f = hit
+                found.append((g, subset))
+                remaining = [i for i in remaining if i not in subset]
             else:
-                split.append((H, indices))
-        found = split
-    return [g for g, _ in sorted(found, key=lambda t: (len(t[1]), t[1]))]
+                size += 1
+        if len(f) > 1:
+            found.append((f, tuple(remaining)))
+        return found
+
+    return [g for g, _ in sorted(recombine(f, lifted, pairs), key=lambda t: (len(t[1]), t[1]))]

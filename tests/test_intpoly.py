@@ -708,6 +708,22 @@ def test_even_recombination_matches_all_subsets():
     assert split >= 20 and nested >= 8, (split, nested)
 
 
+@pytest.mark.parametrize("f", [
+    [-1, -1, 0, 1],  # X^3 - X - 1
+    [-1, 1, 0, 0, 1],  # X^4 + X - 1
+    [-1, 0, 1, 0, 1],  # X^4 + X^2 - 1: one self-mirrored factor, no split tried
+    [-1, 0, 0, 0, 0, 0, 1, 0, 1],  # X^8 + X^6 - 1, the same at both levels
+])
+def test_one_modular_factor_is_lifted_and_recombined(monkeypatch, f):
+    """An input irreducible mod p takes the same lift and recombination as
+    any other: one lifted factor, which no subset splits."""
+    assert not _certified_irreducible(f) and _choose_prime(f) == 3
+    assert len(gf_berlekamp(gf_monic(gf_normal(f, 3), 3), 3)) == 1
+    factors, lifts = count_calls(monkeypatch, "zz_hensel_lift", lambda: zz_factor_squarefree(f))
+    assert factors == [f] == zassenhaus_all_subsets(f)
+    assert lifts == 1
+
+
 def seven_phi_product() -> QPoly:
     f = QPoly([1])
     for n in (7, 9, 15, 21, 35, 45, 63):
