@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
-from ._intpoly import zz_eval_pow2, zz_mul
+from ._intpoly import zz_eval_pow2, zz_mul, zz_primitive
 from .cyclotomic import binomial_indices, cyclotomic_poly, factor_primitive
 from .errors import DomainError, ResourceLimitError
 from .exact import Rat
@@ -57,34 +57,40 @@ class CanonicalFactorization(NamedTuple):
     prime_part: tuple[tuple[QPoly, int], ...]
 
 
+def _factor_core(f: PuiseuxPoly, scale, member=None):
+    """(k, cyclotomic, primes) with f(X^scale) = lc(f) * X^k * prod Phi_n^e
+    * prod (g / lc(g))^e, f nonzero and read by :meth:`.PuiseuxPoly._read_ints`.
+
+    A binomial's core X^b +- 1 is the product of the Phi_d of
+    :func:`binomial_indices` and is never made dense; any other core goes
+    to :func:`.cyclotomic.factor_primitive`.  The primes g, primitive, are
+    ordered as monic polynomials, compared in integers as g * (L / lc(g)).
+    """
+    binomial = len(f.terms) == 2 and abs(f.terms[0][1]) == abs(f.terms[1][1])
+    exponents, _, ints = f._read_ints(scale, member, dense=not binomial)
+    k = exponents[0]
+    if binomial:
+        sign = 1 if f.terms[0][1] == f.terms[1][1] else -1
+        return k, [(d, 1) for d in binomial_indices(exponents[1] - k, sign)], []
+    cyclotomic, primes = factor_primitive(zz_primitive(ints[k:])[1])
+    top = math.lcm(*(g[-1] for g, _ in primes))
+    primes.sort(key=lambda item: (len(item[0]), [c * (top // item[0][-1]) for c in item[0]]))
+    return k, cyclotomic, primes
+
+
 def canonical_factorization(f: PuiseuxPoly) -> CanonicalFactorization:
     """Decompose a nonzero f into the canonical form above.
 
     The constant is f's leading coefficient, the monomial exponent its
     order r, and m clears the denominators of its support.  Only the core
-    f / (constant * X^r), taken at X^m, is factored.  For a binomial
-    c*X^r*(X^s +- 1) the core X^(s*m) +- 1 is the product of the Phi_d
-    listed by :func:`binomial_indices`, each once, and is never made
-    dense.  Any other core is read off the cleared polynomial f(X^m) and
-    factored by :func:`.cyclotomic.factor_primitive`; its non-cyclotomic
-    factors are made monic.
+    f / (constant * X^r), taken at X^m, is factored (:func:`_factor_core`).
     """
     if f.is_zero:
         raise DomainError("cannot factor the zero element")
-    constant, r = f.leading_coefficient, f.order
-    if len(f.terms) == 2 and abs(f.terms[0][1]) == abs(constant):
-        top = f.degree
-        m = math.lcm(r.denominator, top.denominator)
-        sign = 1 if f.terms[0][1] == constant else -1
-        cyclotomic, primes = [(d, 1) for d in binomial_indices(int((top - r) * m), sign)], []
-    else:
-        m, cleared = f.clear_denominators()
-        cyclotomic, other = factor_primitive(list(cleared.prim[int(r * m) :]))
-        primes = sorted(
-            ((QPoly.from_ints(Fraction(1, g[-1]), g), e) for g, e in other),
-            key=lambda item: (item[0].degree, item[0].coeffs),
-        )
-    return CanonicalFactorization(constant, m, r, tuple(cyclotomic), tuple(primes))
+    m = math.lcm(*(e.denominator for e, _ in f.terms))
+    _, cyclotomic, primes = _factor_core(f, m)
+    primes = tuple((QPoly._monic(g), e) for g, e in primes)
+    return CanonicalFactorization(f.leading_coefficient, m, f.order, tuple(cyclotomic), primes)
 
 
 def recompose(cf: CanonicalFactorization) -> PuiseuxPoly:
@@ -126,8 +132,9 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
     function that ranks a key on integers, and the function that builds the
     monic divisor of a rank.
 
-    f is scaled into a numerical monoid N, where canonical_factorization
-    gives it as X^k times factors, taken primitive over Z.  A key pairs a
+    f is read at the scale of a numerical monoid N, where each exponent is
+    checked for membership and :func:`_factor_core` gives f as X^k times
+    factors, primitive over Z.  A key pairs a
     split t (t and k - t in N) with one exponent j_i per factor, naming the
     divisor X^t * g with cofactor X^(k-t) * h, where h is the product of
     the mirror choice (e_i - j_i).  The factors are pairwise non-associate,
@@ -151,22 +158,15 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
     if f.is_zero:
         raise DomainError("divisors of the zero element are undefined")
     scale, numerical = monoid.normalization()
-    scaled = f.substitute(scale)
-    for e, _ in scaled.terms:
-        if not (e.denominator == 1 and numerical.contains(e.numerator)):
-            raise DomainError(f"support exponent {e / scale} lies outside the monoid")
-    cf = canonical_factorization(scaled)
-    k = int(cf.monomial_exponent)
+    k, cyclotomic, primes = _factor_core(f, scale, numerical.contains)
     splits = numerical.divisors(k)
-    parts = cf.cyclotomic_part + cf.prime_part
-    combinations = len(splits) * math.prod(e + 1 for _, e in parts)
+    combinations = len(splits) * math.prod(e + 1 for _, e in cyclotomic + primes)
     if combinations > limit:
         raise ResourceLimitError(
             f"{combinations} candidate divisors exceed the cap of {limit}"
         )
     # Past the cap, so a binomial with many indices builds no Phi_n.
-    factors = [(cyclotomic_poly(n).prim, e) for n, e in cf.cyclotomic_part]
-    factors += [(q.prim, l) for q, l in cf.prime_part]
+    factors = [(cyclotomic_poly(n).prim, e) for n, e in cyclotomic] + primes
 
     powers = []
     for g, mult in factors:

@@ -41,18 +41,24 @@ class Rat(Fraction):
 # PRIME_TEST_LIMIT (Sorenson & Webster, Math. Comp. 86, 2017).
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_LIMIT = 3317044064679887385961981
+# (bound, count): the first count bases decide every n below bound, the least
+# strong pseudoprime to them (OEIS A014233; Jaeschke, Math. Comp. 61, 1993).
+PRIME_PREFIXES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+                  (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+                  (318665857834031151167461, 12), (PRIME_TEST_LIMIT, 13))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic strong-pseudoprime test, O(log n) squarings per base; n at
-    or above PRIME_TEST_LIMIT, where the bases stop deciding, raises ResourceLimitError."""
+    """Deterministic strong-pseudoprime test on the shortest prefix of the bases
+    that decides n, O(log n) squarings per base; n at or above
+    PRIME_TEST_LIMIT, where the bases stop deciding, raises ResourceLimitError."""
     if n >= PRIME_TEST_LIMIT:
         raise ResourceLimitError(f"primality is not decided at or above {PRIME_TEST_LIMIT}")
     if n < 2 or any(n % p == 0 for p in PRIME_BASES):
         return n in PRIME_BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
-    for a in PRIME_BASES:
+    for a in PRIME_BASES[: next(count for bound, count in PRIME_PREFIXES if n < bound)]:
         x = pow(a, d, n)
         if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
             return False

@@ -21,7 +21,9 @@ from .qpoly import QPoly
 MAX_DENSE_DEGREE = 1 << 16
 
 
-def _as_scale(r) -> Rat:
+def _as_scale(r) -> Rat | int:
+    if type(r) is int and r > 0:
+        return r  # an int has a numerator and a denominator: no Rat to build
     scale = Rat(r) if not isinstance(r, Rat) else r
     if scale == 0:
         raise DomainError("exponent scaling ratio must be positive")
@@ -77,31 +79,38 @@ class PuiseuxPoly:
         return cls._from_canonical(tuple((Rat(i * s), c) for i, c in enumerate(h.coeffs) if c))
 
     def to_qpoly(self, scale=1) -> QPoly:
-        """The ordinary polynomial self(X^scale); every scaled exponent must be an integer.
+        """The ordinary polynomial self(X^scale), read by :meth:`_read_ints`."""
+        _, lcm, ints = self._read_ints(scale)
+        return QPoly.from_ints(Fraction(1, lcm), ints)
 
-        This is the one place where a sparse element becomes dense: exponents
-        are scaled in integers, a degree above :data:`MAX_DENSE_DEGREE` raises
-        :class:`ResourceLimitError` before anything dense is allocated, and
-        the coefficients go over one common denominator.
+    def _read_ints(self, scale, member=None, dense=True) -> tuple[list[int], int, list[int]]:
+        """(exponents, lcm, ints): self(X^scale) = ints / lcm, read in integers.
+
+        The one place where a sparse element becomes dense.  Every scaled
+        exponent must be an integer (one that ``member`` accepts, if given).
+        With ``dense``, a degree above :data:`MAX_DENSE_DEGREE` raises
+        :class:`ResourceLimitError` before ints is allocated; without it only
+        the exponents are read, and lcm and ints are 1 and [].
         """
         s = _as_scale(scale)
         exponents = []
         for e, _ in self.terms:
             k, r = divmod(e.numerator * s.numerator, e.denominator * s.denominator)
-            if r:
-                raise DomainError(f"exponent {e * s} is not an integer")
+            if r or not (member is None or member(k)):
+                outside = f"support exponent {e} lies outside the monoid"
+                raise DomainError(outside if member else f"exponent {e * s} is not an integer")
             exponents.append(k)
-        if not exponents:
-            return QPoly()
+        if not (dense and exponents):
+            return exponents, 1, []
+        lcm = math.lcm(*(c.denominator for _, c in self.terms))
         if exponents[-1] > MAX_DENSE_DEGREE:
             raise ResourceLimitError(
                 f"dense degree {exponents[-1]} exceeds the cap of {MAX_DENSE_DEGREE}"
             )
-        lcm = math.lcm(*(c.denominator for _, c in self.terms))
         ints = [0] * (exponents[-1] + 1)
         for k, (_, c) in zip(exponents, self.terms):
             ints[k] = c.numerator * (lcm // c.denominator)
-        return QPoly.from_ints(Fraction(1, lcm), ints)
+        return exponents, lcm, ints
 
     # -- queries ----------------------------------------------------------
 

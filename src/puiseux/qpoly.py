@@ -46,6 +46,14 @@ class QPoly:
         self._normalize(Fraction(scale), list(ints))
         return self
 
+    @classmethod
+    def _monic(cls, prim: list[int]) -> "QPoly":
+        """``prim / lc(prim)`` for a primitive ``prim`` with lc > 0, stored as given."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "content", Fraction(1, prim[-1]))
+        object.__setattr__(self, "prim", tuple(prim))
+        return self
+
     def _normalize(self, scale: Fraction, ints: list[int]) -> None:
         cont, prim = zz.zz_primitive(zz.zz_strip(ints))
         object.__setattr__(self, "content", scale * cont)

@@ -39,8 +39,12 @@ cyclotomic split, where the engine reads a binomial's indices off its two
 terms.
 Pseudo-division and the primitive remainder sequence over Z live here,
 not in the kernel, and Yun's split runs on that gcd with trial division,
-where the kernel's heuristic gcd returns the cofactors.  The divisor walk
-reuses the kernel's scaling, factoring and membership, but multiplies
+where the kernel's heuristic gcd returns the cofactors.  The canonical
+form through rational objects rebuilds the scaled element, clears it to a
+``QPoly`` and sorts the monic primes by their ``Fraction`` coefficients,
+where the engine reads the element once in integers and orders the
+primitive primes by an integer key.  The divisor walks scale and factor
+through it and reuse the kernel's membership, but the first multiplies
 every sub-multiset of factor powers out in full, with no truncation below
 the conductor, and collects the divisors, built by ``PuiseuxPoly``'s
 checking constructor, in a set.  The key walk is the engine's walk on
@@ -69,12 +73,11 @@ from puiseux import (
     QPoly,
     Rat,
     ResourceLimitError,
-    canonical_factorization,
     cyclotomic_poly,
     inverse_totient,
 )
 from puiseux import _intpoly as zz
-from puiseux.cyclotomic import _divisors, factor_primitive
+from puiseux.cyclotomic import _divisors, binomial_indices, factor_primitive
 from puiseux.exact import is_prime
 from puiseux.ppoly import MAX_DENSE_DEGREE
 from puiseux.textform import _digit_limit_error
@@ -795,6 +798,36 @@ def totient_pairs(d):
     return tuple(sorted((k, n) for k in ks for n in totient_search(k)))
 
 
+def strong_probable_prime(n, bases):
+    """True when an odd n > 2 passes the strong test to every base a:
+    with n - 1 = d * 2^s, d odd, a^d is 1 or one of a^d, a^(2d), ...,
+    a^(2^(s-1) d) is -1 modulo n."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def is_prime_all_bases(n):
+    """Primality of n below 3317044064679887385961981: trial division by
+    the first 13 primes, then the strong test to all 13 of them at every
+    size of n (Sorenson & Webster, Math. Comp. 86, 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    return strong_probable_prime(n, bases)
+
+
 def canonical_by_fiber(f):
     """The canonical factorization of a nonzero PuiseuxPoly f: clear
     denominators, factor the core over Q without the cyclotomic split, then
@@ -835,6 +868,48 @@ def dense_factorization(f):
     )
 
 
+# -- the canonical form through rational objects -----------------------------
+
+def canonical_by_clearing(f):
+    """The canonical factorization through rational objects: a binomial's
+    indices off its two terms; any other core read off the cleared QPoly,
+    made dense by :func:`dense_by_substitution`, factored with the library's
+    cyclotomic split, and its primes made monic QPolys sorted by degree and
+    then by their ``Fraction`` coefficients."""
+    if f.is_zero:
+        raise DomainError("cannot factor the zero element")
+    constant, r = f.leading_coefficient, f.order
+    m = math.lcm(*(e.denominator for e, _ in f.terms))
+    if len(f.terms) == 2 and abs(f.terms[0][1]) == abs(constant):
+        sign = 1 if f.terms[0][1] == constant else -1
+        cyclotomic, primes = [(d, 1) for d in binomial_indices(int((f.degree - r) * m), sign)], []
+    else:
+        cleared = dense_by_substitution(f, m)
+        cyclotomic, other = factor_primitive(list(cleared.prim[int(r * m) :]))
+        primes = sorted(
+            ((QPoly.from_ints(Fraction(1, g[-1]), g), e) for g, e in other),
+            key=lambda item: (item[0].degree, item[0].coeffs),
+        )
+    return CanonicalFactorization(constant, m, r, tuple(cyclotomic), tuple(primes))
+
+
+def scaled_by_clearing(f, monoid):
+    """(scale, N, k, splits, factors) for f in Q[S]: f scaled onto the
+    numerical monoid N = scale * S as an element, every exponent tested for
+    membership in N, X^k times the factors (g primitive, e) of
+    :func:`canonical_by_clearing`, cyclotomic first, and the splits of k."""
+    scale, numerical = monoid.normalization()
+    scaled = f.substitute(scale)
+    for e, _ in scaled.terms:
+        if not (e.denominator == 1 and numerical.contains(e.numerator)):
+            raise DomainError(f"support exponent {e / scale} lies outside the monoid")
+    cf = canonical_by_clearing(scaled)
+    k = int(cf.monomial_exponent)
+    factors = [(cyclotomic_poly(n).prim, e) for n, e in cf.cyclotomic_part]
+    factors += [(q.prim, l) for q, l in cf.prime_part]
+    return scale, numerical, k, numerical.divisors(k), factors
+
+
 # -- Yun's split by primitive remainder sequences ----------------------------
 
 def yun_squarefree(f):
@@ -859,14 +934,10 @@ def yun_squarefree(f):
 
 def untruncated_divisors(f, monoid):
     """The sorted divisors of f in Q[S], from every (monomial split,
-    sub-multiset) pair whose full g and cofactor supports lie in the scaled
-    monoid; the same pair may be met twice and is kept once."""
-    scale, numerical = monoid.normalization()
-    scaled = f.substitute(scale).to_qpoly().prim
-    k = next(i for i, c in enumerate(scaled) if c)
-    cyclotomic, other = factor_primitive(list(scaled[k:]))
-    factors = [(cyclotomic_poly(n).prim, e) for n, e in cyclotomic] + other
-    splits = numerical.divisors(k)
+    sub-multiset) pair of :func:`scaled_by_clearing` whose full g and
+    cofactor supports lie in the scaled monoid; the same pair may be met
+    twice and is kept once."""
+    scale, numerical, k, splits, factors = scaled_by_clearing(f, monoid)
     powers = []
     for g, mult in factors:
         row = [[1]]
@@ -901,15 +972,11 @@ def untruncated_divisors(f, monoid):
 
 def list_walk_keys(f, monoid):
     """The kept (t, choice) keys of f's divisors in Q[S], in the engine's
-    order: each choice walked with its mirror on integer coefficient lists
+    order, over the factors of :func:`scaled_by_clearing`: each choice
+    walked with its mirror on integer coefficient lists
     truncated below c, and every split of a leaf decided against one
     bitmask of the gaps of the scaled monoid below k + c."""
-    scale, numerical = monoid.normalization()
-    cf = canonical_factorization(f.substitute(scale))
-    k = int(cf.monomial_exponent)
-    splits = numerical.divisors(k)
-    factors = [(cyclotomic_poly(n).prim, e) for n, e in cf.cyclotomic_part]
-    factors += [(q.prim, l) for q, l in cf.prime_part]
+    _, numerical, k, splits, factors = scaled_by_clearing(f, monoid)
     powers = []
     for g, mult in factors:
         row = [[1]]

@@ -146,6 +146,19 @@ def test_exit_codes():
     assert limited.status == "resource-limit" and limited.exit_code == 3
 
 
+def test_dense_cap_reads_the_full_scaled_degree():
+    # the core X^10 + 2 is small, but the element is dense to degree 70000;
+    # a binomial core is read off its two terms and is never made dense
+    message = "dense degree 70000 exceeds the cap of 65536"
+    for argv in (["factor", "X^70000+2*X^69990"], ["divisors", "X^70000+2*X^69990", "--monoid", "<1>"]):
+        result = run_command(argv + ["--json"])
+        assert (result.exit_code, result.payload) == (3, {"error": message}), argv
+    binomial = run_command(["factor", "X^70000+X^69990", "--json"])
+    assert binomial.exit_code == 0
+    assert [c["index"] for c in binomial.payload["cyclotomic"]] == [4, 20]
+    assert binomial.payload["primes"] == []
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

@@ -113,6 +113,92 @@ def test_canonical_factorization_matches_fiber_classification():
     assert sum(bool(cf.cyclotomic_part and cf.prime_part) for cf in results) >= 40
 
 
+# Irreducible over Q and not cyclotomic, with leading coefficients 2, 3, 4,
+# 5 and 7: primes of one degree are ordered by their monic coefficients
+# alone, and 2X^2 + 1, 2X^2 + 2X + 1 and 4X^2 + X + 2 tie at 1/2 in the first.
+NON_MONIC = [
+    QPoly(c)
+    for c in ([1, 0, 2], [1, 2, 2], [2, 1, 4], [1, 1, 3], [-1, 2, 5], [3, 0, 7], [1, 2], [-1, 3], [5, 4], [1, 1, 0, 2])
+]
+BENCH_MONOIDS = [
+    PuiseuxMonoid([2, 3]),
+    PuiseuxMonoid([3, 5, 7]),
+    PuiseuxMonoid([Rat(1, 2), Rat(1, 3)]),
+    PuiseuxMonoid([Rat(2, 3), 1]),
+]
+
+
+def _outcome(call):
+    """call()'s value, or the type and text of the library error it raises."""
+    try:
+        return call()
+    except (DomainError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def test_integer_route_matches_the_route_through_rational_objects():
+    rng = random.Random(39)
+    cases = []
+    for _ in range(60):
+        poly = QPoly([random_fraction(rng)])
+        for q in rng.sample(NON_MONIC, rng.randint(2, 5)):
+            poly = poly * power(q, rng.choice((1, 1, 2)))
+        if rng.random() < 0.5:
+            poly = poly * cyclotomic_poly(rng.randint(1, 12))
+        den = rng.randint(1, 6)
+        shift = PuiseuxPoly.monomial(1, Rat(rng.randint(0, 6), den))
+        cases.append(PuiseuxPoly.from_qpoly(poly, Rat(1, den)) * shift)
+    cases += [random_composite(rng) for _ in range(40)]
+    texts = (
+        "X^(5/2) - 1", "3*X^(7/3) + 3*X^(1/3)", "2*X^(1/2) + 3*X^(1/3) - X^(1/6)", "-2/3*X^(4/5)",
+        # both sides of the dense cap, which reads the full scaled degree
+        "X^(65536/3) + 2*X^(65535/3)", "X^(65537/3) + 2*X^(65535/3)", "X^70000 + 2*X^69990",
+        "X^70000 + X^69990",
+    )
+    cases += [parse_poly(text) for text in texts]
+    results = [_outcome(lambda: canonical_factorization(f)) for f in cases]
+    assert results == [_outcome(lambda: reference.canonical_by_clearing(f)) for f in cases]
+    assert [r for r in results if type(r) is tuple] == [
+        (ResourceLimitError, f"dense degree {n} exceeds the cap of 65536") for n in (65537, 70000)
+    ]
+    leads = [{q.prim[-1] for q, _ in cf.prime_part} for cf in results[:60]]
+    assert sum(len(lc) >= 3 for lc in leads) >= 20
+
+
+def test_divisors_match_the_route_through_rational_objects():
+    rng = random.Random(39)
+    cases = []
+    for S in BENCH_MONOIDS:
+        scale, N = S.normalization()
+        for _ in range(6):
+            f = PuiseuxPoly.monomial(random_fraction(rng), rng.choice(N.generators))
+            for q in rng.sample(NON_MONIC, rng.randint(1, 3)):
+                f = f * PuiseuxPoly.from_qpoly(q, rng.choice(N.generators))
+            cases.append((f.substitute(Rat(1) / scale), S))
+    outside = (
+        ("X^(1/5) + 1", [Rat(1, 2), Rat(1, 3)]),
+        ("X^70001 + 3*X", [2, 3]),  # outside the monoid, and past the cap
+        ("X^(1/2) + 2*X^(1/3) + 1", [Rat(2, 3), 1]),
+    )
+    cases += [(parse_poly(text), PuiseuxMonoid(gens)) for text, gens in outside]
+    # both sides of the dense cap, with two splits of X^65535 and of X^65536
+    cases += [
+        (parse_poly("X^65536 + 2*X^65535"), PuiseuxMonoid([65535, 65536])),
+        (parse_poly("X^65537 + 2*X^65536"), PuiseuxMonoid([65536, 65537])),
+    ]
+    for f, S in cases:
+        expected = _outcome(lambda: reference.untruncated_divisors(f, S))
+        assert _outcome(lambda: divisors_in_algebra(f, S).divisors) == expected, (f, S)
+        walk = lambda: list(engine._divisor_walk(f, S, engine.DEFAULT_DIVISOR_LIMIT)[0])
+        assert _outcome(walk) == _outcome(lambda: reference.list_walk_keys(f, S)), (f, S)
+    errors = [_outcome(lambda: divisors_in_algebra(f, S)) for f, S in cases[-5:]]
+    assert errors[:3] == [
+        (DomainError, f"support exponent {e} lies outside the monoid") for e in ("1/5", "1", "1/3")
+    ]
+    assert len(errors[3].divisors) == 2
+    assert errors[4] == (ResourceLimitError, "dense degree 65537 exceeds the cap of 65536")
+
+
 def test_binomial_shortcut_matches_dense_path(monkeypatch):
     # c*X^(j/m)*(X^(n/m) +- 1) read off its terms against the dense route
     # of the reference (clear, factor over Q with the cyclotomic split).
@@ -358,6 +444,30 @@ def test_divisor_count_and_atom_test_build_no_divisor(monkeypatch):
     assert not is_atom_in_algebra(f, S)
     assert len(built) <= 3
     built.clear()
+    assert len(divisors_in_algebra(f, S).divisors) == 1120
+    assert len(built) == 1120
+
+
+def test_walk_in_a_scaled_monoid_builds_no_element_and_no_qpoly(monkeypatch):
+    # <1/2, 1/3> scales by 6, so the walk reads X^10 - 1 at X^6; counts and
+    # atom tests build no element and no QPoly but the Phi_n cyclotomic_poly
+    # caches, and listing builds one element per kept divisor
+    f, S = parse_poly("X^10 - 1"), PuiseuxMonoid([Rat(1, 2), Rat(1, 3)])
+    built, qpolys = [], []
+    canonical, checking = PuiseuxPoly._from_canonical, PuiseuxPoly.__init__
+    monkeypatch.setattr(
+        PuiseuxPoly, "_from_canonical", classmethod(lambda cls, t: built.append(t) or canonical(t))
+    )
+    monkeypatch.setattr(PuiseuxPoly, "__init__", lambda g, *a: built.append(a) or checking(g, *a))
+    # every QPoly is made by _normalize (QPoly(), from_ints) or by _monic
+    normalize, monic = QPoly._normalize, QPoly._monic
+    monkeypatch.setattr(QPoly, "_normalize", lambda q, *a: qpolys.append(a) or normalize(q, *a))
+    monkeypatch.setattr(QPoly, "_monic", lambda g: qpolys.append(g) or monic(g))
+    misses = cyclotomic_poly.cache_info().misses
+    assert ff_divisor_count(f, S) == 1120
+    assert not is_atom_in_algebra(f, S)
+    assert built == []
+    assert len(qpolys) == cyclotomic_poly.cache_info().misses - misses
     assert len(divisors_in_algebra(f, S).divisors) == 1120
     assert len(built) == 1120
 

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from puiseux import DomainError, PuiseuxPoly, QPoly, Rat, ResourceLimitError, elementary_symmetric
-from puiseux.exact import PRIME_TEST_LIMIT, is_prime
+from puiseux.exact import PRIME_BASES, PRIME_PREFIXES, PRIME_TEST_LIMIT, is_prime
+
+from reference import is_prime_all_bases, strong_probable_prime
 
 
 # Rat(num, den) is the reduced form of num/den, the library's exponent type.
@@ -120,3 +122,34 @@ def test_is_prime_refuses_at_its_limit():
     for n in (PRIME_TEST_LIMIT, 2**100 + 1):
         with pytest.raises(ResourceLimitError):
             is_prime(n)
+
+
+def test_each_prefix_bound_is_composite():
+    # each bound is the least strong pseudoprime to its prefix of the bases,
+    # so it needs the next prefix, which is also the shortest proven there
+    for bound, count in PRIME_PREFIXES[:-1]:
+        assert strong_probable_prime(bound, PRIME_BASES[:count]), bound
+        assert not is_prime(bound), bound
+    assert [count for _, count in PRIME_PREFIXES][-1] == len(PRIME_BASES)
+    assert PRIME_PREFIXES[-1][0] == PRIME_TEST_LIMIT
+
+
+def test_prefix_test_agrees_with_every_base():
+    rng = random.Random(39)
+    cases = [bound + d for bound, _ in PRIME_PREFIXES[:-1] for d in range(-30, 31)]
+    # Carmichael numbers and strong pseudoprimes to base 2, or to 2 and 3
+    cases += [561, 1105, 1729, 2465, 8911, 41041, 825265, 321197185, 5394826801]
+    cases += [3277, 4033, 4681, 8321, 15841, 29341, 1530787, 1987021, 2284453, 3116107]
+    for bits in range(2, 82):
+        cases += [rng.getrandbits(bits) | 1 for _ in range(30)]
+        n = rng.getrandbits(bits) | 1
+        while not is_prime_all_bases(n):
+            n += 2
+        m = rng.getrandbits(bits) | 1
+        while not is_prime_all_bases(m):
+            m += 2
+        cases += [n, n * m, n * n]
+    cases = [n for n in cases if n < PRIME_TEST_LIMIT]
+    assert sum(map(is_prime_all_bases, cases)) >= 150
+    for n in cases:
+        assert is_prime(n) == is_prime_all_bases(n), n
