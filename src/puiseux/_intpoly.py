@@ -603,34 +603,29 @@ def _trace_bound(cur: list[int], bound: int) -> int:
 
 
 def _first_factor(cur: list[int], candidates: Iterable[tuple[tuple[int, ...], int]],
-                  lifted: list[list[int]], values: list[list[int]], pl: int,
+                  lifted: list[list[int]], values: list[int], pl: int,
                   bound: int) -> tuple[tuple[int, ...], list[int], list[int]] | None:
     """The first (subset, g, cur / g) over the (subset, trace sum) pairs of
     candidates such that g, the primitive part of lc(cur) times the subset's
-    lifted factors mod pl, divides cur over Z; None if none does.  The four
+    lifted factors mod pl, divides cur over Z; None if none does.  The two
     pre-tests of zz_factor_squarefree come first."""
     lc, trace_bound = cur[-1], _trace_bound(cur, bound)
-    targets = [lc * cur[0], lc * sum(cur), lc * (sum(cur[::2]) - sum(cur[1::2]))]
-    tests = [(vals, t) for vals, t in zip(values, targets) if t]
+    target = lc * sum(cur)
     for subset, t in candidates:
         if trace_bound < lc * t % pl < pl - trace_bound:
             continue
-        for vals, target in tests:
-            c = lc
-            for i in subset:
-                c = c * vals[i] % pl
-            if c > pl // 2:
-                c -= pl
-            if c == 0 or target % c:
-                break
-        else:
-            cand = [lc]
-            for i in subset:
-                cand = zz_mul(cand, lifted[i])
-            _, cand = zz_primitive(zz_trunc_sym(cand, pl))
-            q = zz_trial_div(cur, cand)
-            if q is not None:
-                return subset, cand, q
+        c = lc
+        for i in subset:
+            c = c * values[i] % pl
+        if target and (c == 0 or target % (c - pl if c > pl // 2 else c)):
+            continue  # a zero target, cur(1) = 0, rejects nothing
+        cand = [lc]
+        for i in subset:
+            cand = zz_mul(cand, lifted[i])
+        _, cand = zz_primitive(zz_trunc_sym(cand, pl))
+        q = zz_trial_div(cur, cand)
+        if q is not None:
+            return subset, cand, q
     return None
 
 
@@ -641,19 +636,19 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     quadratic Hensel lifting past the Mignotte bound, then subset
     recombination in increasing size and lexicographic order.
 
-    A subset is multiplied out and trial-divided only after four necessary
+    A subset is multiplied out and trial-divided only after two necessary
     tests modulo p^l (Abbott, Shoup & Zimmermann, ISSAC 2000) on a table of
-    each lifted factor's next-to-leading coefficient and values at 0, 1, -1.
-    If cur = g*h over Z and the subset lifts g, then lc(cur) times the
-    product of its monic lifts is lc(h)*g modulo p^l.  So the symmetric
-    residue of its next-to-leading coefficient lies within _trace_bound, and
-    for x in 0, 1, -1 with cur(x) != 0 that of lc(h)*g(x) is nonzero and
-    divides lc(cur)*cur(x) = lc(h)*g(x) * lc(g)*h(x).  The residues are the
-    true values: with M the Mahler measure, |lc(h)*g(x)| and the coefficients
-    of lc(h)*g are at most 2^(deg g)*|lc(h)|*M(g) <= 2^n*M(cur) <= 2^n*M(f)
-    <= 2^n*sqrt(n+1)*|f|_inf <= bound < p^l/2, as cur divides f.  A subset
-    that fails a test lifts no factor, so the factors found are those of
-    trial division alone.
+    each lifted factor's next-to-leading coefficient and value at 1.  If
+    cur = g*h over Z and the subset lifts g, then lc(cur) times the product
+    of its monic lifts is lc(h)*g modulo p^l.  So the symmetric residue of
+    its next-to-leading coefficient lies within _trace_bound, and if
+    cur(1) != 0 that of lc(h)*g(1) is nonzero and divides
+    lc(cur)*cur(1) = lc(h)*g(1) * lc(g)*h(1).  The residues are the true
+    values: with M the Mahler measure, |lc(h)*g(x)| for |x| = 1 and the
+    coefficients of lc(h)*g are at most 2^(deg g)*|lc(h)|*M(g) <= 2^n*M(cur)
+    <= 2^n*M(f) <= 2^n*sqrt(n+1)*|f|_inf <= bound < p^l/2, as cur divides f.
+    A subset that fails a test lifts no factor, so the factors found are
+    those of trial division alone.
 
     Recombination recurses on even inputs.  An odd f runs the subset loop
     over its lifted factors.  An even f = g(X^2) recombines g over its units
@@ -684,7 +679,7 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     if a unit of h is self-mirrored: that f_i dividing u mod p would divide
     sigma(u) = +-u(-X) too, and f_i^2 would divide f mod p.  Otherwise u
     takes one f_i of each of h's k pairs, and the 2^(k-1) choices with the
-    first pair's f_i fixed each go through the four pre-tests against h(X^2)
+    first pair's f_i fixed each go through the two pre-tests against h(X^2)
     before trial division.  The factors are returned sorted by their number
     of f_i, then their sorted indices: the order in which recombination over
     the f_i finds them.
@@ -731,8 +726,7 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
                   pairs: list[tuple[int, int]]) -> list[tuple[list[int], tuple[int, ...]]]:
         """The factors of f over its lifted factors, each with the indices it takes."""
         trace = [g[-2] for g in lifted]
-        values = [[g[0] % pl for g in lifted], [sum(g) % pl for g in lifted],
-                  [(sum(g[::2]) - sum(g[1::2])) % pl for g in lifted]]
+        values = [sum(g) % pl for g in lifted]
         found = []
         if pairs:
             g = f[::2]

@@ -109,7 +109,7 @@ def cyclotomic_poly(n: int) -> QPoly:
         raise DomainError("cyclotomic index must be a positive integer")
     primes = [p for p, _ in _prime_factors(n)]
     if not primes:
-        return QPoly.from_ints(1, [-1, 1])
+        return QPoly._monic([-1, 1])
     degree = math.prod(p - 1 for p in primes)
     stride = n // math.prod(primes)
     if degree * stride > MAX_DENSE_DEGREE:
@@ -128,7 +128,7 @@ def cyclotomic_poly(n: int) -> QPoly:
                     series[i] += series[i - d]
     coeffs = [0] * (degree * stride + 1)
     coeffs[::stride] = series
-    return QPoly.from_ints(1, coeffs)
+    return QPoly._monic(coeffs)
 
 
 def totient(n: int) -> int:

@@ -184,7 +184,7 @@ def _divisor_walk(f: PuiseuxPoly, monoid: PuiseuxMonoid, limit: int):
         degree += len(row[-1]) - 1
     work += 64 * combinations * (degree + 2) // 2
     c = min(numerical.conductor, degree + 1)
-    gaps = sum(1 << x for x in range(k + c) if not numerical.contains(x))
+    gaps = numerical.gap_mask(k + c)
     # Every slot holds a coefficient d with |d| <= bound < 2^(w-1), so adding
     # high carries out of no slot and leaves its low w-1 bits zero only at
     # d = 0.  Slots are whole bytes: nonzero reads the top byte of each as a bit.

@@ -84,6 +84,10 @@ class NumericalMonoid:
             return False
         return x >= self._apery[x % self.generators[0]]
 
+    def gap_mask(self, n: int) -> int:
+        """The int whose bit x is set exactly for the gaps x < n, in time linear in n."""
+        return int("0" + "".join("0" if self.contains(x) else "1" for x in range(n - 1, -1, -1)), 2)
+
     def divisors(self, n: int) -> list[int]:
         """All t with t and n - t both members, for a member n; the scan is
         linear in n, so n > MAX_DENSE_DEGREE raises ResourceLimitError."""

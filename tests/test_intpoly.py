@@ -339,7 +339,7 @@ def test_sd16_times_x2_minus_3_trial_divisions(monkeypatch):
 
 
 def test_three_sd8_trial_divisions(monkeypatch):
-    # the next-to-leading coefficient rejects two subsets that pass all value tests
+    # the next-to-leading coefficient rejects two subsets that pass the value test
     sd8s = [swinnerton_dyer(ps) for ps in ([2, 5, 11], [2, 7, 11], [3, 5, 7])]
     factors, calls = count_trial_divisions(monkeypatch, zz_mul(zz_mul(sd8s[0], sd8s[1]), sd8s[2]))
     assert sorted(factors) == sorted(sd8s)
@@ -653,6 +653,46 @@ def test_recombination_pretests_and_trial_divisions(monkeypatch, f, found, prete
     assert (tested, calls) == (pretests, divisions)
 
 
+def product(*blocks: list[int]) -> list[int]:
+    f = [1]
+    for block in blocks:
+        f = zz_mul(f, block)
+    return f
+
+
+# Products shaped like the factor benchmark's corpus, each with its primitive
+# blocks (lc > 0), the subsets and split choices that reach the pre-tests, and
+# the trial divisions.  The SD32, p90 and median products are pinned above.
+RECOMBINATION_WORK = [
+    ([swinnerton_dyer([2, 3, 5]), [-7, 0, 1]], 6, 1),
+    ([swinnerton_dyer([2, 3, 7]), [3, 3, 0, 2]], 17, 1),
+    ([swinnerton_dyer([2, 5, 7]), [-6, 0, 1], [5, 5, 1]], 16, 2),
+    # the two corpus products with a subset that passes both pre-tests and a
+    # value test at 0 would reject: 2 trial divisions each with that test
+    ([swinnerton_dyer([3, 5, 7]), [6, 9, -3, -9, 9, 4], [-2, 4, 2, 2, 2, 3]], 37, 4),
+    ([swinnerton_dyer([3, 5, 7]), [-7, 7, 2], [-24, 0, 1]], 16, 4),
+    ([swinnerton_dyer([2, 3, 5]), swinnerton_dyer([2, 3, 7])], 11, 1),
+    ([swinnerton_dyer(ps) for ps in ([2, 3, 11], [2, 5, 7], [3, 5, 7])], 48, 2),
+    ([swinnerton_dyer(ps) for ps in ([2, 3, 5], [2, 3, 7], [2, 5, 11], [3, 7, 11])], 66, 3),
+    ([sd16_of_x_squared()], 18, 0),
+    ([[-10, 0, 1], [2, 6, 3]], 1, 1),
+    # even, with h(1) = 0 for the core's factor h = Y - 1 below the top level,
+    # where the value test is vacuous and must pass the true split X^2 - 1
+    ([[-1, 1], [1, 1], of_x_squared(swinnerton_dyer([2, 3]))], 4, 2),
+    ([[-1, 1], [1, 1], [1, 0, 1], of_x_squared(of_x_squared(swinnerton_dyer([2, 3])))], 6, 3),
+]
+
+
+def test_recombination_work_on_factor_shaped_products(monkeypatch):
+    work, expected = [], []
+    for blocks, pretests, divisions in RECOMBINATION_WORK:
+        factors, tested, calls = count_pretests(monkeypatch, product(*blocks))
+        assert sorted(factors) == sorted(blocks)
+        work.append((tested, calls))
+        expected.append((pretests, divisions))
+    assert work == expected
+
+
 def mirrored(u: list[int]) -> list[int]:
     """(-1)^deg u * u(-X)."""
     return [-c if (len(u) - i) % 2 == 0 else c for i, c in enumerate(u)]
@@ -810,11 +850,12 @@ def test_recombination_pretests_match_all_subsets():
         zz_mul([-2, 0, 1], [-3, 0, 1]),  # next-to-leading coefficient 0
         zz_mul([1, 3], zz_mul([-5, 2], [7, 0, 2])),  # non-monic lifts, lc = 12
         zz_mul([-1, 1], swinnerton_dyer([2, 3, 5])),  # f(1) = 0: no value test at 1
-        zz_mul([1, 1], [-2, 0, 1]),  # f(-1) = 0: no value test at -1
+        zz_mul([1, 1], [-2, 0, 1]),  # f(-1) = 0
         zz_mul(zz_mul([-1, 1], [1, 1]), zz_mul([0, 1], [-3, 0, 2])),  # zero at 0, 1 and -1
+        of_x_squared(zz_mul([-1, 1], swinnerton_dyer([2, 3]))),  # h(1) = 0 in the even recursion
     ]
     checked = 0
-    while checked < 43:
+    while checked < 44:
         f = cases.pop() if cases else random_squarefree_product(rng)
         if len(f) < 3 or zz_squarefree(f) != [(f, 1)]:
             continue

@@ -108,6 +108,30 @@ def test_conductor_matches_dp_reachability():
         checked += 1
 
 
+def gaps_by_reachability(generators, n: int) -> list[int]:
+    """The gaps below n, from a reachability table."""
+    reachable = [True] + [False] * (n - 1)
+    for x in range(1, n):
+        reachable[x] = any(g <= x and reachable[x - g] for g in generators)
+    return [x for x in range(n) if not reachable[x]]
+
+
+@pytest.mark.parametrize("generators", [
+    ("2", "3"), ("3", "5", "7"), ("1/2", "1/3"), ("2/3", "1"),  # the divisors benchmark's monoids
+    ("7", "11", "13"),
+    ("65535", "65536"),
+])
+def test_gap_mask_matches_membership_at_every_position(generators):
+    _, N = PuiseuxMonoid([Fraction(g) for g in generators]).normalization()
+    c = N.conductor
+    # 262,145 = k + c positions in the walk of X^131072 - 1 in <65535, 65536>
+    for n in (0, 1, c, c + 1, 2 * c + 3) if c < 1000 else (0, 1, 262145):
+        mask = N.gap_mask(n)
+        assert mask >> n == 0
+        bits = mask.to_bytes(n // 8 + 1, "little")
+        assert [x for x in range(n) if bits[x >> 3] >> (x & 7) & 1] == gaps_by_reachability(N.generators, n)
+
+
 def test_atoms_of_large_generators_are_fast():
     start = time.perf_counter()
     atoms = PuiseuxMonoid([10007, 20011, 30011]).atoms()
